@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested property holds (or a build succeeds),
 1 when a checked property turns out false (reducible, not uniserial,
-classification impossible, suite failures), 2 on usage or input errors.
+classification impossible, suite failures), 2 on usage or input errors,
+3 on an internal error: a result that failed its own re-verification.
 
 Scalars on the command line are integers over prime fields and bracketed
 ascending coefficient lists over extensions; list-valued flags separate
@@ -21,6 +22,7 @@ from .errors import (
     SchemaError,
     TooLarge,
     UndecidedIrreducibility,
+    VerificationFailed,
 )
 from .fields import Field, FieldElem, GF, Poly, find_irreducible, make_extension
 from .heisenberg import (
@@ -381,6 +383,9 @@ def main(argv=None) -> int:
     except (UndecidedIrreducibility, TooLarge) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except VerificationFailed as exc:
+        print(f"internal error: VerificationFailed: {exc}", file=sys.stderr)
+        return 3
     except AlgebraError as exc:
         # build-parameter violations are usage errors at the command line
         if args.command == "build":

@@ -1,8 +1,11 @@
 """Exception hierarchy for the whole library.
 
 Every error raised on bad API input derives from AlgebraError so callers can
-catch one base class.  Internal invariant violations use plain asserts and
-are bugs, not user errors.
+catch one base class.  A computed result that fails its own re-verification
+(a classification transform, a canonical form, a similarity) raises
+VerificationFailed instead: that is a bug in the library, not a user error,
+and the check runs under python -O as well.  The remaining internal
+invariants use plain asserts.
 """
 
 
@@ -85,3 +88,13 @@ class SchemaError(AlgebraError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+class VerificationFailed(Exception):
+    """A result failed the library's re-verification of it: a bug."""
+
+
+def verify(ok: bool, what: str) -> None:
+    """Raise VerificationFailed(what) unless ok."""
+    if not ok:
+        raise VerificationFailed(what)

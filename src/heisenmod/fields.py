@@ -7,6 +7,17 @@ polynomial).  Over a prime field the code is simply the residue.  All inner
 loops work on codes; FieldElem wraps a code with its field for operator
 syntax and strict cross-field checking at the API boundary.
 
+Packed codes.  Matrix products run on packed codes, so that a dot product
+of length L is one sum(map(operator.mul, ...)) over Python integers with one
+reduction per result.  Over GF(p) the packed code is the code itself and the
+reduction is mod p.  Over GF(p^m) a code with digits a_i packs to the
+integer sum of a_i * 2^(s*i) (Kronecker substitution), with the slot width s
+chosen from L so that 2^s > (L+1)*m*(p-1)^2: a sum of L products then holds
+each of its 2m-1 coefficients in its own slot without a carry.  Unpacking
+folds the slots of degree >= m into the lower ones modulo the defining
+polynomial, reducing each folded slot mod p, and reads the m low slots mod
+p.  Scalar multiplication over GF(p^m) is the same computation with L = 1.
+
 Polynomials are immutable coefficient tuples in ascending degree with no
 trailing zeros.  The zero polynomial has an empty tuple and degree -1.
 """
@@ -64,7 +75,10 @@ class Field:
     """A finite field.  Construct with GF(p) or make_extension(p, q).
 
     Arithmetic methods (add, mul, ...) act on integer element codes and are
-    the fast path; element() wraps a code into a FieldElem.
+    the fast path; element() wraps a code into a FieldElem.  pack(codes, L)
+    and unpack(values, L) are the codec of the dot-product kernel (see the
+    module docstring): unpack maps each sum of L products of packed codes
+    to the code of that sum.
     """
 
     def __init__(self, p: int, modulus: Optional[Sequence[int]] = None):
@@ -109,21 +123,61 @@ class Field:
 
         self.mul = mul
         self.inv = inv
+        self.pack = lambda codes, inner: codes
+        self.unpack = lambda values, inner: [v % p for v in values]
 
     def _init_extension(self):
         p, m, q = self.p, self.degree, self.order
         mod = self.modulus
 
-        # coefficient vectors of X^(m+k) reduced mod the defining polynomial
-        head = [(-c) % p for c in mod[:m]]
-        xpows = [head]
-        for _ in range(m - 2):
-            prev = xpows[-1]
-            nxt = [0] + prev[:-1]
-            lead = prev[-1]
-            if lead:
-                nxt = [(nxt[i] + lead * head[i]) % p for i in range(m)]
-            xpows.append(nxt)
+        # X^m modulo the defining polynomial, as (degree, coefficient) terms
+        head = [(i, -c % p) for i, c in enumerate(mod[:m]) if c]
+        codecs = {}
+
+        def codec(inner):
+            """(pack_one, reduce_one) for sums of `inner` products.
+
+            The slot width s has 2^s > (inner + 1) * m * (p-1)^2, so each of
+            the 2m - 1 coefficients of such a sum fits its slot, with room
+            left for folding the slots of degree >= m into the lower ones.
+            """
+            if inner in codecs:
+                return codecs[inner]
+            s = ((inner + 1) * m * (p - 1) ** 2).bit_length()
+            mask = (1 << s) - 1
+            top = sum(h << s * i for i, h in head)  # X^m, packed
+            folds = [
+                (s * k, (1 << s * k) - 1, top << s * (k - m))
+                for k in range(2 * m - 2, m - 1, -1)
+            ]
+            shifts = range(s * (m - 1), -1, -s)
+
+            def pack_one(c):
+                v = 0
+                for shift in range(0, s * m, s):
+                    c, d = divmod(c, p)
+                    v |= d << shift
+                return v
+
+            if q <= _TABLE_LIMIT:
+                pack_one = [pack_one(c) for c in range(q)].__getitem__
+
+            def reduce_one(v):
+                # replace the top slot's X^k by X^(k-m) * X^m, highest first,
+                # then read the m low slots
+                for shift, low, x_m in folds:
+                    v = (v & low) + (v >> shift) % p * x_m
+                code = 0
+                for shift in shifts:
+                    code = code * p + ((v >> shift) & mask) % p
+                return code
+
+            codecs[inner] = pack_one, reduce_one
+            return pack_one, reduce_one
+
+        self.pack = lambda codes, inner: list(map(codec(inner)[0], codes))
+        self.unpack = lambda values, inner: list(map(codec(inner)[1], values))
+        pack1, reduce1 = codec(1)
 
         def digits(c):
             out = []
@@ -139,7 +193,6 @@ class Field:
             return c
 
         self._digits = digits
-        self._undigits = undigits
 
         def add(a, b):
             va, vb = digits(a), digits(b)
@@ -153,19 +206,7 @@ class Field:
             return undigits([-x % p for x in digits(a)])
 
         def mul(a, b):
-            va, vb = digits(a), digits(b)
-            prod = [0] * (2 * m - 1)
-            for i, x in enumerate(va):
-                if x:
-                    for j, y in enumerate(vb):
-                        prod[i + j] += x * y
-            out = [c % p for c in prod[:m]]
-            for k in range(m - 1):
-                c = prod[m + k] % p
-                if c:
-                    red = xpows[k]
-                    out = [(out[i] + c * red[i]) % p for i in range(m)]
-            return undigits(out)
+            return reduce1(pack1(a) * pack1(b))
 
         def inv(a):
             if a == 0:
@@ -181,16 +222,14 @@ class Field:
 
         if q <= _TABLE_LIMIT:
             add_t = [0] * (q * q)
-            mul_t = [0] * (q * q)
             for a in range(q):
                 row = a * q
                 for b in range(a, q):
                     s = add(a, b)
-                    t = mul(a, b)
                     add_t[row + b] = s
                     add_t[b * q + a] = s
-                    mul_t[row + b] = t
-                    mul_t[b * q + a] = t
+            packed = [pack1(a) for a in range(q)]
+            mul_t = [reduce1(x * y) for x in packed for y in packed]
             neg_t = [sub(0, a) for a in range(q)]
             inv_t = [0] + [inv(a) for a in range(1, q)]
             self.add = lambda a, b: add_t[a * q + b]

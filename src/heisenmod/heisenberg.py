@@ -31,6 +31,7 @@ from .errors import (
     WrongDeltaCount,
     WrongDimension,
     ZeroAlpha,
+    verify,
 )
 from .fields import Field, FieldElem, GF, Poly, make_extension
 from .matrices import (
@@ -320,9 +321,9 @@ def build_standard(algebra: HeisenbergAlgebra) -> Representation:
     d = n + 2
 
     def e(i: int, j: int) -> Matrix:
-        m = Matrix.zeros(field, d, d)
-        m.data[(i - 1) * d + (j - 1)] = 1
-        return m
+        data = [0] * (d * d)
+        data[(i - 1) * d + (j - 1)] = 1
+        return Matrix(field, d, d, data)
 
     xs = [e(1, i + 2) for i in range(n)]
     ys = [e(i + 2, d) for i in range(n)]
@@ -586,10 +587,10 @@ def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
     t = Matrix.from_columns(field, cols)
     params = ModuleParams(alpha, betas, gammas)
     model = build_V(rep.algebra, params)
-    assert not t.det().is_zero(), "classification basis must be invertible"
+    verify(not t.det().is_zero(), "classification basis must be invertible")
     for (_, m), (_, want) in zip(rep.generators(), model.generators()):
         # m t == t model is conjugacy since t is invertible
-        assert m * t == t * want, "classification transform failed to verify"
+        verify(m * t == t * want, "classification transform failed to verify")
     return params, t
 
 
@@ -640,8 +641,9 @@ def canonical_pair(a: Matrix, b: Matrix, c: Matrix) -> tuple[Matrix, Matrix, Mat
     a_form = build_M(p, alpha, beta)
     b_form = jordan_block(field, gamma, p)
     xi = x.inv()
-    assert xi * a * x == a_form and xi * b * x == b_form, (
-        "normal form transform failed to verify"
+    verify(
+        xi * a * x == a_form and xi * b * x == b_form,
+        "normal form transform failed to verify",
     )
     return a_form, b_form, x
 
@@ -665,5 +667,8 @@ def triple_similarity(
     _, _, x2 = canonical_pair(a2, b2, c2)
     x = x1 * x2.inv()
     xi = x.inv()
-    assert xi * a1 * x == a2 and xi * b1 * x == b2 and xi * c1 * x == c2
+    verify(
+        xi * a1 * x == a2 and xi * b1 * x == b2 and xi * c1 * x == c2,
+        "simultaneous similarity failed to verify",
+    )
     return x

@@ -6,20 +6,35 @@ are plain lists of element codes.  companion(f) carries ones on the first
 subdiagonal and the negated coefficients of f in the last column, so that
 C e_i = e_(i+1) for i < deg f.  Jordan blocks put the eigenvalue on the
 diagonal and ones on the subdiagonal.  Matrix data is a flat row-major list
-of element codes; instances are treated as immutable.
+of element codes.
+
+A Matrix is immutable after construction: build its entry list first and
+construct the Matrix last, since products cache its packed rows and columns.
+
+Products and apply share one kernel: every result entry is one
+sum(map(operator.mul, packed_row, packed_col)) over the field's packed codes
+(see heisenmod.fields), reduced once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DoesNotSplit, MixedFields, NonMonic, ShapeMismatch, Singular
+from .errors import (
+    DoesNotSplit,
+    MixedFields,
+    NonMonic,
+    ShapeMismatch,
+    Singular,
+    verify,
+)
 from .fields import Field, FieldElem, Poly
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_packed_rows", "_packed_cols")
 
     def __init__(self, field: Field, rows: int, cols: int, data: Sequence[int]):
         if len(data) != rows * cols:
@@ -28,6 +43,12 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = list(data)
+        self._packed_rows: Optional[list[list[int]]] = None
+        self._packed_cols: Optional[list[list[int]]] = None
+
+    def __reduce__(self):
+        # the packed caches are rebuilt on first use
+        return (Matrix, (self.field, self.rows, self.cols, self.data))
 
     # -- constructors -------------------------------------------------------
 
@@ -147,21 +168,13 @@ class Matrix:
             raise ShapeMismatch(
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        n, m, k = self.rows, self.cols, other.cols
-        add, mul = self.field.add, self.field.mul
-        A, B = self.data, other.data
-        out = [0] * (n * k)
-        for i in range(n):
-            arow = A[i * m : (i + 1) * m]
-            orow = i * k
-            for t, a in enumerate(arow):
-                if a:
-                    brow = B[t * k : (t + 1) * k]
-                    for j in range(k):
-                        b = brow[j]
-                        if b:
-                            out[orow + j] = add(out[orow + j], mul(a, b))
-        return Matrix(self.field, n, k, out)
+        cols = other._columns_packed()
+        values = [
+            sum(map(operator.mul, r, c)) for r in self._rows_packed() for c in cols
+        ]
+        return Matrix(
+            self.field, self.rows, other.cols, self.field.unpack(values, self.cols)
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElem, int)):
@@ -173,14 +186,18 @@ class Matrix:
             raise ShapeMismatch("power of a non-square matrix")
         if e < 0:
             return self.inv() ** (-e)
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while e:
+        if e == 0:
+            return Matrix.identity(self.field, self.rows)
+        # square and multiply from the lowest bit, with no product by the
+        # identity and no squaring past the highest bit
+        result, base = None, self
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         return (
@@ -198,20 +215,25 @@ class Matrix:
         """Matrix times column vector of codes."""
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector length {len(v)} for {self.cols} columns")
-        add, mul = self.field.add, self.field.mul
-        A = self.data
-        c = self.cols
-        out = [0] * self.rows
-        for i in range(self.rows):
-            acc = 0
-            base = i * c
-            for j, x in enumerate(v):
-                if x:
-                    a = A[base + j]
-                    if a:
-                        acc = add(acc, mul(a, x))
-            out[i] = acc
-        return out
+        f = self.field
+        pv = f.pack(v, self.cols)
+        values = [sum(map(operator.mul, r, pv)) for r in self._rows_packed()]
+        return f.unpack(values, self.cols)
+
+    def _rows_packed(self) -> list[list[int]]:
+        """The rows packed for the inner dimension cols, cached."""
+        if self._packed_rows is None:
+            flat = self.field.pack(self.data, self.cols)
+            c = self.cols
+            self._packed_rows = [flat[i * c : (i + 1) * c] for i in range(self.rows)]
+        return self._packed_rows
+
+    def _columns_packed(self) -> list[list[int]]:
+        """The columns packed for the inner dimension rows, cached."""
+        if self._packed_cols is None:
+            flat = self.field.pack(self.data, self.rows)
+            self._packed_cols = [flat[j :: self.cols] for j in range(self.cols)]
+        return self._packed_cols
 
     def transpose(self) -> "Matrix":
         out = [0] * (self.rows * self.cols)
@@ -472,16 +494,15 @@ def direct_sum(mats: Sequence[Matrix]) -> Matrix:
             raise MixedFields("direct sum across fields")
     n = sum(m.rows for m in mats)
     c = sum(m.cols for m in mats)
-    out = Matrix.zeros(field, n, c)
+    data = [0] * (n * c)
     r0 = c0 = 0
     for m in mats:
         for i in range(m.rows):
-            row = m.row(i)
             base = (r0 + i) * c + c0
-            out.data[base : base + m.cols] = row
+            data[base : base + m.cols] = m.row(i)
         r0 += m.rows
         c0 += m.cols
-    return out
+    return Matrix(field, n, c, data)
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i,j) is a[i][j] * b."""
@@ -759,7 +780,7 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
             u = a.apply(u)
     T = Matrix.from_columns(field, cols)
     result = CanonicalForm([d for _, d in blocks], T)
-    assert T.inv() * a * T == result.form, "canonical form verification failed"
+    verify(T.inv() * a * T == result.form, "canonical form verification failed")
     return result
 
 
@@ -788,7 +809,7 @@ def similarity_transform(a: Matrix, b: Matrix) -> Optional[Matrix]:
         return None
     # T^-1 a T = F = S^-1 b S, so (T S^-1) conjugates a to b
     t = ca.transform * cb.transform.inv()
-    assert t.inv() * a * t == b
+    verify(t.inv() * a * t == b, "similarity transform failed to verify")
     return t
 
 
@@ -865,5 +886,5 @@ def jordan_form(a: Matrix) -> tuple[Matrix, Matrix]:
                 u = N.apply(u)
     J = direct_sum(blocks)
     T = Matrix.from_columns(field, columns)
-    assert T.inv() * a * T == J, "Jordan form verification failed"
+    verify(T.inv() * a * T == J, "Jordan form verification failed")
     return J, T

@@ -7,7 +7,7 @@ test beyond basic field arithmetic.
 
 import itertools
 
-from heisenmod import FieldElem, Matrix, Poly, SubspaceBasis
+from heisenmod import GF, FieldElem, Matrix, Poly, SubspaceBasis
 
 
 def trial_division_irreducible(f: Poly) -> bool:
@@ -31,6 +31,51 @@ def brute_pth_root(e: FieldElem) -> FieldElem:
         if b**p == e:
             return b
     raise AssertionError("p-th power map must be onto")
+
+
+def oracle_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Product by the schoolbook loop over the field's add and mul."""
+    assert a.field == b.field and a.cols == b.rows
+    n, m, k = a.rows, a.cols, b.cols
+    add, mul = a.field.add, a.field.mul
+    A, B = a.data, b.data
+    out = [0] * (n * k)
+    for i in range(n):
+        arow = A[i * m : (i + 1) * m]
+        orow = i * k
+        for t, x in enumerate(arow):
+            if x:
+                brow = B[t * k : (t + 1) * k]
+                for j in range(k):
+                    y = brow[j]
+                    if y:
+                        out[orow + j] = add(out[orow + j], mul(x, y))
+    return Matrix(a.field, n, k, out)
+
+
+def oracle_apply(a: Matrix, v) -> list[int]:
+    """Matrix times column vector by the same loop."""
+    assert len(v) == a.cols
+    add, mul = a.field.add, a.field.mul
+    out = [0] * a.rows
+    for i in range(a.rows):
+        acc = 0
+        for j, x in enumerate(v):
+            y = a.data[i * a.cols + j]
+            if x and y:
+                acc = add(acc, mul(y, x))
+        out[i] = acc
+    return out
+
+
+def oracle_ext_mul(field, a: int, b: int) -> int:
+    """a * b in GF(p^m) as polynomials over GF(p) modulo the modulus,
+    without the extension field's own multiplication."""
+    prime = GF(field.p)
+    pa = Poly(prime, field.coeffs_of(a))
+    pb = Poly(prime, field.coeffs_of(b))
+    rem = (pa * pb) % Poly(prime, field.modulus)
+    return field.code_from_coeffs(list(rem.coeffs))
 
 
 def brute_det(a: Matrix) -> FieldElem:

@@ -1,9 +1,10 @@
 """End-to-end tests of the command line.
 
 Every test drives main(argv) directly with a captured stdout/stderr and a
-patched stdin; one test runs the real interpreter as a subprocess to cover
-the module entry point.  Exit codes follow the contract: 0 for built/holds,
-1 for checked-and-false, 2 for unusable input.
+patched stdin; two tests run the real interpreter as a subprocess, to cover
+the module entry point and a failed self-check under python -O.  Exit codes
+follow the contract: 0 for built/holds, 1 for checked-and-false, 2 for
+unusable input, 3 for a result that failed its re-verification.
 """
 
 import io
@@ -364,3 +365,52 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == [[0, 1, 0], [0, 0, 2], [0, 0, 0]]
+
+
+# Runs the CLI with the first product of classify's final check corrupted:
+# build_V makes the model just before that check.
+CORRUPTED_CLASSIFY = """
+import sys
+import heisenmod.heisenberg as hb
+from heisenmod import Matrix
+from heisenmod.cli import main
+
+if not sys.flags.optimize:
+    sys.exit(4)
+plain_mul, plain_build = Matrix.__mul__, hb.build_V
+armed = []
+
+def build_V(*args):
+    armed.append(True)
+    return plain_build(*args)
+
+def mul(self, other):
+    out = plain_mul(self, other)
+    if armed and isinstance(other, Matrix):
+        armed.clear()
+        data = list(out.data)
+        data[0] = out.field.add(data[0], 1)
+        out = Matrix(out.field, out.rows, out.cols, data)
+    return out
+
+hb.build_V = build_V
+Matrix.__mul__ = mul
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_failed_self_check_is_internal_error_under_optimize(tmp_path):
+    field = GF(3)
+    rep = build_V(HeisenbergAlgebra(1, field), params_of(field, 1, [2], [1]))
+    t = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    path = tmp_path / "rep.json"
+    path.write_text(rep_json(conjugate_rep(rep, t)), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_CLASSIFY,
+         "analyze", "classify", "--in", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "internal error: VerificationFailed" in proc.stderr

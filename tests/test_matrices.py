@@ -3,13 +3,17 @@
 Determinants, characteristic polynomials, and minimal polynomials are
 checked against the brute-force expansions in oracles.py on every small
 case; the canonical-form routines are checked by re-verifying the change
-of basis they return.
+of basis they return.  Products and apply are property-tested against the
+schoolbook loops in oracles.py.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenmod import (
     GF,
@@ -22,6 +26,7 @@ from heisenmod import (
     Poly,
     ShapeMismatch,
     Singular,
+    VerificationFailed,
     assemble_grid,
     char_poly,
     commutator,
@@ -38,7 +43,14 @@ from heisenmod import (
     poly_at,
     similarity_transform,
 )
-from oracles import brute_char_poly, brute_det, brute_min_poly
+from oracles import (
+    brute_char_poly,
+    brute_det,
+    brute_min_poly,
+    oracle_apply,
+    oracle_ext_mul,
+    oracle_matmul,
+)
 
 
 def ext(p, m):
@@ -107,6 +119,194 @@ def test_apply_agrees_with_column_product():
         assert a.apply(v) == (a * col).column(0)
     with pytest.raises(ShapeMismatch):
         a.apply([0, 0, 0])
+
+
+# -- the packed product kernel ---------------------------------------------------
+
+# prime fields; table-backed extensions up to the 512-element limit; and
+# extensions above it, which multiply scalars without tables
+KERNEL_FIELDS = [
+    (2, 1), (3, 1), (251, 1), (2, 2), (2, 3), (5, 2), (2, 9), (3, 6), (2, 10),
+]
+
+
+def field_of(spec):
+    p, m = spec
+    return GF(p) if m == 1 else ext(p, m)
+
+
+def codes(field, count):
+    return st.lists(
+        st.integers(0, field.order - 1), min_size=count, max_size=count
+    )
+
+
+@st.composite
+def matrix_pairs(draw):
+    field = field_of(draw(st.sampled_from(KERNEL_FIELDS)))
+    n, inner, k = (draw(st.integers(0, 6)) for _ in range(3))
+    a = Matrix(field, n, inner, draw(codes(field, n * inner)))
+    b = Matrix(field, inner, k, draw(codes(field, inner * k)))
+    return a, b
+
+
+@st.composite
+def matrix_vectors(draw):
+    field = field_of(draw(st.sampled_from(KERNEL_FIELDS)))
+    n, inner = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    a = Matrix(field, n, inner, draw(codes(field, n * inner)))
+    return a, draw(codes(field, inner))
+
+
+@settings(max_examples=150)
+@given(matrix_pairs())
+def test_product_matches_oracle(pair):
+    a, b = pair
+    assert a * b == oracle_matmul(a, b)
+
+
+@settings(max_examples=150)
+@given(matrix_vectors())
+def test_apply_matches_oracle(pair):
+    a, v = pair
+    assert a.apply(v) == oracle_apply(a, v)
+    assert a.apply(v) == oracle_apply(a, v)  # again, from the cached rows
+
+
+@st.composite
+def element_pairs(draw):
+    field = field_of(draw(st.sampled_from(KERNEL_FIELDS)))
+    a, b = draw(codes(field, 2))
+    return field, a, b
+
+
+@settings(max_examples=100)
+@given(element_pairs())
+def test_scalar_mul_matches_polynomial_oracle(case):
+    field, a, b = case
+    if field.modulus is None:
+        assert field.mul(a, b) == a * b % field.p
+    else:
+        assert field.mul(a, b) == oracle_ext_mul(field, a, b)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize(
+    "n,inner,k", [(0, 3, 4), (3, 4, 0), (3, 0, 4), (1, 1, 1), (2, 3, 5)]
+)
+def test_product_shapes_match_oracle(spec, n, inner, k):
+    field = field_of(spec)
+    rng = random.Random(n * 100 + inner * 10 + k)
+    a = rand_matrix(field, n, inner, rng)
+    b = rand_matrix(field, inner, k, rng)
+    prod = a * b
+    assert (prod.rows, prod.cols) == (n, k)
+    assert prod == oracle_matmul(a, b)
+    assert a.apply([1] * inner) == oracle_apply(a, [1] * inner)
+
+
+def test_scalar_mul_matches_polynomial_oracle_on_every_pair():
+    # GF(2^5) by a dense modulus: its folds add to the most slots
+    dense = make_extension(2, Poly(GF(2), [1, 0, 1, 1, 1, 1]))
+    for field in [ext(2, 3), ext(3, 2), ext(5, 2), dense]:
+        for a in range(field.order):
+            for b in range(field.order):
+                assert field.mul(a, b) == oracle_ext_mul(field, a, b)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("inner", [3, 31, 64, 65, 127])
+def test_product_at_largest_codes_has_no_slot_carry(spec, inner):
+    # every digit p - 1 makes each slot of every dot product as large as
+    # the slot width allows for; inner + 1 a power of two leaves the least
+    # room in the slots
+    field = field_of(spec)
+    top = field.order - 1
+    a = Matrix(field, 3, inner, [top] * (3 * inner))
+    b = Matrix(field, inner, 2, [top] * (inner * 2))
+    assert a * b == oracle_matmul(a, b)
+    assert a.apply([top] * inner) == oracle_apply(a, [top] * inner)
+
+
+def test_packed_cache_stays_out_of_equality_hash_and_pickle():
+    field = ext(3, 2)
+    rng = random.Random(6)
+    a = rand_matrix(field, 4, 4, rng)
+    b = rand_matrix(field, 4, 3, rng)
+    fresh = Matrix(field, 4, 4, list(a.data))
+    prod = a * b  # packs a's rows and b's columns
+    a.apply([1, 2, 3, 4])
+    assert a == fresh and hash(a) == hash(fresh)
+    restored = pickle.loads(pickle.dumps(a))
+    assert restored == a
+    assert restored * b == prod
+    assert a * pickle.loads(pickle.dumps(b)) == prod
+
+
+def test_pow_costs_one_product_per_step(monkeypatch):
+    field = GF(5)
+    rng = random.Random(7)
+    a = rand_invertible(field, 3, rng)
+    nil = Matrix(field, 3, 3, [0, 1, 0, 0, 0, 1, 0, 0, 0])
+    want = {e: Matrix.identity(field, 3) for e in range(9)}
+    for e in range(1, 9):
+        want[e] = want[e - 1] * a
+    products = []
+    plain = Matrix.__mul__
+
+    def counting(self, other):
+        if isinstance(other, Matrix):
+            products.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    for e, cost in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)]:
+        products.clear()
+        assert a**e == want[e]
+        assert len(products) == cost, e
+    products.clear()
+    assert nil**1 == nil and not products
+    assert a ** (-2) == a.inv() * a.inv()
+
+
+# -- self-checks ------------------------------------------------------------------
+
+
+# Each check must raise VerificationFailed, which python -O keeps; the
+# corruptions below reach one check each.
+
+
+def test_frobenius_form_self_check_raises(monkeypatch):
+    a = Matrix(GF(3), 3, 3, [1, 0, 0, 1, 1, 0, 0, 0, 2])
+    monkeypatch.setattr(Matrix, "__eq__", lambda self, other: False)
+    with pytest.raises(VerificationFailed, match="canonical form"):
+        frobenius_form(a)
+
+
+def test_similarity_transform_self_check_raises(monkeypatch):
+    import heisenmod.matrices as mt
+
+    field = GF(3)
+    a = Matrix(field, 2, 2, [1, 0, 0, 2])
+    b = Matrix(field, 2, 2, [2, 0, 0, 1])
+    fake = mt.CanonicalForm([Poly(field, [1])], Matrix.identity(field, 2))
+    monkeypatch.setattr(mt, "frobenius_form", lambda m: fake)
+    with pytest.raises(VerificationFailed, match="similarity"):
+        similarity_transform(a, b)
+
+
+def test_jordan_form_self_check_raises(monkeypatch):
+    import heisenmod.matrices as mt
+
+    field = GF(3)
+    a = Matrix(field, 3, 3, [1, 0, 0, 1, 1, 0, 0, 0, 2])
+
+    def shifted(f, lam, size):
+        return jordan_block(f, f.add(f.code(lam), 1), size)
+
+    monkeypatch.setattr(mt, "jordan_block", shifted)
+    with pytest.raises(VerificationFailed, match="Jordan form"):
+        jordan_form(a)
 
 
 def test_transpose_and_trace():

@@ -7,6 +7,7 @@ internal certificates.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -503,3 +504,17 @@ def test_search_input_guards():
         search_min_faithful(2, 3, 2)  # exhaustive mode is rank 1 only
     with pytest.raises(TooLarge):
         search_min_faithful(1, 3, 4)  # 3^32 pairs is past the bound
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_search_refuses_past_its_bound_before_enumerating(p, monkeypatch):
+    # the scan needs numpy; a refusal by the guard never gets to import it
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(TooLarge):
+        search_min_faithful(1, p, 2)  # 11^8 > 2^26 pairs
+
+
+def test_search_bound_admits_gf7_at_dimension_two(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):  # past the guard, at the scan
+        search_min_faithful(1, 7, 2)  # 7^8 = 5.76M pairs
