@@ -221,16 +221,27 @@ class Field:
             return result
 
         if q <= _TABLE_LIMIT:
-            add_t = [0] * (q * q)
-            for a in range(q):
-                row = a * q
-                for b in range(a, q):
-                    s = add(a, b)
-                    add_t[row + b] = s
-                    add_t[b * q + a] = s
+            # add table one digit at a time: the codes below w * p are
+            # low + w * alpha with low < w, and the sum's new top digit is
+            # alpha + beta mod p
+            rows, w = [[0]], 1
+            for _ in range(m):
+                rows = [
+                    [x + w * ((alpha + beta) % p)
+                     for beta in range(p) for x in rows[low]]
+                    for alpha in range(p) for low in range(w)
+                ]
+                w *= p
+            add_t = [x for row in rows for x in row]
+            # mul table: reduce each product once, mirror it across the
+            # diagonal
             packed = [pack1(a) for a in range(q)]
-            mul_t = [reduce1(x * y) for x in packed for y in packed]
-            neg_t = [sub(0, a) for a in range(q)]
+            mul_t = [0] * (q * q)
+            for a, x in enumerate(packed):
+                row = [reduce1(x * y) for y in packed[a:]]
+                mul_t[a * q + a : (a + 1) * q] = row
+                mul_t[a * q + a :: q] = row
+            neg_t = [row.index(0) for row in rows]
             inv_t = [0] + [inv(a) for a in range(1, q)]
             self.add = lambda a, b: add_t[a * q + b]
             self.mul = lambda a, b: mul_t[a * q + b]

@@ -28,6 +28,7 @@ from .errors import (
     UndecidedIrreducibility,
     WrongDimension,
     ZeroAlpha,
+    verify,
 )
 from .fields import Field, FieldElem, GF, Poly, is_prime
 from .heisenberg import (
@@ -39,10 +40,10 @@ from .heisenberg import (
     invariants,
     validate_rep,
 )
-from .matrices import Echelon, Matrix, min_poly, poly_at
+from .matrices import Echelon, Matrix, companion, direct_sum, min_poly, poly_at
 
 _EXHAUSTIVE_BOUND = 1 << 24
-# pairs the minimum-dimension search may scan: about two minutes
+# pairs (A, B) the minimum-dimension search may account for
 _SEARCH_PAIRS_LIMIT = 1 << 26
 
 
@@ -246,7 +247,8 @@ def _norton(rep: Representation, max_samples: int, seed: int
             rows = [list(r) for r in s.vectors]
             ann = Matrix(field, s.dim, d, [x for r in rows for x in r])
             sub = SubspaceBasis(field, d, ann.kernel_basis())
-            assert 0 < sub.dim < d and sub.is_invariant(rep)
+            verify(0 < sub.dim < d and sub.is_invariant(rep),
+                   "annihilator of a transposed submodule is not a submodule")
             return IrreducibilityResult(
                 False,
                 "norton",
@@ -418,9 +420,10 @@ def composition_series(
     chain.extend(lift_quot(s) for s in upper.chain[1:])
     series = CompositionSeries(chain, lower.factors + upper.factors)
     dims = series.chain_dims
-    assert dims[0] == 0 and dims[-1] == d
-    assert all(a < b for a, b in zip(dims, dims[1:]))
-    assert all(s.is_invariant(rep) for s in chain[1:-1])
+    verify(dims[0] == 0 and dims[-1] == d
+           and all(a < b for a, b in zip(dims, dims[1:]))
+           and all(s.is_invariant(rep) for s in chain[1:-1]),
+           "composition series is not a strictly rising invariant chain")
     return series
 
 
@@ -615,7 +618,7 @@ def split_by_central(
         out.append(
             Summand(FieldElem(field, lam), basis, sub_representation(rep, basis))
         )
-    assert total == d, "generalized eigenspaces must fill the space"
+    verify(total == d, "generalized eigenspaces must fill the space")
     return out
 
 
@@ -624,20 +627,56 @@ def split_by_central(
 
 @dataclass
 class SearchResult:
+    """pairs_tested counts the pairs (A, B) the search accounts for, and
+    pairs_evaluated those it actually computed the brackets of."""
+
     found: bool
     rep: Optional[Representation]
     pairs_tested: int
     mode: str
+    pairs_evaluated: int = 0
+
+
+def _similarity_classes(field: Field, d: int) -> Iterator[Matrix]:
+    """One rational canonical form per similarity class of d x d matrices.
+
+    Yields the direct sum of the companions of f1 | f2 | ... | fk for every
+    chain of monic invariant factors with degrees summing to d: the forms
+    frobenius_form reports, q^2 + q of them at d = 2 and q^3 + q^2 + q at
+    d = 3.
+    """
+    monics = [
+        Poly._raw(field, [*low, 1])
+        for k in range(1, d + 1)
+        for low in itertools.product(range(field.order), repeat=k)
+    ]
+
+    def chains(prev: Poly, left: int) -> Iterator[list[Poly]]:
+        if not left:
+            yield []
+            return
+        for f in monics:
+            if f.degree <= left and (f % prev).is_zero():
+                for rest in chains(f, left - f.degree):
+                    yield [f, *rest]
+
+    for chain in chains(Poly._raw(field, [1]), d):
+        yield direct_sum([companion(f) for f in chain])
 
 
 def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     """Look for a faithful h(n)-representation of dimension d over GF(p).
 
     d = n + 2 returns the strictly upper triangular witness directly.  Any
-    other d runs an exhaustive scan over all pairs of d x d matrices for
-    rank 1, limited to p^(2 d^2) <= 2^26 pairs: about two minutes at the
-    scan's 0.5M pairs/s.  GF(7) at d = 2 (5.76M pairs) runs; GF(11) and up
-    at d = 2 raise TooLarge at once.
+    other d runs an exhaustive search for rank 1 over all pairs (A, B) of
+    d x d matrices, limited to p^(2 d^2) <= 2^26 pairs: GF(7) at d = 2
+    runs, GF(11) and up at d = 2 raise TooLarge at once.
+
+    A pair (A, B) with C = [A, B] nonzero and commuting with A and B is a
+    witness, and so is (T^-1 A T, T^-1 B T) for every invertible T.  So A
+    ranges over one rational canonical form per similarity class and B over
+    all p^(d^2) matrices: every pair is accounted for (pairs_tested is
+    p^(2 d^2)) while only classes x p^(d^2) are evaluated.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -646,7 +685,8 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     field = GF(p)
     if d == n + 2:
         rep = build_standard(HeisenbergAlgebra(n, field))
-        assert validate_rep(rep).ok and rep.is_faithful()
+        verify(validate_rep(rep).ok and rep.is_faithful(),
+               "standard witness fails validation")
         return SearchResult(True, rep, 0, "witness")
     if n != 1:
         raise TooLarge("exhaustive search supports rank 1 only")
@@ -659,11 +699,15 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     mats = np.array(
         list(itertools.product(range(p), repeat=d * d)), dtype=np.int16
     ).reshape(count, d, d)
+    reps = np.array(
+        [m.data for m in _similarity_classes(field, d)], dtype=np.int16
+    ).reshape(-1, d, d)
     chunk = max(1, (1 << 22) // (count * d * d))
-    pairs = 0
     witness = None
-    for start in range(0, count, chunk):
-        A = mats[start : start + chunk]
+    # every block is evaluated, so the result accounts for all pairs even
+    # when a witness turns up early
+    for start in range(0, len(reps), chunk):
+        A = reps[start : start + chunk]
         AB = np.einsum("aij,bjk->abik", A, mats) % p
         BA = np.einsum("bij,ajk->abik", mats, A) % p
         C = (AB - BA) % p
@@ -677,13 +721,15 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
             & (AC == CA).all(axis=(2, 3))
             & (BC == CB).all(axis=(2, 3))
         )
-        pairs += A.shape[0] * count
-        if ok.any():
+        if witness is None and ok.any():
             ai, bi = (int(v) for v in np.argwhere(ok)[0])
-            a = Matrix(field, d, d, [int(v) for v in mats[start + ai].flat])
+            a = Matrix(field, d, d, [int(v) for v in reps[start + ai].flat])
             b = Matrix(field, d, d, [int(v) for v in mats[bi].flat])
-            c = commutator(a, b)
-            witness = Representation(HeisenbergAlgebra(1, field), [a], [b], c)
-            assert validate_rep(witness).ok and witness.is_faithful()
-            break
-    return SearchResult(witness is not None, witness, pairs, "exhaustive")
+            witness = Representation(
+                HeisenbergAlgebra(1, field), [a], [b], commutator(a, b)
+            )
+            verify(validate_rep(witness).ok and witness.is_faithful(),
+                   "search witness fails validation")
+    return SearchResult(
+        witness is not None, witness, total, "exhaustive", len(reps) * count
+    )

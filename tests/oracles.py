@@ -7,7 +7,15 @@ test beyond basic field arithmetic.
 
 import itertools
 
-from heisenmod import GF, FieldElem, Matrix, Poly, SubspaceBasis
+from heisenmod import (
+    GF,
+    FieldElem,
+    HeisenbergAlgebra,
+    Matrix,
+    Poly,
+    Representation,
+    SubspaceBasis,
+)
 
 
 def trial_division_irreducible(f: Poly) -> bool:
@@ -201,3 +209,43 @@ def oracle_hom_dim(r1, r2) -> int:
         dim += 1
     assert field.order**dim == count, "solution set must be a subspace"
     return dim
+
+
+def oracle_search(p: int, d: int):
+    """Faithful rank-1 pair (A, B) of d x d matrices over GF(p), scanning
+    every pair in numpy blocks: (found, witness rep or None, pairs scanned).
+    """
+    import numpy as np
+
+    field = GF(p)
+    count = p ** (d * d)
+    mats = np.array(
+        list(itertools.product(range(p), repeat=d * d)), dtype=np.int16
+    ).reshape(count, d, d)
+    chunk = max(1, (1 << 22) // (count * d * d))
+    pairs = 0
+    for start in range(0, count, chunk):
+        A = mats[start : start + chunk]
+        C = (
+            np.einsum("aij,bjk->abik", A, mats)
+            - np.einsum("bij,ajk->abik", mats, A)
+        ) % p
+        AC = np.einsum("aij,abjk->abik", A, C) % p
+        CA = np.einsum("abij,ajk->abik", C, A) % p
+        BC = np.einsum("bij,abjk->abik", mats, C) % p
+        CB = np.einsum("abij,bjk->abik", C, mats) % p
+        ok = (
+            C.any(axis=(2, 3))
+            & (AC == CA).all(axis=(2, 3))
+            & (BC == CB).all(axis=(2, 3))
+        )
+        pairs += A.shape[0] * count
+        if ok.any():
+            ai, bi = (int(v) for v in np.argwhere(ok)[0])
+            a = Matrix(field, d, d, [int(v) for v in mats[start + ai].flat])
+            b = Matrix(field, d, d, [int(v) for v in mats[bi].flat])
+            rep = Representation(
+                HeisenbergAlgebra(1, field), [a], [b], a * b - b * a
+            )
+            return True, rep, pairs
+    return False, None, pairs

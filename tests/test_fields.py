@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from heisenmod import fields
 from heisenmod import (
     DivisionByZero,
     Field,
@@ -105,6 +106,25 @@ def test_tablefree_field_matches_table_semantics():
         assert (a + b) - b == a
         assert a * b == b * a
         assert (a * b).pth_root() ** 2 == a * b
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 3), (2, 9)])
+def test_extension_tables_match_the_digit_loops(p, m, monkeypatch):
+    # every entry of the lookup tables against a table-free copy of the
+    # field, whose add, sub and neg loop over digits and whose mul is
+    # reduce_one of a packed product
+    modulus = find_irreducible(p, m).coeffs
+    table = Field(p, modulus)
+    monkeypatch.setattr(fields, "_TABLE_LIMIT", 0)
+    loops = Field(p, modulus)
+    codes = range(table.order)
+    for op in ("add", "sub", "mul"):
+        fast, slow = getattr(table, op), getattr(loops, op)
+        assert [fast(a, b) for a in codes for b in codes] == [
+            slow(a, b) for a in codes for b in codes
+        ], op
+    assert [table.neg(a) for a in codes] == [loops.neg(a) for a in codes]
+    assert [table.inv(a) for a in codes[1:]] == [loops.inv(a) for a in codes[1:]]
 
 
 def test_generator_satisfies_modulus():

@@ -6,11 +6,14 @@ subspaces of GF(2)^4 and GF(3)^3 fit comfortably).  Larger cases only check
 internal certificates.
 """
 
+import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from heisenmod import modules
 from heisenmod import (
     GF,
     DoesNotSplit,
@@ -25,6 +28,7 @@ from heisenmod import (
     SubspaceBasis,
     TooLarge,
     UndecidedIrreducibility,
+    VerificationFailed,
     build_companion_rep,
     build_restriction_rep,
     build_standard,
@@ -37,6 +41,7 @@ from heisenmod import (
     extend_scalars,
     field_embedding,
     find_irreducible,
+    frobenius_form,
     hom_space,
     invariants,
     is_irreducible,
@@ -53,6 +58,7 @@ from oracles import (
     invariant_subspaces,
     oracle_hom_dim,
     oracle_irreducible,
+    oracle_search,
     oracle_uniserial,
 )
 
@@ -518,3 +524,53 @@ def test_search_bound_admits_gf7_at_dimension_two(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     with pytest.raises(ImportError):  # past the guard, at the scan
         search_min_faithful(1, 7, 2)  # 7^8 = 5.76M pairs
+
+
+def _class_count(q, d):
+    # similarity classes of d x d matrices over GF(q)
+    return {1: q, 2: q**2 + q, 3: q**3 + q**2 + q}[d]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_search_agrees_with_the_full_scan(p, d):
+    found, oracle_rep, scanned = oracle_search(p, d)
+    res = search_min_faithful(1, p, d)
+    assert res.found == found
+    assert res.pairs_evaluated == _class_count(p, d) * p ** (d * d)
+    if found:
+        for rep in (res.rep, oracle_rep):
+            assert rep.dim == d
+            assert validate_rep(rep).ok and rep.is_faithful()
+    else:
+        assert res.rep is None
+        assert res.pairs_tested == scanned == p ** (2 * d * d)
+
+
+@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2)])
+def test_similarity_classes_are_the_frobenius_forms(p, d):
+    field = GF(p)
+    forms = list(modules._similarity_classes(field, d))
+    assert len(set(forms)) == len(forms)
+    assert set(forms) == {
+        frobenius_form(Matrix(field, d, d, list(entries))).form
+        for entries in itertools.product(range(p), repeat=d * d)
+    }
+
+
+@pytest.mark.parametrize(
+    "q, d", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)]
+)
+def test_similarity_class_counts(q, d):
+    forms = list(modules._similarity_classes(GF(q), d))
+    assert len(forms) == _class_count(q, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])  # the scan's witness, the standard one
+def test_search_witness_check_raises_verification_failed(d, monkeypatch):
+    # the checks must survive python -O, so they cannot be asserts
+    monkeypatch.setattr(
+        modules, "validate_rep", lambda rep: SimpleNamespace(ok=False)
+    )
+    with pytest.raises(VerificationFailed):
+        search_min_faithful(1, 2, d)
