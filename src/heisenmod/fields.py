@@ -25,6 +25,7 @@ trailing zeros.  The zero polynomial has an empty tuple and degree -1.
 from __future__ import annotations
 
 import functools
+import random
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -669,30 +670,76 @@ class Poly:
         return result
 
     def is_irreducible(self) -> bool:
-        """Rabin's test over the coefficient field."""
-        f = self
-        if not f.is_monic():
+        """True when the lowest-degree irreducible factor is f itself."""
+        if not self.is_monic():
             raise NonMonic("irreducibility test requires a monic polynomial")
-        n = f.degree
-        if n < 1:
+        if self.degree < 1:
             raise ValueError("irreducibility is undefined for constants")
-        if n == 1:
-            return True
-        q = self.field.order
-        x = Poly.x(self.field)
-        # X^(q^k) mod f for k = 1..n by iterated q-th powers
-        powers = [x % f]
-        cur = powers[0]
-        for _ in range(n):
-            cur = cur.pow_mod(q, f)
-            powers.append(cur)
-        if powers[n] != x % f:
-            return False
-        for r in _prime_factors(n):
-            g = powers[n // r] - x
-            if f.gcd(g).degree != 0:
-                return False
-        return True
+        return next(self.irreducible_factors()) == self
+
+    def irreducible_factors(self) -> Iterator["Poly"]:
+        """The distinct monic irreducible factors, by increasing degree.
+
+        Distinct-degree factorization: once every factor of degree below k
+        has been divided out with its whole multiplicity, gcd(f, X^(q^k) - X)
+        is the product of the distinct factors of degree k, so the input
+        need not be squarefree.  Each such product is split by
+        Cantor-Zassenhaus.  Lazy: a factor is split off only when the caller
+        asks for it.
+        """
+        if self.degree < 1:
+            raise ValueError("only a nonconstant polynomial has factors")
+        field = self.field
+        q = field.order
+        x = Poly.x(field)
+        f = self.monic()
+        h = x  # X^(q^k) mod f
+        rng = random.Random(0)  # splitting is randomized, its result is not
+        k = 0
+        while f.degree >= 1:
+            k += 1
+            if f.degree < 2 * k:
+                # every factor left has degree >= k: f is one of them
+                yield f
+                return
+            h = h.pow_mod(q, f)
+            g = f.gcd(h - x)
+            if g.degree < 1:
+                continue
+            c = g
+            while c.degree >= 1:
+                f = f // c
+                c = f.gcd(c)
+            h = h % f
+            yield from g._equal_degree_split(k, rng)
+
+    def _equal_degree_split(self, k: int, rng: random.Random) -> Iterator["Poly"]:
+        """Cantor-Zassenhaus on a monic squarefree product of irreducibles
+        of degree k: gcd with a^((q^k - 1)/2) - 1 for odd q, and with the
+        trace a + a^2 + ... + a^(2^(mk - 1)) of GF(2^(mk)) over GF(2) in
+        characteristic 2, for random a.  Lazy like irreducible_factors: the
+        first factor costs about log2 of their number splits."""
+        n = self.degree
+        if n == k:
+            yield self
+            return
+        field = self.field
+        q = field.order
+        one = Poly._raw(field, [1])
+        while True:
+            a = Poly._raw(field, [rng.randrange(q) for _ in range(n)])
+            if field.p == 2:
+                t = s = a
+                for _ in range(field.degree * k - 1):
+                    t = (t * t) % self
+                    s = s + t
+            else:
+                s = a.pow_mod((q**k - 1) // 2, self) - one
+            g = self.gcd(s)
+            if 0 < g.degree < n:
+                yield from g._equal_degree_split(k, rng)
+                yield from (self // g)._equal_degree_split(k, rng)
+                return
 
     def __repr__(self):
         if self.is_zero():
@@ -709,20 +756,6 @@ class Poly:
                 xs = "X" if i == 1 else f"X^{i}"
                 parts.append(xs if c == 1 else f"{ce!r}*{xs}")
         return " + ".join(parts)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def make_extension(p: int, q: Poly) -> Field:

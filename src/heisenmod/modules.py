@@ -2,12 +2,12 @@
 
 A subspace is stored as the unique reduced echelon basis of row vectors, so
 subspace equality is tuple equality.  Spinning closes a vector under all
-generator images.  Irreducibility is decided by exhaustive spinning of one
-representative per 1-dimensional subspace when the ambient count q^dim is
-small, and by the randomized kernel test (spin every kernel vector of a
-singular algebra element, then one transposed spin) above that bound; the
-randomized path never guesses: it either exhibits a submodule, certifies
-irreducibility, or raises after the sample budget.
+generator images.  Irreducibility is decided by the Holt-Rees test: for a
+random algebra element A and an irreducible factor f of its minimal
+polynomial with nullity(f(A)) = deg f, one spin in ker f(A) and one
+transposed spin in ker f(A)^T settle the question.  The test is randomized
+but never guesses: it exhibits a submodule, proves irreducibility, or raises
+after the sample budget.
 """
 
 from __future__ import annotations
@@ -40,9 +40,12 @@ from .heisenberg import (
     invariants,
     validate_rep,
 )
-from .matrices import Echelon, Matrix, companion, direct_sum, min_poly, poly_at
+from .matrices import Echelon, Matrix, companion, direct_sum, min_poly
 
-_EXHAUSTIVE_BOUND = 1 << 24
+# line spins the uniseriality scan may run, each weighted by d^2 times the
+# number of generators: one weighted unit costs 0.5-1.1 us on a 2.0 GHz
+# Xeon, so a scan at the bound takes at most about 5 s
+_UNISERIAL_WORK_LIMIT = 1 << 22
 # pairs (A, B) the minimum-dimension search may account for
 _SEARCH_PAIRS_LIMIT = 1 << 26
 
@@ -141,16 +144,12 @@ def spin(rep: Representation, v: Sequence[int]) -> SubspaceBasis:
     return SubspaceBasis._from_echelon(ech)
 
 
-def _canonical_lines(field: Field, d: int, reverse: bool = False
-                     ) -> Iterator[list[int]]:
+def _canonical_lines(field: Field, d: int) -> Iterator[list[int]]:
     """One vector per 1-dimensional subspace: first nonzero entry is 1."""
     q = field.order
-    leads = range(d - 1, -1, -1) if reverse else range(d)
-    for lead in leads:
+    for lead in range(d):
         tail_len = d - lead - 1
-        total = q**tail_len
-        codes = range(total - 1, -1, -1) if reverse else range(total)
-        for code in codes:
+        for code in range(q**tail_len):
             v = [0] * d
             v[lead] = 1
             rest = code
@@ -175,97 +174,110 @@ def is_irreducible(
     rep: Representation,
     max_samples: int = 64,
     seed: int = 0,
-    reverse_seeds: bool = False,
 ) -> IrreducibilityResult:
-    """Decide irreducibility with a certificate, never by guessing."""
+    """Decide irreducibility with a certificate, never by guessing.
+
+    The Holt-Rees test (Holt & Rees, J. Austral. Math. Soc. A 57, 1994).
+    For a random element A of the image algebra and each irreducible factor
+    f of its minimal polynomial, N = ker f(A) is A-invariant.  A vector of N
+    whose spin is proper exhibits a submodule.  When dim N = deg f, N is a
+    simple F[A]-module, so every submodule U either contains N or meets it
+    in 0.  In the second case f(A) is injective on U, so f divides the
+    characteristic polynomial of A on V/U, and the simple F[A^T]-module
+    ker f(A)^T (also of dimension deg f) lies in the annihilator of U.  So
+    if one vector of N spins to V and one vector of ker f(A)^T spins to the
+    whole dual under the transposed generators, V is irreducible; a proper
+    transposed spin has a proper annihilator, which is a submodule.  When
+    no factor of A has dim N = deg f, the next sample is drawn, and
+    UndecidedIrreducibility is raised after max_samples.
+    """
     d = rep.dim
     if d == 0:
         raise ShapeMismatch("irreducibility needs dimension >= 1")
     field = rep.field
-    if field.order**d <= _EXHAUSTIVE_BOUND:
-        count = 0
-        for v in _canonical_lines(field, d, reverse_seeds):
-            count += 1
-            s = spin(rep, v)
-            if s.dim < d:
-                return IrreducibilityResult(
-                    False,
-                    "exhaustive-spin",
-                    f"line {count} generates a dim {s.dim} submodule",
-                    s,
-                )
-        return IrreducibilityResult(
-            True, "exhaustive-spin", f"all {count} lines spin to the full space",
-            None,
-        )
-    return _norton(rep, max_samples, seed)
-
-
-def _norton(rep: Representation, max_samples: int, seed: int
-            ) -> IrreducibilityResult:
-    """Randomized kernel test on singular elements of the image algebra."""
-    field = rep.field
-    d = rep.dim
     rng = random.Random(seed)
+    # A is a random combination of a growing pool of algebra elements.  Each
+    # sample adds the previous A times a random combination, that product
+    # times another one, and A itself, so the longest word in the pool grows
+    # geometrically.  Sums of short words are thin: adding one product of two
+    # pool members per sample, V over GF(2) at n = 5 needed 8 to 16 samples
+    # before some factor had nullity deg f; this growth needs 3 or 4.
     pool = [m for m in rep.gen_matrices() if not m.is_zero()]
-    pool.append(Matrix.identity(field, d))
-    transposed = Representation(
-        rep.algebra,
-        [m.transpose() for m in rep.x],
-        [m.transpose() for m in rep.y],
-        rep.z.transpose(),
-    )
-    for attempt in range(max_samples):
-        if attempt:
-            # enrich the sampling pool with algebra words
-            a, b = rng.choice(pool), rng.choice(pool)
-            pool.append(a * b)
-        terms = rng.randrange(2, 5)
-        t = Matrix.zeros(field, d, d)
-        for _ in range(terms):
-            coeff = rng.randrange(1, field.order)
-            t = t + rng.choice(pool) * coeff
-        if t.is_zero():
-            continue
-        kernel = t.kernel_basis()
-        if not kernel:
-            continue
-        for v in kernel:
-            s = spin(rep, v)
+
+    def combination() -> Matrix:
+        return _combination(field, d, pool,
+                            [rng.randrange(field.order) for _ in pool])
+
+    a = None
+    transposed = None
+    for sample in range(1, max_samples + 1):
+        if pool:
+            word = combination() if a is None else a
+            for _ in range(2):
+                word = word * combination()
+                pool.append(word)
+        a = combination()
+        pool.append(a)
+        m = min_poly(a)
+        powers = [Matrix.identity(field, d)]
+        for f in m.irreducible_factors():
+            if f == m:
+                # f(A) = 0: no powers of A needed
+                theta = Matrix.zeros(field, d, d)
+            else:
+                while len(powers) <= f.degree:
+                    powers.append(powers[-1] * a)
+                theta = _combination(field, d, powers, f.coeffs)
+            kernel = theta.kernel_basis()
+            head = f"sample {sample}, deg f = {f.degree}, nullity {len(kernel)}"
+            s = spin(rep, kernel[0])
             if s.dim < d:
                 return IrreducibilityResult(
-                    False,
-                    "norton",
-                    f"kernel vector of sample {attempt + 1} generates a "
-                    f"dim {s.dim} submodule",
+                    False, "norton",
+                    f"{head}: a kernel vector generates a dim {s.dim} submodule",
                     s,
                 )
-        w = t.transpose().kernel_basis()[0]
-        s = spin(transposed, w)
-        if s.dim < d:
-            # the annihilator of a proper transposed submodule is invariant
-            rows = [list(r) for r in s.vectors]
-            ann = Matrix(field, s.dim, d, [x for r in rows for x in r])
-            sub = SubspaceBasis(field, d, ann.kernel_basis())
-            verify(0 < sub.dim < d and sub.is_invariant(rep),
-                   "annihilator of a transposed submodule is not a submodule")
+            if len(kernel) != f.degree:
+                continue
+            if transposed is None:
+                transposed = Representation(
+                    rep.algebra,
+                    [g.transpose() for g in rep.x],
+                    [g.transpose() for g in rep.y],
+                    rep.z.transpose(),
+                )
+            s = spin(transposed, theta.transpose().kernel_basis()[0])
+            if s.dim < d:
+                # the annihilator of a proper transposed submodule is invariant
+                ann = Matrix(field, s.dim, d, [x for r in s.vectors for x in r])
+                sub = SubspaceBasis(field, d, ann.kernel_basis())
+                verify(0 < sub.dim < d and sub.is_invariant(rep),
+                       "annihilator of a transposed submodule is not a submodule")
+                return IrreducibilityResult(
+                    False, "norton",
+                    f"{head}: a transposed kernel vector exposes a dim "
+                    f"{sub.dim} submodule",
+                    sub,
+                )
             return IrreducibilityResult(
-                False,
-                "norton",
-                f"transposed kernel vector of sample {attempt + 1} exposes a "
-                f"dim {sub.dim} submodule",
-                sub,
+                True, "norton",
+                f"{head}: a kernel vector and a transposed kernel vector "
+                "both spin to the full space",
+                None,
             )
-        return IrreducibilityResult(
-            True,
-            "norton",
-            f"sample {attempt + 1}: every kernel spin and a transposed "
-            "kernel spin fill the space",
-            None,
-        )
     raise UndecidedIrreducibility(
-        f"no singular algebra element found in {max_samples} samples"
+        f"no sample in {max_samples} had a factor f with nullity deg f"
     )
+
+
+def _combination(field: Field, d: int, mats: Sequence[Matrix],
+                 coeffs: Sequence[int]) -> Matrix:
+    """sum c_i mats[i] as one matrix-vector product over the stacked mats."""
+    if not mats:
+        return Matrix.zeros(field, d, d)
+    stacked = [x for entries in zip(*(m.data for m in mats)) for x in entries]
+    return Matrix(field, d, d,
+                  Matrix(field, d * d, len(mats), stacked).apply(coeffs))
 
 
 # -- subquotients -----------------------------------------------------------------
@@ -372,12 +384,23 @@ def composition_series(
     rep: Representation,
     max_samples: int = 64,
     seed: int = 0,
-    reverse_seeds: bool = False,
 ) -> CompositionSeries:
     """A full chain of invariant subspaces with irreducible quotients."""
+    series = _composition_series(rep, max_samples, seed)
+    # one check of the whole lifted chain covers every level of the recursion
+    dims = series.chain_dims
+    verify(dims[0] == 0 and dims[-1] == rep.dim
+           and all(a < b for a, b in zip(dims, dims[1:]))
+           and all(s.is_invariant(rep) for s in series.chain[1:-1]),
+           "composition series is not a strictly rising invariant chain")
+    return series
+
+
+def _composition_series(rep: Representation, max_samples: int, seed: int
+                        ) -> CompositionSeries:
     field = rep.field
     d = rep.dim
-    res = is_irreducible(rep, max_samples, seed, reverse_seeds)
+    res = is_irreducible(rep, max_samples, seed)
     empty = SubspaceBasis(field, d, [])
     full = SubspaceBasis(field, d, Matrix.identity(field, d).row_lists())
     if res.irreducible:
@@ -386,8 +409,8 @@ def composition_series(
     assert w is not None
     sub = sub_representation(rep, w)
     quot = quotient_representation(rep, w)
-    lower = composition_series(sub, max_samples, seed, reverse_seeds)
-    upper = composition_series(quot, max_samples, seed, reverse_seeds)
+    lower = _composition_series(sub, max_samples, seed)
+    upper = _composition_series(quot, max_samples, seed)
 
     w_rows = [list(v) for v in w.vectors]
     pivset = set(w.pivots())
@@ -418,13 +441,7 @@ def composition_series(
     chain = [empty]
     chain.extend(lift_sub(s) for s in lower.chain[1:])
     chain.extend(lift_quot(s) for s in upper.chain[1:])
-    series = CompositionSeries(chain, lower.factors + upper.factors)
-    dims = series.chain_dims
-    verify(dims[0] == 0 and dims[-1] == d
-           and all(a < b for a, b in zip(dims, dims[1:]))
-           and all(s.is_invariant(rep) for s in chain[1:-1]),
-           "composition series is not a strictly rising invariant chain")
-    return series
+    return CompositionSeries(chain, lower.factors + upper.factors)
 
 
 def is_uniserial(rep: Representation) -> bool:
@@ -436,9 +453,13 @@ def is_uniserial(rep: Representation) -> bool:
     """
     field = rep.field
     d = rep.dim
-    if field.order**d > _EXHAUSTIVE_BOUND:
+    q = field.order
+    lines = (q**d - 1) // (q - 1)
+    work = lines * d * d * len(rep.gen_matrices())
+    if work > _UNISERIAL_WORK_LIMIT:
         raise TooLarge(
-            f"uniserial check would enumerate {field.order}^{d} vectors"
+            f"uniserial check would spin {lines} lines of GF({q})^{d}"
+            f" ({work} > 2^22 units of work)"
         )
     distinct: dict[tuple, SubspaceBasis] = {}
     for v in _canonical_lines(field, d):

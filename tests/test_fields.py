@@ -1,7 +1,12 @@
+import itertools
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_sqf_part
 
 from heisenmod import fields
 from heisenmod import (
@@ -278,6 +283,80 @@ def test_find_irreducible_is_deterministic_and_minimal():
         f = find_irreducible(p, m)
         assert f.degree == m and f.is_monic() and f.is_irreducible()
         assert find_irreducible(p, m) == f
+
+
+# -- factorization ----------------------------------------------------------------
+
+
+def field_of(spec):
+    p, m = spec
+    return GF(p) if m == 1 else ext(p, m)
+
+
+@st.composite
+def factored_polys(draw, specs):
+    """A product of random monic parts of degree 1..4, each to a power 1..3,
+    and whether to reduce it to its squarefree part first."""
+    field = field_of(draw(st.sampled_from(specs)))
+    g = Poly(field, [1])
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 4))
+        low = draw(st.lists(st.integers(0, field.order - 1),
+                            min_size=degree, max_size=degree))
+        part = Poly(field, low + [1])
+        for _ in range(draw(st.integers(1, 3))):
+            g = g * part
+    return g, draw(st.booleans())
+
+
+def descending(g):
+    return [int(c) for c in reversed(g.coeffs)]
+
+
+@settings(max_examples=120)
+@given(factored_polys([(2, 1), (3, 1), (5, 1), (251, 1)]))
+def test_factors_match_sympy_over_prime_fields(case):
+    g, squarefree = case
+    p = g.field.p
+    if squarefree:
+        g = Poly(g.field, list(reversed(gf_sqf_part(descending(g), p, ZZ))))
+    got = list(g.irreducible_factors())
+    _, want = gf_factor(descending(g), p, ZZ)
+    assert sorted(descending(f) for f in got) == sorted(f for f, _ in want)
+    assert [f.degree for f in got] == sorted(f.degree for f in got)
+
+
+@settings(max_examples=60)
+@given(factored_polys([(2, 2), (2, 3), (3, 2)]))
+def test_factors_over_extension_fields_are_the_radical(case):
+    g, _ = case
+    got = list(g.irreducible_factors())
+    assert [f.degree for f in got] == sorted(f.degree for f in got)
+    for f in got:
+        assert f.is_monic() and f.is_irreducible(), f
+    for a, b in itertools.combinations(got, 2):
+        assert a.gcd(b).degree == 0, (a, b)
+    radical = Poly(g.field, [1])
+    for f in got:
+        radical = radical * f
+    assert (g % radical).is_zero()
+    # g shares its radical: dividing out common factors leaves a constant
+    rest = g
+    while (c := rest.gcd(radical)).degree >= 1:
+        rest = rest // c
+    assert rest.degree == 0
+
+
+def test_factors_come_once_each_by_increasing_degree():
+    field = GF(2)
+    x = Poly.x(field)
+    quadratic = Poly(field, [1, 1, 1])
+    octic = find_irreducible(2, 8)
+    g = x * x * x * octic * quadratic * quadratic
+    assert list(g.irreducible_factors()) == [x, quadratic, octic]
+    assert list(octic.irreducible_factors()) == [octic]
+    with pytest.raises(ValueError):
+        list(Poly(field, [1]).irreducible_factors())
 
 
 def test_make_extension_rejects_bad_moduli():
