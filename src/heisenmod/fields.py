@@ -618,12 +618,17 @@ class Poly:
         return hash((self.field, self.coeffs))
 
     def __call__(self, x: ElemLike) -> FieldElem:
-        c = self.field.code(x)
-        add, mul = self.field.add, self.field.mul
+        """The value at x.  A polynomial over GF(p) also takes an element of
+        any GF(p^m), in which the codes below p are the prime field's."""
+        field = self.field
+        if isinstance(x, FieldElem) and field.modulus is None and x.field.p == field.p:
+            field = x.field
+        c = field.code(x)
+        add, mul = field.add, field.mul
         acc = 0
         for a in reversed(self.coeffs):
             acc = add(mul(acc, c), a)
-        return FieldElem(self.field, acc)
+        return FieldElem(field, acc)
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():

@@ -373,7 +373,7 @@ def build_companion_rep(
     y = companion(f.inflate(p))
     z = Matrix.scalar(field, p * m, alpha)
     rep = Representation(HeisenbergAlgebra(1, field), [x], [y], z)
-    assert validate_rep(rep).ok, "companion construction broke the relations"
+    verify(validate_rep(rep).ok, "companion construction broke the relations")
     return rep
 
 
@@ -431,16 +431,9 @@ def build_restriction_rep(
     if basis_cols.rank() != m:
         raise DegreeMismatch("alpha does not have degree m over GF(p)")
 
-    def lift(h: Poly) -> FieldElem:
-        # evaluate a prime-field polynomial at alpha inside K
-        acc = 0
-        for c in reversed(h.coeffs):
-            acc = K.add(K.mul(acc, alpha.code), c)
-        return FieldElem(K, acc)
-
     n = len(f_list)
     params = ModuleParams(
-        alpha, [lift(h) for h in f_list], [lift(h) for h in g_list]
+        alpha, [h(alpha) for h in f_list], [h(alpha) for h in g_list]
     )
     over_K = build_V(HeisenbergAlgebra(n, K), params)
 
@@ -466,7 +459,7 @@ def build_restriction_rep(
         [blow_up(my) for my in over_K.y],
         blow_up(over_K.z),
     )
-    assert validate_rep(rep).ok, "restriction broke the relations"
+    verify(validate_rep(rep).ok, "restriction broke the relations")
     return rep
 
 

@@ -42,10 +42,6 @@ from .heisenberg import (
 )
 from .matrices import Echelon, Matrix, companion, direct_sum, min_poly
 
-# line spins the uniseriality scan may run, each weighted by d^2 times the
-# number of generators: one weighted unit costs 0.5-1.1 us on a 2.0 GHz
-# Xeon, so a scan at the bound takes at most about 5 s
-_UNISERIAL_WORK_LIMIT = 1 << 22
 # pairs (A, B) the minimum-dimension search may account for
 _SEARCH_PAIRS_LIMIT = 1 << 26
 
@@ -144,21 +140,6 @@ def spin(rep: Representation, v: Sequence[int]) -> SubspaceBasis:
     return SubspaceBasis._from_echelon(ech)
 
 
-def _canonical_lines(field: Field, d: int) -> Iterator[list[int]]:
-    """One vector per 1-dimensional subspace: first nonzero entry is 1."""
-    q = field.order
-    for lead in range(d):
-        tail_len = d - lead - 1
-        for code in range(q**tail_len):
-            v = [0] * d
-            v[lead] = 1
-            rest = code
-            for i in range(tail_len):
-                v[lead + 1 + i] = rest % q
-                rest //= q
-            yield v
-
-
 @dataclass
 class IrreducibilityResult:
     irreducible: bool
@@ -205,7 +186,7 @@ def is_irreducible(
     pool = [m for m in rep.gen_matrices() if not m.is_zero()]
 
     def combination() -> Matrix:
-        return _combination(field, d, pool,
+        return _combination(field, d, d, pool,
                             [rng.randrange(field.order) for _ in pool])
 
     a = None
@@ -227,7 +208,7 @@ def is_irreducible(
             else:
                 while len(powers) <= f.degree:
                     powers.append(powers[-1] * a)
-                theta = _combination(field, d, powers, f.coeffs)
+                theta = _combination(field, d, d, powers, f.coeffs)
             kernel = theta.kernel_basis()
             head = f"sample {sample}, deg f = {f.degree}, nullity {len(kernel)}"
             s = spin(rep, kernel[0])
@@ -270,14 +251,14 @@ def is_irreducible(
     )
 
 
-def _combination(field: Field, d: int, mats: Sequence[Matrix],
+def _combination(field: Field, rows: int, cols: int, mats: Sequence[Matrix],
                  coeffs: Sequence[int]) -> Matrix:
     """sum c_i mats[i] as one matrix-vector product over the stacked mats."""
     if not mats:
-        return Matrix.zeros(field, d, d)
+        return Matrix.zeros(field, rows, cols)
     stacked = [x for entries in zip(*(m.data for m in mats)) for x in entries]
-    return Matrix(field, d, d,
-                  Matrix(field, d * d, len(mats), stacked).apply(coeffs))
+    return Matrix(field, rows, cols,
+                  Matrix(field, rows * cols, len(mats), stacked).apply(coeffs))
 
 
 # -- subquotients -----------------------------------------------------------------
@@ -406,7 +387,6 @@ def _composition_series(rep: Representation, max_samples: int, seed: int
     if res.irreducible:
         return CompositionSeries([empty, full], [_factor_info(rep)])
     w = res.submodule
-    assert w is not None
     sub = sub_representation(rep, w)
     quot = quotient_representation(rep, w)
     lower = _composition_series(sub, max_samples, seed)
@@ -447,28 +427,25 @@ def _composition_series(rep: Representation, max_samples: int, seed: int
 def is_uniserial(rep: Representation) -> bool:
     """True when the invariant subspaces form a chain.
 
-    Every submodule is a sum of cyclic ones, so the lattice is a chain
-    exactly when the spins of all 1-dimensional subspaces are totally
-    ordered by inclusion.
+    V is uniserial exactly when soc(V) is simple and V/soc(V) is uniserial:
+    every nonzero submodule then contains the socle.  soc(V) holds dim
+    Hom(T, V) / dim End(T) copies of each simple T, and every simple
+    submodule is isomorphic to a composition factor, so the socle is simple
+    exactly when a single factor T has dim Hom(T, V) = dim End(T); the
+    image of a nonzero homomorphism T -> V is then the socle.
     """
-    field = rep.field
-    d = rep.dim
-    q = field.order
-    lines = (q**d - 1) // (q - 1)
-    work = lines * d * d * len(rep.gen_matrices())
-    if work > _UNISERIAL_WORK_LIMIT:
-        raise TooLarge(
-            f"uniserial check would spin {lines} lines of GF({q})^{d}"
-            f" ({work} > 2^22 units of work)"
-        )
-    distinct: dict[tuple, SubspaceBasis] = {}
-    for v in _canonical_lines(field, d):
-        s = spin(rep, v)
-        distinct.setdefault(s.vectors, s)
-    spins = sorted(distinct.values(), key=lambda s: s.dim)
-    for a, b in zip(spins, spins[1:]):
-        if a.dim == b.dim or not b.contains_subspace(a):
+    if rep.dim == 0:
+        return True
+    simples: list[tuple[Representation, int]] = []
+    for factor in composition_series(rep).factors:
+        if not any(hom_space(t, factor.rep) for t, _ in simples):
+            simples.append((factor.rep, len(hom_space(factor.rep, factor.rep))))
+    while rep.dim:
+        homs = [(h, e) for t, e in simples if (h := hom_space(t, rep))]
+        if len(homs) != 1 or len(homs[0][0]) != homs[0][1]:
             return False
+        socle = homs[0][0][0].transpose().row_lists()
+        rep = quotient_representation(rep, SubspaceBasis(rep.field, rep.dim, socle))
     return True
 
 
@@ -476,29 +453,77 @@ def is_uniserial(rep: Representation) -> bool:
 
 
 def hom_space(r1: Representation, r2: Representation) -> list[Matrix]:
-    """Basis of the intertwiners t with t r1(g) = r2(g) t."""
+    """Basis of the intertwiners t with t r1(g) = r2(g) t.
+
+    Spinning r1 from standard basis vectors gives a basis b_1..b_d1 in which
+    each b is a seed or g b' for a generator g and an earlier b' (Holt,
+    Eick, O'Brien, Handbook of Computational Group Theory, ch. 7).  A
+    homomorphism phi is fixed by the images u of the k seeds: phi(g b') =
+    r2(g) phi(b') makes each phi(b) = N_b u linear in u.  Every other
+    product g b = sum c_i b_i is a relation, sum c_i N_i u = r2(g) N_b u,
+    so the system has k d2 unknowns; a cyclic r1 (every irreducible one)
+    has k = 1.
+    """
     if r1.field != r2.field:
         raise MixedFields("modules must share one field")
     if r1.algebra != r2.algebra:
         raise ShapeMismatch("modules must belong to one algebra")
     field = r1.field
     d1, d2 = r1.dim, r2.dim
-    unknowns = d2 * d1
-    rows = []
-    sub = field.sub
-    for a, b in zip(r1.gen_matrices(), r2.gen_matrices()):
-        for i in range(d2):
-            for j in range(d1):
-                row = [0] * unknowns
-                for k in range(d1):
-                    row[i * d1 + k] = a.code_at(k, j)
-                for k in range(d2):
-                    row[k * d1 + j] = sub(row[k * d1 + j], b.code_at(i, k))
-                rows.append(row)
-    m = Matrix(field, len(rows), unknowns, [x for r in rows for x in r])
-    return [
-        Matrix(field, d2, d1, v) for v in m.kernel_basis()
-    ]
+    g1s, g2s = r1.gen_matrices(), r2.gen_matrices()
+    ech = Echelon(field, d1)
+    basis: list[list[int]] = []
+    words: list[Optional[tuple[int, int]]] = []  # None for a seed, else (g, b')
+    for e in Matrix.identity(field, d1).row_lists():
+        if ech.dim == d1 or ech.insert(e) is None:
+            continue
+        basis.append(e)
+        words.append(None)
+        b = len(basis) - 1
+        while b < len(basis) and ech.dim < d1:
+            for j, g in enumerate(g1s):
+                w = g.apply(basis[b])
+                if ech.insert(w) is not None:
+                    basis.append(w)
+                    words.append((j, b))
+            b += 1
+    width = words.count(None) * d2
+    if not width:
+        return []
+    # N_b as a d2 x width matrix: its seed's identity block, or r2(g) N_b'
+    images: list[Matrix] = []
+    for b, word in enumerate(words):
+        if word is None:
+            s = words[:b].count(None)
+            images.append(Matrix(field, d2, width, [
+                int(c == s * d2 + i) for i in range(d2) for c in range(width)]))
+        else:
+            images.append(g2s[word[0]] * images[word[1]])
+    bm = Matrix.from_columns(field, basis)
+    bm_inv = bm.inv()
+    defining = set(words)
+    # the relations are solved one at a time: now[b] = N_b S, where the free
+    # columns of S span the seed images that satisfy every relation so far
+    free, now = width, images
+    for j, (g1, g2) in enumerate(zip(g1s, g2s)):
+        coords = (bm_inv * g1 * bm).transpose()  # row b: g1 b in the basis
+        for b in range(d1):
+            if (j, b) in defining:
+                continue
+            lhs = _combination(field, d2, free, now, coords.row(b))
+            kernel = (lhs - g2 * now[b]).kernel_basis()
+            if not kernel:
+                return []
+            if len(kernel) < free:
+                step = Matrix.from_columns(field, kernel)
+                free, now = len(kernel), [n * step for n in now]
+    out = []
+    for t in range(free):
+        hom = Matrix.from_columns(field, [n.column(t) for n in now]) * bm_inv
+        verify(all(hom * g1 == g2 * hom for g1, g2 in zip(g1s, g2s)),
+               "spun homomorphism does not intertwine")
+        out.append(hom)
+    return out
 
 
 class EnvelopingAlgebra:
@@ -554,30 +579,15 @@ def field_embedding(F: Field, K: Field):
     """A ring embedding F -> K as a code map, or NotExtension."""
     if F.p != K.p:
         raise NotExtension(f"{K} does not contain {F}: different characteristic")
-    if F.modulus is None:
-        return lambda c: c
-    if F == K:
+    if F.modulus is None or F == K:
         return lambda c: c
     # image of the generator: a root of F's modulus inside K
-    mod = F.modulus
-    root = None
-    for cand in range(K.order):
-        acc = 0
-        for c in reversed(mod):
-            acc = K.add(K.mul(acc, cand), c)
-        if acc == 0:
-            root = cand
-            break
+    prime = GF(F.p)
+    mod = Poly(prime, F.modulus)
+    root = next((r for r in K.elements() if not mod(r)), None)
     if root is None:
         raise NotExtension(f"{K} contains no root of the modulus of {F}")
-
-    def embed(code: int) -> int:
-        acc = 0
-        for c in reversed(F.coeffs_of(code)):
-            acc = K.add(K.mul(acc, root), c)
-        return acc
-
-    return embed
+    return lambda code: Poly(prime, F.coeffs_of(code))(root).code
 
 
 def extend_scalars(rep: Representation, K: Field) -> Representation:

@@ -387,13 +387,7 @@ def _case_sec4(p, m, seed):
     def reg(e: FieldElem) -> Matrix:
         return regular_matrix(big, e, basis_cols)
 
-    def lift(h: Poly) -> FieldElem:
-        code = 0
-        for c in reversed(h.coeffs):
-            code = big.add(big.mul(code, alpha.code), c)
-        return FieldElem(big, code)
-
-    beta, gamma = lift(f), lift(g)
+    beta, gamma = f(alpha), g(alpha)
     zero = Matrix.zeros(field, m, m)
     eye = Matrix.identity(field, m)
     reg_alpha, reg_beta, reg_gamma = reg(alpha), reg(beta), reg(gamma)
@@ -508,11 +502,7 @@ def _case_note52(p, fcodes, alpha, beta):
         gamma = got.gammas[0]
         if gamma**p != s.eigenvalue:
             problems.append("gamma^p is not the central eigenvalue")
-        lifted = [FieldElem(big, embed(c)) for c in fcodes]
-        value = big.zero()
-        for c in reversed(lifted):
-            value = value * s.eigenvalue + c
-        if not value.is_zero():
+        if f(s.eigenvalue):
             problems.append("central eigenvalue is not a root of f")
         seen.add(invariants(s.rep))
     if len(parts) == m and len(seen) != m:

@@ -211,6 +211,27 @@ def oracle_hom_dim(r1, r2) -> int:
     return dim
 
 
+def oracle_hom_space(r1, r2) -> list[Matrix]:
+    """Basis of the intertwiners t with t r1(g) = r2(g) t, from the
+    kernel of the (2n+1) d2 d1 x d1 d2 linear system in the entries of t."""
+    field = r1.field
+    d1, d2 = r1.dim, r2.dim
+    unknowns = d2 * d1
+    rows = []
+    sub = field.sub
+    for a, b in zip(r1.gen_matrices(), r2.gen_matrices()):
+        for i in range(d2):
+            for j in range(d1):
+                row = [0] * unknowns
+                for k in range(d1):
+                    row[i * d1 + k] = a.code_at(k, j)
+                for k in range(d2):
+                    row[k * d1 + j] = sub(row[k * d1 + j], b.code_at(i, k))
+                rows.append(row)
+    m = Matrix(field, len(rows), unknowns, [x for r in rows for x in r])
+    return [Matrix(field, d2, d1, v) for v in m.kernel_basis()]
+
+
 def oracle_search(p: int, d: int):
     """Faithful rank-1 pair (A, B) of d x d matrices over GF(p), scanning
     every pair in numpy blocks: (found, witness rep or None, pairs scanned).

@@ -229,6 +229,26 @@ def test_poly_evaluation_homomorphism():
         assert (f + g)(a) == f(a) + g(a)
 
 
+def test_prime_field_poly_evaluates_at_extension_elements():
+    # a GF(p) polynomial at an element of GF(p^m) is computed in GF(p^m),
+    # where the codes below p are the prime field's
+    rng = random.Random(12)
+    for p, m in [(2, 2), (3, 2), (2, 9)]:
+        big = ext(p, m)
+        for _ in range(10):
+            coeffs = [rng.randrange(p) for _ in range(5)]
+            x = FieldElem(big, rng.randrange(big.order))
+            want = big.zero()
+            for c in reversed(coeffs):
+                want = want * x + FieldElem(big, c)
+            got = Poly(GF(p), coeffs)(x)
+            assert got.field == big and got == want
+    with pytest.raises(MixedFields):
+        Poly(GF(3), [1, 1])(FieldElem(ext(2, 2), 1))
+    with pytest.raises(MixedFields):
+        Poly(ext(2, 2), [1, 1])(FieldElem(ext(2, 3), 1))
+
+
 def test_inflate_substitutes_power():
     field = ext(2, 2)
     f = Poly(field, [1, 2, 1])

@@ -10,9 +10,11 @@ change of basis that is re-verified generator by generator.
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from heisenmod import heisenberg
 from heisenmod import (
     GF,
     DegreeMismatch,
@@ -28,6 +30,7 @@ from heisenmod import (
     RelationViolated,
     Representation,
     ShapeMismatch,
+    VerificationFailed,
     WrongDeltaCount,
     WrongDimension,
     ZeroAlpha,
@@ -385,6 +388,20 @@ def test_build_companion_rep_rejects_bad_input():
         build_companion_rep(e(0), e(1), Poly(field, [0, 1]))
     with pytest.raises(MixedFields):
         build_companion_rep(e(1), GF(2).one(), Poly(field, [0, 1]))
+
+
+def test_builders_check_their_result_with_verify(monkeypatch):
+    # the result checks must survive python -O, so they cannot be asserts
+    monkeypatch.setattr(
+        heisenberg, "validate_rep", lambda rep: SimpleNamespace(ok=False)
+    )
+    field = GF(2)
+    with pytest.raises(VerificationFailed, match="companion"):
+        build_companion_rep(field.one(), field.zero(), Poly(field, [1, 1, 1]))
+    with pytest.raises(VerificationFailed, match="restriction"):
+        build_restriction_rep(
+            2, Poly(field, [1, 1, 1]), [Poly.x(field)], [Poly(field, [1])]
+        )
 
 
 # -- restriction to the prime field ----------------------------------------------

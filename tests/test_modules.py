@@ -58,6 +58,7 @@ from heisenmod import (
 from oracles import (
     invariant_subspaces,
     oracle_hom_dim,
+    oracle_hom_space,
     oracle_irreducible,
     oracle_search,
     oracle_uniserial,
@@ -362,9 +363,10 @@ def test_composition_series_checks_the_lifted_chain(monkeypatch):
         composition_series(rep)
 
 
-def companion_power(p, m, c, alpha=1, beta=0):
-    """The companion module of (X - c)^m over GF(p), of dimension p * m."""
-    field = GF(p)
+def companion_power(p, m, c, alpha=1, beta=0, field=None):
+    """The companion module of (X - c)^m over GF(p) (or over the given
+    field of characteristic p), of dimension p * m."""
+    field = field or GF(p)
     linear = Poly(field, [field.neg(c), 1])
     f = Poly(field, [1])
     for _ in range(m):
@@ -413,24 +415,46 @@ def test_uniserial_examples():
     # two isomorphic summands give incomparable submodules
     r = v_rep(field, 1, [1], [1])
     assert not is_uniserial(direct_sum_reps([r, r]))
-    with pytest.raises(TooLarge):
-        is_uniserial(v_rep(GF(5), 1, [0, 0], [0, 0]))  # 5^25 vectors
+    # V over GF(5) at n = 2 is irreducible (d = 25, 5^25 vectors)
+    assert is_uniserial(v_rep(GF(5), 1, [0, 0], [0, 0]))
+    assert is_uniserial(zero_rep(field, 1, 1))
+    assert not is_uniserial(zero_rep(field, 1, 2))
 
 
-def test_is_uniserial_refuses_work_past_its_bound_at_once(monkeypatch):
-    # (X - 1)^2 over GF(5): 2,441,406 lines of GF(5)^10
-    rep = companion_power(5, 2, 1)
-    start = time.perf_counter()
-    with pytest.raises(TooLarge, match="2441406 lines"):
-        is_uniserial(rep)
-    assert time.perf_counter() - start < 0.5
-    # the bound counts lines * d^2 * generators: 7 lines of GF(2)^3 here
-    standard = build_standard(HeisenbergAlgebra(1, GF(2)))
-    monkeypatch.setattr(modules, "_UNISERIAL_WORK_LIMIT", 7 * 9 * 3)
-    assert is_uniserial(standard)
-    monkeypatch.setattr(modules, "_UNISERIAL_WORK_LIMIT", 7 * 9 * 3 - 1)
-    with pytest.raises(TooLarge):
-        is_uniserial(standard)
+def test_is_uniserial_decides_modules_past_the_old_line_bound():
+    # (X - 1)^2 over GF(5), X^4 over GF(3) and (X - 1)^10 over GF(2): the
+    # line scan refused them (2,441,406 lines of GF(5)^10 for the first)
+    for p, m, c in [(5, 2, 1), (3, 4, 0), (2, 10, 1)]:
+        rep = companion_power(p, m, c)
+        start = time.perf_counter()
+        assert is_uniserial(rep)
+        assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("p,m,q", [(2, 1, 2), (3, 1, 3), (2, 2, 4), (5, 1, 5)])
+def test_companion_modules_of_linear_powers_are_uniserial(p, m, q):
+    # Thm 5.1: f = (X - c)^k gives a uniserial module
+    field = GF(p) if m == 1 else ext(p, m)
+    assert field.order == q
+    for k in range(1, 5):
+        for c in range(q):
+            rep = companion_power(p, k, c, beta=c, field=field)
+            assert is_uniserial(rep), (q, k, c)
+            if q == 2 and k <= 2:
+                assert oracle_uniserial(rep)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_sums_of_two_modules_are_not_uniserial(p, m):
+    field = GF(p) if m == 1 else ext(p, m)
+    rng = random.Random(41)
+    r, other = v_rep(field, 1, [0], [1]), v_rep(field, 1, [1], [1])
+    for rep in [direct_sum_reps([r, r]), direct_sum_reps([r, other])]:
+        moved = conjugate_rep(rep, rand_invertible(field, rep.dim, rng))
+        assert not is_uniserial(moved)
+    # (X - c)(X - c') with c != c' has two non-isomorphic simple submodules
+    f = Poly(field, [0, 1]) * Poly(field, [field.neg(1), 1])
+    assert not is_uniserial(build_companion_rep(field.one(), field.zero(), f))
 
 
 # -- homomorphisms ----------------------------------------------------------------
@@ -467,6 +491,78 @@ def test_hom_space_dimension_one_for_isomorphic_irreducibles():
     assert not basis[0].det().is_zero()  # the intertwiner is an isomorphism
     other = v_rep(field, 2, [1], [1])
     assert hom_space(rep, other) == []
+
+
+def random_params(field, n, rng):
+    q = field.order
+    return params_of(field, rng.randrange(1, q),
+                     [rng.randrange(q) for _ in range(n)],
+                     [rng.randrange(q) for _ in range(n)])
+
+
+def hom_test_pairs(field, rng):
+    """Generated (r1, r2) pairs: conjugated V at n = 1, 2 with equal and
+    different parameters, non-cyclic sources, d1 != d2, companion modules."""
+    p = field.p
+    pairs = []
+    for n in (1, 2) if p ** 2 <= 9 else (1,):
+        algebra = HeisenbergAlgebra(n, field)
+        a = random_params(field, n, rng)
+        for b in (a, random_params(field, n, rng)):
+            pairs.append(tuple(
+                conjugate_rep(build_V(algebra, params),
+                              rand_invertible(field, p**n, rng))
+                for params in (a, b)
+            ))
+    algebra = HeisenbergAlgebra(1, field)
+    v = build_V(algebra, random_params(field, 1, rng))
+    w = build_V(algebra, random_params(field, 1, rng))
+    vv = conjugate_rep(direct_sum_reps([v, v]), rand_invertible(field, 2 * p, rng))
+    vvv = direct_sum_reps([v, v, v])
+    comp = companion_power(p, 2, rng.randrange(field.order), field=field)
+    pairs += [
+        (vv, vv), (vvv, vvv), (vvv, v), (v, vvv),
+        (direct_sum_reps([v, w]), w), (w, direct_sum_reps([v, w])),
+        (zero_rep(field, 1, 2), zero_rep(field, 1, 3)),
+        (zero_rep(field, 1, 2), v), (v, zero_rep(field, 1, 2)),
+        (build_standard(algebra), v), (v, build_standard(algebra)),
+        (comp, comp), (comp, v), (v, comp),
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_hom_space_matches_the_linear_system_oracle(p, m):
+    field = GF(p) if m == 1 else ext(p, m)
+    for r1, r2 in hom_test_pairs(field, random.Random(43 + field.order)):
+        basis = hom_space(r1, r2)
+        want = oracle_hom_space(r1, r2)
+        width = r1.dim * r2.dim
+        span = SubspaceBasis(field, width, [t.data for t in basis])
+        assert span.dim == len(basis) == len(want), (r1, r2)
+        assert span == SubspaceBasis(field, width, [t.data for t in want])
+        for t in basis:
+            assert (t.rows, t.cols) == (r2.dim, r1.dim)
+            for a, b in zip(r1.gen_matrices(), r2.gen_matrices()):
+                assert t * a == b * t
+        if field.order ** width <= 1 << 12:
+            assert len(basis) == oracle_hom_dim(r1, r2)
+
+
+def test_hom_space_of_zero_dimensional_modules_is_zero():
+    field = GF(3)
+    empty, v = zero_rep(field, 1, 0), v_rep(field, 1, [0], [0])
+    assert hom_space(empty, v) == [] and hom_space(v, empty) == []
+
+
+def test_hom_space_check_raises_verification_failed(monkeypatch):
+    # every returned homomorphism is checked with verify, which survives -O:
+    # corrupt the images read off for the result, after the solve
+    rep = v_rep(GF(3), 1, [1], [2])
+    real = Matrix.column
+    monkeypatch.setattr(Matrix, "column", lambda m, j: [1] + real(m, j)[1:])
+    with pytest.raises(VerificationFailed, match="intertwine"):
+        hom_space(rep, rep)
 
 
 # -- the image algebra -------------------------------------------------------------
