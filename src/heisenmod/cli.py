@@ -9,6 +9,10 @@ Scalars on the command line are integers over prime fields and bracketed
 ascending coefficient lists over extensions; list-valued flags separate
 entries with commas outside brackets.  Polynomial flags take ascending
 comma-separated coefficient lists.
+
+Each command imports only the layers it uses, since start-up is most of a
+command's time: heisenmod.modules loads only for the irreducible, series
+and uniserial actions, and heisenmod.suites only for the suite command.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .heisenberg import (
     invariants,
     validate_rep,
 )
-from .modules import composition_series, is_irreducible, is_uniserial
 from .serialize import (
     decode_representation,
     encode_elem,
@@ -48,7 +51,6 @@ from .serialize import (
     encode_series,
     encode_subspace,
 )
-from .suites import run_suite
 
 
 class UsageError(Exception):
@@ -255,6 +257,8 @@ def _cmd_analyze(args) -> tuple[int, str]:
         except AlgebraError as exc:
             return 1, json.dumps({"error": str(exc)})
         return 0, json.dumps(encode_invariants(inv))
+    from .modules import composition_series, is_irreducible, is_uniserial
+
     if action == "irreducible":
         result = is_irreducible(rep, seed=args.seed)
         if result.irreducible:
@@ -277,6 +281,8 @@ def _cmd_analyze(args) -> tuple[int, str]:
 
 
 def _cmd_suite(args) -> tuple[int, str]:
+    from .suites import run_suite
+
     report = run_suite(
         args.name,
         p=_int_list(args.p) if args.p else None,

@@ -4,8 +4,8 @@ Every error raised on bad API input derives from AlgebraError so callers can
 catch one base class.  A computed result that fails its own re-verification
 (a classification transform, a canonical form, a similarity) raises
 VerificationFailed instead: that is a bug in the library, not a user error,
-and the check runs under python -O as well.  The remaining internal
-invariants use plain asserts.
+and the check runs under python -O as well.  Internal invariants use the
+same verify(), so no self-check depends on assert.
 """
 
 

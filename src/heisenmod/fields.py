@@ -25,6 +25,7 @@ trailing zeros.  The zero polynomial has an empty tuple and degree -1.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -682,6 +683,22 @@ class Poly:
             raise ValueError("irreducibility is undefined for constants")
         return next(self.irreducible_factors()) == self
 
+    def _split_roots(self) -> tuple[list[tuple[int, int]], "Poly"]:
+        """Divide out the linear factors: ([(root code, multiplicity)...] by
+        ascending code, the rootless rest)."""
+        field = self.field
+        f = self
+        roots = []
+        for lam in range(field.order):
+            lin = Poly._raw(field, [field.neg(lam), 1])
+            mult = 0
+            while f.degree >= 1 and f(lam).code == 0:
+                f = f // lin
+                mult += 1
+            if mult:
+                roots.append((lam, mult))
+        return roots, f
+
     def irreducible_factors(self) -> Iterator["Poly"]:
         """The distinct monic irreducible factors, by increasing degree.
 
@@ -774,20 +791,19 @@ def make_extension(p: int, q: Poly) -> Field:
     return _cached_field(p, q.coeffs)
 
 
-def find_irreducible(p: int, m: int) -> Poly:
-    """First monic irreducible of degree m over GF(p), by ascending
-    lexicographic order on the low coefficient codes."""
+def monic_irreducibles(p: int, m: int) -> Iterator[Poly]:
+    """The monic irreducibles of degree m over GF(p), lazily, by ascending
+    base-p number of the low coefficients (coefficient i is digit i)."""
     if m < 1:
         raise ValueError("degree must be >= 1")
     field = GF(p)
-    for tail in range(p**m):
-        coeffs = []
-        c = tail
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        coeffs.append(1)
-        f = Poly._raw(field, coeffs)
+    for high_first in itertools.product(range(p), repeat=m):
+        f = Poly._raw(field, [*reversed(high_first), 1])
         if f.is_irreducible():
-            return f
-    raise AssertionError("unreachable: irreducibles of every degree exist")
+            yield f
+
+
+def find_irreducible(p: int, m: int) -> Poly:
+    """First monic irreducible of degree m over GF(p) in the order of
+    monic_irreducibles."""
+    return next(monic_irreducibles(p, m))

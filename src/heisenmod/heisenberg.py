@@ -560,7 +560,7 @@ def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
         stacked_rows.extend(shifted.row_lists())
     stacked = Matrix(field, n * d, d, [e for row in stacked_rows for e in row])
     kernel = stacked.kernel_basis()
-    assert kernel, "commuting nilpotent images must share an eigenvector"
+    verify(bool(kernel), "commuting nilpotent images must share an eigenvector")
     v = kernel[0]
 
     shifts = [rep.y[k] - Matrix.scalar(field, d, gammas[k]) for k in range(n)]
@@ -625,7 +625,7 @@ def canonical_pair(a: Matrix, b: Matrix, c: Matrix) -> tuple[Matrix, Matrix, Mat
     beta = a.det().pth_root()
     gamma = b.det().pth_root()
     kernel = (a - Matrix.scalar(field, p, beta)).kernel_basis()
-    assert kernel, "A - beta must be singular"
+    verify(bool(kernel), "A - beta must be singular")
     cols = [kernel[0]]
     shift = b - Matrix.scalar(field, p, gamma)
     for _ in range(p - 1):

@@ -623,7 +623,7 @@ def _local_min_poly(a: Matrix, v: Sequence[int], base: Optional[Echelon] = None
         tracks.append(track)
         u = a.apply(u)
         k += 1
-        assert k <= n, "Krylov chain exceeded the ambient dimension"
+        verify(k <= n, "Krylov chain exceeded the ambient dimension")
 
 
 def min_poly(a: Matrix) -> Poly:
@@ -693,8 +693,8 @@ def _lcm_split(g: Poly, h: Poly) -> tuple[Poly, Poly]:
     ch = hc // _coprime_to(hc, hh)
     g1 = (a * cg).monic()
     h1 = (b * ch).monic()
-    assert g1.gcd(h1).degree == 0
-    assert (g1 * h1).monic() == g.lcm(h)
+    verify(g1.gcd(h1).degree == 0, "lcm split must be coprime")
+    verify((g1 * h1).monic() == g.lcm(h), "lcm split must multiply to the lcm")
     return g1, h1
 
 
@@ -735,7 +735,7 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
                     best_g = l
             if best_g.degree == n - W.dim:
                 break
-        assert best_v is not None and best_g is not None
+        verify(best_g is not None, "a vector outside W must exist")
         # make the annihilator exact: subtract the components inside W
         w = poly_apply(best_g, a, best_v)
         if any(w):
@@ -747,7 +747,7 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
                     u = a.apply(u)
             B = Matrix.from_columns(field, cols)
             coords = B.solve(w)
-            assert coords is not None, "g(a)v must lie in the extracted span"
+            verify(coords is not None, "g(a)v must lie in the extracted span")
             pos = 0
             sub = field.sub
             u = best_v
@@ -756,22 +756,22 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
                 pos += d.degree
                 if not h.is_zero():
                     quo, rem = divmod(h, best_g)
-                    assert rem.is_zero(), "conductor must divide block factors"
+                    verify(rem.is_zero(), "conductor must divide block factors")
                     corr = poly_apply(quo, a, gen)
                     u = [sub(x, y) for x, y in zip(u, corr)]
             best_v = u
             w = poly_apply(best_g, a, best_v)
-            assert not any(w), "adjusted vector must be annihilated exactly"
+            verify(not any(w), "adjusted vector must be annihilated exactly")
         u = list(best_v)
         for _ in range(best_g.degree):
             inserted = W.insert(u)
-            assert inserted is not None, "cyclic basis must be independent"
+            verify(inserted is not None, "cyclic basis must be independent")
             u = a.apply(u)
         blocks.append((best_v, best_g))
     # extraction yields decreasing divisibility; report ascending d1 | d2 | ...
     blocks.reverse()
     for d1, d2 in zip(blocks, blocks[1:]):
-        assert (d2[1] % d1[1]).is_zero(), "invariant factor chain broken"
+        verify((d2[1] % d1[1]).is_zero(), "invariant factor chain broken")
     cols = []
     for gen, d in blocks:
         u = list(gen)
@@ -822,18 +822,7 @@ def eigenvalues_with_multiplicity(a: Matrix) -> tuple[list[tuple[int, int]], Pol
     Returns ([(eigenvalue code, algebraic multiplicity)...] by ascending
     code, remaining rootless factor).
     """
-    f = char_poly(a)
-    field = a.field
-    out = []
-    for lam in range(field.order):
-        mult = 0
-        lin = Poly._raw(field, [field.neg(lam), 1])
-        while f.degree >= 1 and f(lam).code == 0:
-            f = f // lin
-            mult += 1
-        if mult:
-            out.append((lam, mult))
-    return out, f
+    return char_poly(a)._split_roots()
 
 
 def jordan_form(a: Matrix) -> tuple[Matrix, Matrix]:
@@ -863,7 +852,7 @@ def jordan_form(a: Matrix) -> tuple[Matrix, Matrix]:
             ech = Echelon(field, n)
             for v in power.kernel_basis():
                 ech.insert(v)
-            assert ech.dim > kernels[-1].dim, "kernel chain stalled"
+            verify(ech.dim > kernels[-1].dim, "kernel chain stalled")
             kernels.append(ech)
         s = len(kernels) - 1
         # choose chain tops level by level, longest chains first

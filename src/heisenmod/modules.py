@@ -628,21 +628,12 @@ def split_by_central(
     for _, g in rep.generators():
         if not commutator(central, g).is_zero():
             raise ShapeMismatch("splitting operator must be central")
-    m = min_poly(central)
-    roots = []
-    for lam in range(field.order):
-        lin = Poly(field, [field.neg(lam), 1])
-        mult = 0
-        while m.degree >= 1 and m(lam).code == 0:
-            m = m // lin
-            mult += 1
-        if mult:
-            roots.append(lam)
-    if m.degree > 0:
-        raise DoesNotSplit(f"minimal polynomial factor {m!r} has no roots")
+    roots, rest = min_poly(central)._split_roots()
+    if rest.degree > 0:
+        raise DoesNotSplit(f"minimal polynomial factor {rest!r} has no roots")
     out = []
     total = 0
-    for lam in roots:
+    for lam, _ in roots:
         shifted = central - Matrix.scalar(field, d, lam)
         basis = SubspaceBasis(field, d, (shifted**d).kernel_basis())
         total += basis.dim

@@ -6,9 +6,9 @@ anchor string of the statement being checked, and every failure records
 the primitive inputs that reproduce it.  Randomized inputs always derive
 from the suite seed, so reruns are bit-identical.
 
-Cases are independent and dispatch to a process pool when jobs > 1;
-aggregation sorts by case key, so the report does not depend on
-scheduling order.
+Cases are independent and dispatch to a process pool when jobs > 1, the
+only time the pool machinery is imported; aggregation sorts by case key,
+so the report does not depend on scheduling order.
 """
 
 from __future__ import annotations
@@ -16,11 +16,18 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import VerificationFailed
-from .fields import FieldElem, GF, Poly, find_irreducible, is_prime, make_extension
+from .fields import (
+    FieldElem,
+    GF,
+    Poly,
+    find_irreducible,
+    is_prime,
+    make_extension,
+    monic_irreducibles,
+)
 from .heisenberg import (
     HeisenbergAlgebra,
     ModuleParams,
@@ -133,13 +140,7 @@ def _random_invertible(field, d: int, rng: random.Random) -> Matrix:
 def _irreducible_polys(p: int, degree: int) -> list[Poly]:
     """All monic irreducible polynomials of the given degree over GF(p),
     in ascending coefficient-code order."""
-    field = GF(p)
-    out = []
-    for low in itertools.product(range(p), repeat=degree):
-        f = Poly(field, list(low) + [1])
-        if f.is_irreducible():
-            out.append(f)
-    return out
+    return sorted(monic_irreducibles(p, degree), key=lambda f: f.coeffs)
 
 
 def _decode_params(p: int, n: int, alpha: int, betas, gammas) -> ModuleParams:
@@ -836,6 +837,8 @@ def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
     cases = _BUILDERS[name](plist, nlist, mlist, seed)
     start = time.perf_counter()
     if jobs > 1 and len(cases) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(cases) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_case, cases, chunksize=chunk))

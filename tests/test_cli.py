@@ -1,10 +1,11 @@
 """End-to-end tests of the command line.
 
 Every test drives main(argv) directly with a captured stdout/stderr and a
-patched stdin; two tests run the real interpreter as a subprocess, to cover
-the module entry point and a failed self-check under python -O.  Exit codes
-follow the contract: 0 for built/holds, 1 for checked-and-false, 2 for
-unusable input, 3 for a result that failed its re-verification.
+patched stdin; four tests run the real interpreter as a subprocess, to
+cover the module entry point, what a fresh process imports, and a failed
+self-check under python -O.  Exit codes follow the contract: 0 for
+built/holds, 1 for checked-and-false, 2 for unusable input, 3 for a result
+that failed its re-verification.
 """
 
 import io
@@ -365,6 +366,48 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == [[0, 1, 0], [0, 0, 2], [0, 0, 0]]
+
+
+# Prints the exit codes of a build and a serial suite run in one CLI
+# process, and the modules loaded after the import and after each command.
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import heisenmod.cli
+
+loaded, codes = [sorted(sys.modules)], []
+for argv in (["build", "standard", "--p", "3"], ["suite", "ex27", "--p", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(heisenmod.cli.main(argv))
+    loaded.append(sorted(sys.modules))
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_cli_process_loads_only_the_layers_of_its_command():
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, (after_import, after_build, after_suite) = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    pool = {"concurrent.futures", "multiprocessing"}
+    unused = {"heisenmod.modules", "heisenmod.suites", *pool}
+    assert not unused & set(after_import)
+    assert not unused & set(after_build)
+    # a serial suite loads the suites but not the process pool
+    assert "heisenmod.suites" in after_suite
+    assert not pool & set(after_suite)
+
+
+def test_bare_package_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, heisenmod; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.startswith("heisenmod.")] == []
 
 
 # Runs the CLI with the first product of classify's final check corrupted:

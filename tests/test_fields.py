@@ -22,6 +22,8 @@ from heisenmod import (
     is_prime,
     make_extension,
 )
+from heisenmod.fields import monic_irreducibles
+from heisenmod.suites import _irreducible_polys
 from oracles import brute_pth_root, trial_division_irreducible
 
 
@@ -303,6 +305,34 @@ def test_find_irreducible_is_deterministic_and_minimal():
         f = find_irreducible(p, m)
         assert f.degree == m and f.is_monic() and f.is_irreducible()
         assert find_irreducible(p, m) == f
+
+
+def test_one_enumeration_serves_find_irreducible_and_the_suites():
+    """monic_irreducibles runs by the low coefficients read as a base-p
+    number (coefficient i is digit i); find_irreducible takes its first
+    element and the suites sort it lexicographically, as both did alone."""
+    firsts = {
+        (2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1),
+        (3, 1): (0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1),
+        (5, 1): (0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1),
+    }
+    for (p, m), first in firsts.items():
+        field = GF(p)
+        by_number = [
+            Poly(field, [(t // p**i) % p for i in range(m)] + [1])
+            for t in range(p**m)
+        ]
+        lexicographic = [
+            Poly(field, [*low, 1])
+            for low in itertools.product(range(p), repeat=m)
+        ]
+        by_number = [f for f in by_number if trial_division_irreducible(f)]
+        lexicographic = [f for f in lexicographic if trial_division_irreducible(f)]
+        assert list(monic_irreducibles(p, m)) == by_number, (p, m)
+        assert find_irreducible(p, m).coeffs == first == by_number[0].coeffs
+        assert _irreducible_polys(p, m) == lexicographic, (p, m)
+    with pytest.raises(ValueError):
+        find_irreducible(2, 0)
 
 
 # -- factorization ----------------------------------------------------------------
