@@ -7,16 +7,20 @@ polynomial).  Over a prime field the code is simply the residue.  All inner
 loops work on codes; FieldElem wraps a code with its field for operator
 syntax and strict cross-field checking at the API boundary.
 
-Packed codes.  Matrix products run on packed codes, so that a dot product
-of length L is one sum(map(operator.mul, ...)) over Python integers with one
-reduction per result.  Over GF(p) the packed code is the code itself and the
-reduction is mod p.  Over GF(p^m) a code with digits a_i packs to the
-integer sum of a_i * 2^(s*i) (Kronecker substitution), with the slot width s
-chosen from L so that 2^s > (L+1)*m*(p-1)^2: a sum of L products then holds
-each of its 2m-1 coefficients in its own slot without a carry.  Unpacking
-folds the slots of degree >= m into the lower ones modulo the defining
-polynomial, reducing each folded slot mod p, and reads the m low slots mod
-p.  Scalar multiplication over GF(p^m) is the same computation with L = 1.
+Packed rows.  Matrix sums, products, apply and elimination run on packed
+rows (RowCodec, one per field and inner length L, cached on the field): a
+row of codes is one Python integer, each element in 2m-1 byte-aligned
+slots of s bits with its base-p digits in the low m.  A packed element (m
+slots) times a packed row scales the row, each product polynomial in its
+own 2m-1 slots (Kronecker substitution).  With 2^s > L*m*(p-1)^2*p^(m-1),
+a sum of L such products fits, and so does folding it: unpacking folds the
+slots of degree >= m of every element at once modulo the defining
+polynomial, m-1 big-integer shift/multiply steps with no reduction mod p
+between them (the p^(m-1) headroom), then reads the slots through
+int.to_bytes and struct (shift and mask past 8 bytes), reduces each mod p
+and joins the digits into codes.  Over GF(p) a packed element is the code
+itself.  A table-free GF(p^m), and the building of the tables, computes
+with L = 1.
 
 Polynomials are immutable coefficient tuples in ascending degree with no
 trailing zeros.  The zero polynomial has an empty tuple and degree -1.
@@ -26,7 +30,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
+import struct
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -73,20 +79,133 @@ def is_prime(n: int) -> bool:
 ElemLike = Union["FieldElem", int, Sequence[int]]
 
 
+# struct formats of the slot widths above one byte that it reads and writes
+_SLOT_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+class _Memo(dict):
+    """A dict that fills a missing key from a function of the key."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class RowCodec:
+    """Packed rows of one field for sums of up to `inner` products (see the
+    module docstring); its operations are closures built for the slot width.
+
+    pack(codes) is a row as one integer with reduced digits; elem[c] is the
+    packed element that scales such a row (c itself over GF(p)) and minus[c]
+    that of -c.  A sum R of at most `inner` products elem[c] * pack(row) of n
+    entries is read by unpack(R, n) as its n codes, by read(R, j) as the code
+    of entry j alone, and by canon(R, n) as the packed row with reduced
+    digits that it stands for.  join(sums, n) lays sums of rows of n entries
+    side by side, the first lowest, to be unpacked at once.
+    """
+
+    def __init__(self, p: int, modulus: Optional[tuple[int, ...]], inner: int):
+        m = 1 if modulus is None else len(modulus) - 1
+        bound = max(inner, 1) * m * (p - 1) ** 2 * p ** (m - 1)
+        need = bound.bit_length() // 8 + 1  # bytes with 2^s > bound
+        size = next((b for b in (1, 2, 4, 8) if b >= need), need)
+        s, w = 8 * size, 2 * m - 1
+        ebytes, es = size * w, s * w
+        smask, emask = (1 << s) - 1, (1 << es) - 1
+        # slot values <-> integers, lowest slot first
+        if size == 1:
+            to_slots = lambda R, n: R.to_bytes(n * ebytes, "little")
+            from_slots = lambda values: int.from_bytes(values, "little")
+        elif size in _SLOT_FORMATS:
+            # one little-endian struct per number of slots
+            structs = _Memo(lambda k: struct.Struct(f"<{k}{_SLOT_FORMATS[size]}"))
+            to_slots = lambda R, n: structs[n * w].unpack(
+                R.to_bytes(n * ebytes, "little"))
+            from_slots = lambda values: int.from_bytes(
+                structs[len(values)].pack(*values), "little")
+        else:
+            to_slots = lambda R, n: [R >> k & smask for k in range(0, n * es, s)]
+            from_slots = lambda values: int.from_bytes(
+                b"".join([x.to_bytes(size, "little") for x in values]), "little")
+        # X^m modulo the defining polynomial, packed; folding slot k adds its
+        # value times X^(k-m) * X^m and removes it from slot k
+        top = 0
+        if modulus is not None:
+            top = sum(-c % p << s * i for i, c in enumerate(modulus[:m]))
+        folds = [(s * k, (top << s * (k - m)) - (1 << s * k))
+                 for k in range(2 * m - 2, m - 1, -1)]
+        # slot k of every entry at once: one repunit of slot masks per length
+        masks = _Memo(lambda n: smask * (((1 << n * es) - 1) // emask))
+
+        def slots(R, n):
+            if folds:
+                mask = masks[n]
+                for shift, fold in folds:
+                    R += (R >> shift & mask) * fold
+            return to_slots(R, n)
+
+        def read(R, j):
+            v = R >> es * j & emask
+            for shift, fold in folds:
+                v += (v >> shift & smask) * fold
+            code = 0
+            for shift in range(s * (m - 1), -1, -s):
+                code = code * p + (v >> shift & smask) % p
+            return code
+
+        def unpack(R, n):
+            values = slots(R, n)
+            codes = [x % p for x in values[m - 1 :: w]]
+            for i in range(m - 2, -1, -1):
+                codes = [c * p + x % p for c, x in zip(codes, values[i::w])]
+            return codes
+
+        def packed_element(c, sign=1):
+            v = 0
+            for shift in range(0, s * m, s):
+                c, d = divmod(c, p)
+                v |= sign * d % p << shift
+            return v
+
+        if m == 1:
+            self.elem = range(p)  # a code is its own packed element
+            self.minus = range(p, 0, -1)  # for c != 0
+            self.read = lambda R, j: (R >> s * j & smask) % p
+            self.pack = from_slots
+            self.unpack = lambda R, n: [x % p for x in to_slots(R, n)]
+            self.scalars = lambda codes: codes
+        else:
+            elem = self.elem = _Memo(packed_element)
+            self.minus = _Memo(lambda c: packed_element(c, -1))
+            self.read, self.unpack = read, unpack
+            blocks = _Memo(lambda c: elem[c].to_bytes(ebytes, "little"))
+            self.pack = lambda codes: int.from_bytes(
+                b"".join(map(blocks.__getitem__, codes)), "little")
+            self.scalars = lambda codes: list(map(elem.__getitem__, codes))
+        self.canon = lambda R, n: from_slots([x % p for x in slots(R, n)])
+        self.join = lambda sums, n: sum(
+            map(operator.lshift, sums, itertools.count(0, es * n)))
+
+
 class Field:
     """A finite field.  Construct with GF(p) or make_extension(p, q).
 
     Arithmetic methods (add, mul, ...) act on integer element codes and are
-    the fast path; element() wraps a code into a FieldElem.  pack(codes, L)
-    and unpack(values, L) are the codec of the dot-product kernel (see the
-    module docstring): unpack maps each sum of L products of packed codes
-    to the code of that sum.
+    the fast path; element() wraps a code into a FieldElem.  row_codec[L] is
+    the packed-row codec of the matrix kernel for inner length L (see the
+    module docstring), built on first use.
     """
 
     def __init__(self, p: int, modulus: Optional[Sequence[int]] = None):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
+        self.row_codec = _Memo(lambda inner: RowCodec(p, self.modulus, inner))
         if modulus is None:
             self.degree = 1
             self.order = p
@@ -114,113 +233,38 @@ class Field:
         self.add = lambda a, b: (a + b) % p
         self.sub = lambda a, b: (a - b) % p
         self.neg = lambda a: -a % p
-
-        def mul(a, b):
-            return a * b % p
+        self.mul = lambda a, b: a * b % p
 
         def inv(a):
             if a == 0:
                 raise DivisionByZero("inverse of zero")
             return pow(a, p - 2, p)
 
-        self.mul = mul
         self.inv = inv
-        self.pack = lambda codes, inner: codes
-        self.unpack = lambda values, inner: [v % p for v in values]
 
     def _init_extension(self):
         p, m, q = self.p, self.degree, self.order
-        mod = self.modulus
+        one = self.row_codec[1]
+        read, elem, minus = one.read, one.elem, one.minus
+        # digits added, negated and multiplied on packed elements
+        self.add = lambda a, b: read(elem[a] + elem[b], 0)
+        self.sub = lambda a, b: read(elem[a] + minus[b], 0)
+        self.neg = lambda a: read(minus[a], 0)
+        self.mul = mul = lambda a, b: read(elem[a] * elem[b], 0)
 
-        # X^m modulo the defining polynomial, as (degree, coefficient) terms
-        head = [(i, -c % p) for i, c in enumerate(mod[:m]) if c]
-        codecs = {}
-
-        def codec(inner):
-            """(pack_one, reduce_one) for sums of `inner` products.
-
-            The slot width s has 2^s > (inner + 1) * m * (p-1)^2, so each of
-            the 2m - 1 coefficients of such a sum fits its slot, with room
-            left for folding the slots of degree >= m into the lower ones.
-            """
-            if inner in codecs:
-                return codecs[inner]
-            s = ((inner + 1) * m * (p - 1) ** 2).bit_length()
-            mask = (1 << s) - 1
-            top = sum(h << s * i for i, h in head)  # X^m, packed
-            folds = [
-                (s * k, (1 << s * k) - 1, top << s * (k - m))
-                for k in range(2 * m - 2, m - 1, -1)
-            ]
-            shifts = range(s * (m - 1), -1, -s)
-
-            def pack_one(c):
-                v = 0
-                for shift in range(0, s * m, s):
-                    c, d = divmod(c, p)
-                    v |= d << shift
-                return v
-
-            if q <= _TABLE_LIMIT:
-                pack_one = [pack_one(c) for c in range(q)].__getitem__
-
-            def reduce_one(v):
-                # replace the top slot's X^k by X^(k-m) * X^m, highest first,
-                # then read the m low slots
-                for shift, low, x_m in folds:
-                    v = (v & low) + (v >> shift) % p * x_m
-                code = 0
-                for shift in shifts:
-                    code = code * p + ((v >> shift) & mask) % p
-                return code
-
-            codecs[inner] = pack_one, reduce_one
-            return pack_one, reduce_one
-
-        self.pack = lambda codes, inner: list(map(codec(inner)[0], codes))
-        self.unpack = lambda values, inner: list(map(codec(inner)[1], values))
-        pack1, reduce1 = codec(1)
-
-        def digits(c):
-            out = []
-            for _ in range(m):
-                out.append(c % p)
-                c //= p
-            return out
-
-        def undigits(v):
-            c = 0
-            for x in reversed(v):
-                c = c * p + x
-            return c
-
-        self._digits = digits
-
-        def add(a, b):
-            va, vb = digits(a), digits(b)
-            return undigits([(x + y) % p for x, y in zip(va, vb)])
-
-        def sub(a, b):
-            va, vb = digits(a), digits(b)
-            return undigits([(x - y) % p for x, y in zip(va, vb)])
-
-        def neg(a):
-            return undigits([-x % p for x in digits(a)])
-
-        def mul(a, b):
-            return reduce1(pack1(a) * pack1(b))
+        def power(a, e):
+            result = 1
+            while e:
+                if e & 1:
+                    result = mul(result, a)
+                a = mul(a, a)
+                e >>= 1
+            return result
 
         def inv(a):
             if a == 0:
                 raise DivisionByZero("inverse of zero")
-            # a^(q-2) by square and multiply on codes
-            result, base, e = 1, a, q - 2
-            while e:
-                if e & 1:
-                    result = mul(result, base)
-                base = mul(base, base)
-                e >>= 1
-            return result
+            return power(a, q - 2)
 
         if q <= _TABLE_LIMIT:
             # add table one digit at a time: the codes below w * p are
@@ -235,16 +279,24 @@ class Field:
                 ]
                 w *= p
             add_t = [x for row in rows for x in row]
-            # mul table: reduce each product once, mirror it across the
-            # diagonal
-            packed = [pack1(a) for a in range(q)]
-            mul_t = [0] * (q * q)
-            for a, x in enumerate(packed):
-                row = [reduce1(x * y) for y in packed[a:]]
-                mul_t[a * q + a : (a + 1) * q] = row
-                mul_t[a * q + a :: q] = row
+            # mul table from log/exp over a primitive element: the modulus
+            # need not be primitive, so it is the first code g whose powers
+            # reach every nonzero code before 1
+            for g in range(2, q):
+                exp = [1]
+                while (x := mul(exp[-1], g)) != 1:
+                    exp.append(x)
+                if len(exp) == q - 1:
+                    break
+            log = [0] * q
+            for i, x in enumerate(exp):
+                log[x] = i
+            logs, exp2 = log[1:], exp + exp
+            mul_t = [0] * q
+            for la in logs:  # row a: a * b = exp[log a + log b]
+                mul_t += [0, *map(exp2[la : la + q - 1].__getitem__, logs)]
             neg_t = [row.index(0) for row in rows]
-            inv_t = [0] + [inv(a) for a in range(1, q)]
+            inv_t = [0] + [exp2[q - 1 - la] for la in logs]
             self.add = lambda a, b: add_t[a * q + b]
             self.mul = lambda a, b: mul_t[a * q + b]
             self.sub = lambda a, b: add_t[a * q + neg_t[b]]
@@ -257,10 +309,6 @@ class Field:
 
             self.inv = inv_fast
         else:
-            self.add = add
-            self.sub = sub
-            self.neg = neg
-            self.mul = mul
             self.inv = inv
 
     # -- code-level helpers ------------------------------------------------
@@ -292,9 +340,11 @@ class Field:
 
     def coeffs_of(self, code: int) -> tuple[int, ...]:
         """Base-p digits of a code: coefficients over the prime field."""
-        if self.modulus is None:
-            return (code,)
-        return tuple(self._digits(code))
+        out = []
+        for _ in range(self.degree):
+            code, d = divmod(code, self.p)
+            out.append(d)
+        return tuple(out)
 
     def code_from_coeffs(self, coeffs: Sequence[int]) -> int:
         p = self.p
@@ -354,9 +404,6 @@ class Field:
             and self.modulus == other.modulus
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.p, self.modulus))
 
@@ -401,45 +448,34 @@ class FieldElem:
             return self.field.code(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _op(self, other, name: str, swap: bool = False):
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        return FieldElem(self.field, self.field.add(self.code, c))
+        a, b = (c, self.code) if swap else (self.code, c)
+        return FieldElem(self.field, getattr(self.field, name)(a, b))
+
+    def __add__(self, other):
+        return self._op(other, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.field, self.field.sub(self.code, c))
+        return self._op(other, "sub")
 
     def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.field, self.field.sub(c, self.code))
+        return self._op(other, "sub", swap=True)
 
     def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.field, self.field.mul(self.code, c))
+        return self._op(other, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.field, self.field.div(self.code, c))
+        return self._op(other, "div")
 
     def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.field, self.field.div(c, self.code))
+        return self._op(other, "div", swap=True)
 
     def __neg__(self):
         return FieldElem(self.field, self.field.neg(self.code))

@@ -11,13 +11,21 @@ of element codes.
 A Matrix is immutable after construction: build its entry list first and
 construct the Matrix last, since products cache its packed rows and columns.
 
-Products and apply share one kernel: every result entry is one
-sum(map(operator.mul, packed_row, packed_col)) over the field's packed codes
-(see heisenmod.fields), reduced once.
+One packed-row kernel (heisenmod.fields.RowCodec) serves sums, products,
+apply and elimination; a whole row is one integer.  Row i of A*B is one
+sum(map(operator.mul, packed entries of row i of A, packed rows of B));
+apply(v), and column j of a product with fewer columns than rows, is the
+same sum over A's packed columns; each product is unpacked once.
+Elimination keeps every row packed, its slots wide enough for one row
+operation per pivot: finding a pivot reads one element per row, the pivot
+row is reduced and scaled once, and each other row takes one big-integer
+multiply-add.  The determinant is the product of the pivots of the same
+elimination times the sign of its swaps.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -43,8 +51,8 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = list(data)
-        self._packed_rows: Optional[list[list[int]]] = None
-        self._packed_cols: Optional[list[list[int]]] = None
+        self._packed_rows: Optional[list[int]] = None
+        self._packed_cols: Optional[list[int]] = None
 
     def __reduce__(self):
         # the packed caches are rebuilt on first use
@@ -63,22 +71,14 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence[int]]) -> "Matrix":
-        c = len(cols)
         r = len(cols[0]) if cols else 0
-        data = [0] * (r * c)
-        for j, col in enumerate(cols):
-            if len(col) != r:
-                raise ShapeMismatch("ragged columns")
-            for i, x in enumerate(col):
-                data[i * c + j] = x
-        return cls(field, r, c, data)
+        if any(len(col) != r for col in cols):
+            raise ShapeMismatch("ragged columns")
+        return cls(field, r, len(cols), [x for row in zip(*cols) for x in row])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = 1
-        return cls(field, n, n, data)
+        return cls.scalar(field, n, 1)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -86,10 +86,8 @@ class Matrix:
 
     @classmethod
     def scalar(cls, field: Field, n: int, c) -> "Matrix":
-        code = field.code(c)
         data = [0] * (n * n)
-        for i in range(n):
-            data[i * n + i] = code
+        data[:: n + 1] = [field.code(c)] * n
         return cls(field, n, n, data)
 
     # -- access ---------------------------------------------------------------
@@ -118,63 +116,64 @@ class Matrix:
         if self.rows != self.cols or self.rows == 0:
             return None
         c = self.data[0]
-        n = self.cols
-        for i in range(self.rows):
-            for j in range(n):
-                want = c if i == j else 0
-                if self.data[i * n + j] != want:
-                    return None
+        if self.data != Matrix.scalar(self.field, self.rows, c).data:
+            return None
         return FieldElem(self.field, c)
 
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other: "Matrix"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise MixedFields(f"{self.field} vs {other.field}")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("addition shape mismatch")
-        add = self.field.add
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [add(a, b) for a, b in zip(self.data, other.data)],
-        )
+        return self._plus(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        # digit by digit, -1 is p - 1
+        return self._plus(other, self.field.p - 1, "subtraction")
+
+    def _plus(self, other: "Matrix", sign: int, what: str) -> "Matrix":
+        """self + sign * other as one packed sum of the whole entry lists."""
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("subtraction shape mismatch")
-        sub = self.field.sub
-        return Matrix(
-            self.field, self.rows, self.cols,
-            [sub(a, b) for a, b in zip(self.data, other.data)],
-        )
+            raise ShapeMismatch(f"{what} shape mismatch")
+        codec = self.field.row_codec[2]
+        packed = codec.pack(self.data) + sign * codec.pack(other.data)
+        return Matrix(self.field, self.rows, self.cols,
+                      codec.unpack(packed, len(self.data)))
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self.data])
+        return self._scaled(self.field.p - 1)
+
+    def _scaled(self, c: int) -> "Matrix":
+        codec = self.field.row_codec[1]
+        packed = codec.pack(self.data) * codec.elem[c]
+        return Matrix(self.field, self.rows, self.cols,
+                      codec.unpack(packed, len(self.data)))
 
     def __mul__(self, other):
         if isinstance(other, (FieldElem, int)):
-            c = self.field.code(other)
-            mul = self.field.mul
-            return Matrix(
-                self.field, self.rows, self.cols, [mul(a, c) for a in self.data]
-            )
+            return self._scaled(self.field.code(other))
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        cols = other._columns_packed()
-        values = [
-            sum(map(operator.mul, r, c)) for r in self._rows_packed() for c in cols
-        ]
-        return Matrix(
-            self.field, self.rows, other.cols, self.field.unpack(values, self.cols)
-        )
+        n, k = self.rows, other.cols
+        codec = self.field.row_codec[self.cols]
+        if k < n:
+            # column j is A's packed columns weighted by column j of B
+            cols, entries = self._columns_packed(), codec.scalars(other.data)
+            sums = [sum(map(operator.mul, entries[j::k], cols)) for j in range(k)]
+            flat = codec.unpack(codec.join(sums, n), n * k)
+            data = [flat[j * n + i] for i in range(n) for j in range(k)]
+        else:
+            rows, entries, c = other._rows_packed(), codec.scalars(self.data), self.cols
+            sums = [sum(map(operator.mul, entries[i * c : (i + 1) * c], rows))
+                    for i in range(n)]
+            data = codec.unpack(codec.join(sums, k), n * k)
+        return Matrix(self.field, n, k, data)
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElem, int)):
@@ -215,48 +214,41 @@ class Matrix:
         """Matrix times column vector of codes."""
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector length {len(v)} for {self.cols} columns")
-        f = self.field
-        pv = f.pack(v, self.cols)
-        values = [sum(map(operator.mul, r, pv)) for r in self._rows_packed()]
-        return f.unpack(values, self.cols)
+        codec = self.field.row_codec[self.cols]
+        packed = sum(map(operator.mul, codec.scalars(v), self._columns_packed()))
+        return codec.unpack(packed, self.rows)
 
-    def _rows_packed(self) -> list[list[int]]:
-        """The rows packed for the inner dimension cols, cached."""
+    def _rows_packed(self) -> list[int]:
+        """The rows, each one integer, for the inner length rows, cached."""
         if self._packed_rows is None:
-            flat = self.field.pack(self.data, self.cols)
-            c = self.cols
-            self._packed_rows = [flat[i * c : (i + 1) * c] for i in range(self.rows)]
+            pack = self.field.row_codec[self.rows].pack
+            self._packed_rows = list(map(pack, self.row_lists()))
         return self._packed_rows
 
-    def _columns_packed(self) -> list[list[int]]:
-        """The columns packed for the inner dimension rows, cached."""
+    def _columns_packed(self) -> list[int]:
+        """The columns, each one integer, for the inner length cols, cached."""
         if self._packed_cols is None:
-            flat = self.field.pack(self.data, self.rows)
-            self._packed_cols = [flat[j :: self.cols] for j in range(self.cols)]
+            pack, c = self.field.row_codec[self.cols].pack, self.cols
+            self._packed_cols = [pack(self.data[j::c]) for j in range(c)]
         return self._packed_cols
 
     def transpose(self) -> "Matrix":
-        out = [0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.data[i * self.cols + j]
-        return Matrix(self.field, self.cols, self.rows, out)
+        c = self.cols
+        out = [x for j in range(c) for x in self.data[j::c]]
+        return Matrix(self.field, c, self.rows, out)
 
     def trace(self) -> FieldElem:
         if self.rows != self.cols:
             raise ShapeMismatch("trace of a non-square matrix")
-        add = self.field.add
-        acc = 0
-        for i in range(self.rows):
-            acc = add(acc, self.data[i * self.cols + i])
-        return FieldElem(self.field, acc)
+        diagonal = self.data[:: self.cols + 1]
+        return FieldElem(self.field, functools.reduce(self.field.add, diagonal, 0))
 
     # -- elimination ----------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        rows, pivots = _rref_rows(self.field, self.row_lists(), self.cols)
-        flat = [x for row in rows for x in row]
+        flat, pivots, _ = _rref_rows(self.field, self.row_lists(), self.cols)
+        flat += [0] * ((self.rows - len(pivots)) * self.cols)
         return Matrix(self.field, self.rows, self.cols, flat), pivots
 
     def rank(self) -> int:
@@ -265,41 +257,20 @@ class Matrix:
     def det(self) -> FieldElem:
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        f = self.field
-        sub, mul, div, neg = f.sub, f.mul, f.div, f.neg
-        n = self.rows
-        M = self.row_lists()
-        det = 1
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if M[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                return FieldElem(f, 0)
-            if pr != c:
-                M[c], M[pr] = M[pr], M[c]
-                det = neg(det)
-            piv = M[c][c]
-            det = mul(det, piv)
-            for i in range(c + 1, n):
-                if M[i][c]:
-                    factor = div(M[i][c], piv)
-                    Mi, Mc = M[i], M[c]
-                    for k in range(c, n):
-                        Mi[k] = sub(Mi[k], mul(factor, Mc[k]))
-        return FieldElem(f, det)
+        _, pivots, unit = _rref_rows(self.field, self.row_lists(), self.cols, True)
+        return FieldElem(self.field, unit if len(pivots) == self.rows else 0)
 
     def inv(self) -> "Matrix":
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of a non-square matrix")
         n = self.rows
         aug = [self.row(i) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        rows, pivots = _rref_rows(self.field, aug, 2 * n)
-        if len(pivots) < n or pivots[n - 1] >= n:
+        flat, pivots, _ = _rref_rows(self.field, aug, 2 * n)
+        if pivots[:n] != tuple(range(n)):
             raise Singular("matrix is singular")
-        return Matrix(self.field, n, n, [x for row in rows for x in row[n:]])
+        # the right half of each row of [A | I]
+        return Matrix(self.field, n, n, [
+            x for i in range(n) for x in flat[2 * n * i + n : 2 * n * (i + 1)]])
 
     def solve(self, b: Sequence[int]) -> Optional[list[int]]:
         """One solution of self * x = b, or None if inconsistent.
@@ -309,12 +280,12 @@ class Matrix:
         if len(b) != self.rows:
             raise ShapeMismatch("right-hand side length mismatch")
         aug = [self.row(i) + [b[i]] for i in range(self.rows)]
-        rows, pivots = _rref_rows(self.field, aug, self.cols + 1)
+        flat, pivots, _ = _rref_rows(self.field, aug, self.cols + 1)
         if pivots and pivots[-1] == self.cols:
             return None
-        x = [0] * self.cols
+        x, width = [0] * self.cols, self.cols + 1
         for r, c in enumerate(pivots):
-            x[c] = rows[r][self.cols]
+            x[c] = flat[r * width + self.cols]
         return x
 
     def kernel_basis(self) -> list[list[int]]:
@@ -322,17 +293,14 @@ class Matrix:
 
         One vector per free column, ascending; entry 1 at the free column.
         """
-        rows, pivots = _rref_rows(self.field, self.row_lists(), self.cols)
-        neg = self.field.neg
-        pivset = set(pivots)
+        flat, pivots, _ = _rref_rows(self.field, self.row_lists(), self.cols)
+        neg, n = self.field.neg, self.cols
         basis = []
-        for free in range(self.cols):
-            if free in pivset:
-                continue
-            v = [0] * self.cols
+        for free in sorted(set(range(n)).difference(pivots)):
+            v = [0] * n
             v[free] = 1
             for r, c in enumerate(pivots):
-                v[c] = neg(rows[r][free])
+                v[c] = neg(flat[r * n + free])
             basis.append(v)
         return basis
 
@@ -346,39 +314,52 @@ class Matrix:
 
 
 def _rref_rows(
-    field: Field, M: list[list[int]], cols: int
-) -> tuple[list[list[int]], tuple[int, ...]]:
-    """In-place reduced row echelon on a list of row lists."""
-    sub, mul, inv = field.sub, field.mul, field.inv
+    field: Field, M: list[list[int]], cols: int, det: bool = False
+) -> tuple[Optional[list[int]], tuple[int, ...], Optional[int]]:
+    """Reduced row echelon form of a list of code rows, on packed rows:
+    (its nonzero rows as one flat code list, the pivot columns, None).
+
+    With det, only the rows below each pivot are cleared, which fixes the
+    pivots, and the result is (None, pivot columns, code of the product of
+    the pivots times the sign of the row swaps): the determinant when M is
+    square and invertible.
+    """
     nrows = len(M)
+    codec = field.row_codec[min(nrows, cols) + 1]
+    read, canon, elem, minus = codec.read, codec.canon, codec.elem, codec.minus
+    P = list(map(codec.pack, M))
     pivots = []
+    unit = 1
     r = 0
+    clean = True  # every row still has its packed codes
     for c in range(cols):
-        pr = None
-        for i in range(r, nrows):
-            if M[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        piv = M[r][c]
-        if piv != 1:
-            ip = inv(piv)
-            M[r] = [mul(ip, x) for x in M[r]]
-        Mr = M[r]
-        for i in range(nrows):
-            if i != r and M[i][c]:
-                factor = M[i][c]
-                Mi = M[i]
-                for k in range(cols):
-                    if Mr[k]:
-                        Mi[k] = sub(Mi[k], mul(factor, Mr[k]))
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
-    return M, tuple(pivots)
+        for pr in range(r, nrows):
+            piv = read(P[pr], c)
+            if piv:
+                break
+        else:
+            continue
+        if pr != r:
+            P[r], P[pr] = P[pr], P[r]
+        if det:
+            unit = field.mul(unit if pr == r else field.neg(unit), piv)
+        top = P[r] if clean else canon(P[r], cols)
+        if piv != 1:
+            top = canon(top * elem[field.inv(piv)], cols)
+        P[r] = top
+        for i in range(r + 1 if det else 0, nrows):
+            if i != r:
+                x = read(P[i], c)
+                if x:
+                    P[i] += minus[x] * top
+                    clean = False
+        pivots.append(c)
+        r += 1
+    if det:
+        return None, tuple(pivots), unit
+    return codec.unpack(codec.join(P[:r], cols), r * cols), tuple(pivots), None
 
 
 class Echelon:
@@ -465,23 +446,15 @@ def companion(f: Poly) -> Matrix:
     if not f.is_monic() or f.degree < 1:
         raise NonMonic("companion matrix needs a monic polynomial of degree >= 1")
     n = f.degree
-    field = f.field
-    neg = field.neg
     data = [0] * (n * n)
-    for i in range(1, n):
-        data[i * n + (i - 1)] = 1
-    for i in range(n):
-        data[i * n + (n - 1)] = neg(f.coeffs[i])
-    return Matrix(field, n, n, data)
+    data[n :: n + 1] = [1] * (n - 1)  # the subdiagonal
+    data[n - 1 :: n] = [f.field.neg(c) for c in f.coeffs[:n]]
+    return Matrix(f.field, n, n, data)
 
 
 def jordan_block(field: Field, eigenvalue, size: int) -> Matrix:
-    lam = field.code(eigenvalue)
-    data = [0] * (size * size)
-    for i in range(size):
-        data[i * size + i] = lam
-        if i + 1 < size:
-            data[(i + 1) * size + i] = 1
+    data = Matrix.scalar(field, size, eigenvalue).data
+    data[size :: size + 1] = [1] * (size - 1)  # the subdiagonal
     return Matrix(field, size, size, data)
 
 
@@ -507,22 +480,9 @@ def direct_sum(mats: Sequence[Matrix]) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i,j) is a[i][j] * b."""
     a._check(b)
-    f = a.field
-    mul = f.mul
-    R, C = a.rows * b.rows, a.cols * b.cols
-    out = [0] * (R * C)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.data[i * a.cols + j]
-            if x:
-                for k in range(b.rows):
-                    base = (i * b.rows + k) * C + j * b.cols
-                    brow = k * b.cols
-                    for l in range(b.cols):
-                        y = b.data[brow + l]
-                        if y:
-                            out[base + l] = mul(x, y)
-    return Matrix(f, R, C, out)
+    if not a.data:
+        return Matrix.zeros(a.field, a.rows * b.rows, a.cols * b.cols)
+    return assemble_grid([[b._scaled(x) for x in a.row(i)] for i in range(a.rows)])
 
 
 def assemble_grid(grid: Sequence[Sequence[Matrix]]) -> Matrix:

@@ -86,6 +86,42 @@ def oracle_ext_mul(field, a: int, b: int) -> int:
     return field.code_from_coeffs(list(rem.coeffs))
 
 
+def oracle_rref(field, rows, cols: int):
+    """Reduced row echelon form by the textbook loop over the field's sub,
+    mul and inv, one entry at a time: (rows, pivot columns)."""
+    sub, mul, inv = field.sub, field.mul, field.inv
+    M = [list(row) for row in rows]
+    nrows = len(M)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, nrows):
+            if M[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        piv = M[r][c]
+        if piv != 1:
+            ip = inv(piv)
+            M[r] = [mul(ip, x) for x in M[r]]
+        Mr = M[r]
+        for i in range(nrows):
+            if i != r and M[i][c]:
+                factor = M[i][c]
+                Mi = M[i]
+                for k in range(cols):
+                    if Mr[k]:
+                        Mi[k] = sub(Mi[k], mul(factor, Mr[k]))
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return M, tuple(pivots)
+
+
 def brute_det(a: Matrix) -> FieldElem:
     """Determinant by permutation expansion."""
     field = a.field

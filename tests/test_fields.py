@@ -115,12 +115,17 @@ def test_tablefree_field_matches_table_semantics():
         assert (a * b).pth_root() ** 2 == a * b
 
 
-@pytest.mark.parametrize("p, m", [(2, 2), (3, 3), (2, 9)])
+@pytest.mark.parametrize("p, m", [
+    (2, 2), (3, 3), (2, 9),
+    # X^4 + X^3 + X^2 + X + 1: X has order 5, so the log/exp tables must
+    # search for a primitive element
+    pytest.param(2, (1, 1, 1, 1, 1), id="2-nonprimitive"),
+])
 def test_extension_tables_match_the_digit_loops(p, m, monkeypatch):
     # every entry of the lookup tables against a table-free copy of the
-    # field, whose add, sub and neg loop over digits and whose mul is
-    # reduce_one of a packed product
-    modulus = find_irreducible(p, m).coeffs
+    # field, whose add, sub, neg and mul read sums and products of packed
+    # elements digit by digit
+    modulus = find_irreducible(p, m).coeffs if isinstance(m, int) else m
     table = Field(p, modulus)
     monkeypatch.setattr(fields, "_TABLE_LIMIT", 0)
     loops = Field(p, modulus)
@@ -132,6 +137,8 @@ def test_extension_tables_match_the_digit_loops(p, m, monkeypatch):
         ], op
     assert [table.neg(a) for a in codes] == [loops.neg(a) for a in codes]
     assert [table.inv(a) for a in codes[1:]] == [loops.inv(a) for a in codes[1:]]
+    if not isinstance(m, int):
+        assert table.pow(p, 5) == 1  # the class of X is not primitive
 
 
 def test_generator_satisfies_modulus():

@@ -50,6 +50,7 @@ from oracles import (
     oracle_apply,
     oracle_ext_mul,
     oracle_matmul,
+    oracle_rref,
 )
 
 
@@ -123,10 +124,12 @@ def test_apply_agrees_with_column_product():
 
 # -- the packed product kernel ---------------------------------------------------
 
-# prime fields; table-backed extensions up to the 512-element limit; and
-# extensions above it, which multiply scalars without tables
+# prime fields, the last with slots wider than 8 bytes; table-backed
+# extensions up to the 512-element limit; and extensions above it, which
+# multiply scalars without tables
 KERNEL_FIELDS = [
-    (2, 1), (3, 1), (251, 1), (2, 2), (2, 3), (5, 2), (2, 9), (3, 6), (2, 10),
+    (2, 1), (3, 1), (251, 1), (2**31 - 1, 1), (2, 2), (2, 3), (5, 2), (2, 9),
+    (3, 6), (2, 10),
 ]
 
 
@@ -241,6 +244,30 @@ def test_packed_cache_stays_out_of_equality_hash_and_pickle():
     assert restored == a
     assert restored * b == prod
     assert a * pickle.loads(pickle.dumps(b)) == prod
+
+
+@pytest.mark.parametrize("spec", [(7, 1), (5, 2)], ids=str)
+def test_product_and_apply_make_no_scalar_field_calls(spec, monkeypatch):
+    # one arithmetic path: products and apply run on packed rows only, never
+    # on the field's per-element closures
+    field = field_of(spec)
+    rng = random.Random(8)
+    a = rand_matrix(field, 5, 4, rng)
+    b = rand_matrix(field, 4, 6, rng)
+    narrow = rand_matrix(field, 4, 2, rng)
+    v = [rng.randrange(field.order) for _ in range(4)]
+    want = (oracle_matmul(a, b), oracle_matmul(a, narrow), oracle_apply(a, v))
+    calls = []
+    for name in ("add", "sub", "mul"):
+        plain = getattr(field, name)
+
+        def counting(*args, plain=plain):
+            calls.append(1)
+            return plain(*args)
+
+        monkeypatch.setattr(field, name, counting)
+    assert (a * b, a * narrow, a.apply(v)) == want
+    assert not calls
 
 
 def test_pow_costs_one_product_per_step(monkeypatch):
@@ -404,6 +431,117 @@ def test_inv_round_trip_and_singular():
         Matrix.zeros(GF(2), 2, 2).inv()
     with pytest.raises(ShapeMismatch):
         Matrix.zeros(GF(2), 2, 3).inv()
+
+
+# -- elimination on packed rows against the closure loop -------------------------
+
+
+@st.composite
+def eliminations(draw):
+    """A matrix over a kernel field: random, tall and rank-deficient (a
+    product through an inner dimension below its width), or empty."""
+    field = field_of(draw(st.sampled_from(KERNEL_FIELDS)))
+    shape = draw(st.sampled_from(["random", "tall", "empty"]))
+    if shape == "tall":
+        cols = draw(st.integers(1, 6))
+        rows = draw(st.integers(4 * cols, 40))
+        inner = draw(st.integers(0, cols - 1))
+        a = Matrix(field, rows, inner, draw(codes(field, rows * inner)))
+        b = Matrix(field, inner, cols, draw(codes(field, inner * cols)))
+        return a * b
+    if shape == "empty":
+        n = draw(st.integers(0, 5))
+        wide = draw(st.booleans())
+        return Matrix(field, 0, n, []) if wide else Matrix(field, n, 0, [])
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return Matrix(field, rows, cols, draw(codes(field, rows * cols)))
+
+
+@settings(max_examples=200)
+@given(eliminations())
+def test_rref_and_kernel_match_oracle(m):
+    want_rows, want_pivots = oracle_rref(m.field, m.row_lists(), m.cols)
+    red, pivots = m.rref()
+    assert pivots == want_pivots
+    assert red.row_lists() == want_rows
+    assert m.rank() == len(pivots)
+    # the kernel basis is fixed by the pivots: 1 at its free column, 0 at
+    # the other free columns, and M v = 0
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = m.kernel_basis()
+    assert len(basis) == len(free)
+    for v, f in zip(basis, free):
+        assert [v[c] for c in free] == [int(c == f) for c in free]
+        assert not any(oracle_apply(m, v))
+
+
+@st.composite
+def square_systems(draw):
+    field = field_of(draw(st.sampled_from(KERNEL_FIELDS)))
+    n = draw(st.integers(0, 5))
+    m = Matrix(field, n, n, draw(codes(field, n * n)))
+    if n and draw(st.booleans()):
+        # a repeated row makes it singular
+        data = list(m.data)
+        data[:n] = data[-n:]
+        m = Matrix(field, n, n, data)
+    return m, draw(codes(field, n))
+
+
+@settings(max_examples=150)
+@given(square_systems())
+def test_det_inv_and_solve_match_oracles(case):
+    m, b = case
+    n = m.rows
+    assert m.det() == brute_det(m)
+    _, pivots = oracle_rref(m.field, m.row_lists(), n)
+    if len(pivots) == n:
+        assert oracle_matmul(m, m.inv()) == Matrix.identity(m.field, n)
+    else:
+        with pytest.raises(Singular):
+            m.inv()
+    aug = [row + [x] for row, x in zip(m.row_lists(), b)]
+    _, aug_pivots = oracle_rref(m.field, aug, n + 1)
+    x = m.solve(b)
+    if aug_pivots and aug_pivots[-1] == n:
+        assert x is None
+    else:
+        assert oracle_apply(m, x) == list(b)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("width", [31, 64, 65, 127])
+def test_elimination_at_largest_codes_has_no_slot_carry(spec, width):
+    field = field_of(spec)
+    top = field.order - 1
+    flat = Matrix(field, 3, width, [top] * (3 * width))
+    red, pivots = flat.rref()
+    assert pivots == (0,)
+    assert red.row_lists() == [[1] * width, [0] * width, [0] * width]
+    assert len(flat.kernel_basis()) == width - 1
+    # unitriangular with every digit p - 1 above the diagonal: row i takes
+    # one row operation by a largest code for each pivot after it
+    tri = Matrix(field, width, width, [
+        top if j > i else int(i == j) for i in range(width) for j in range(width)
+    ])
+    red, pivots = tri.rref()
+    assert pivots == tuple(range(width))
+    assert red == Matrix.identity(field, width)
+    assert tri.det() == 1
+    assert tri * tri.inv() == Matrix.identity(field, width)
+
+
+def test_empty_shapes_eliminate():
+    field = GF(5)
+    wide = Matrix(field, 0, 3, [])
+    assert wide.rref() == (wide, ())
+    assert wide.kernel_basis() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert wide.solve([]) == [0, 0, 0]
+    tall = Matrix(field, 3, 0, [])
+    assert tall.rank() == 0 and tall.kernel_basis() == []
+    assert tall.solve([0, 0, 0]) == [] and tall.solve([0, 1, 0]) is None
+    empty = Matrix(field, 0, 0, [])
+    assert empty.det() == 1 and empty.inv() == empty
 
 
 def test_echelon_tracks_span():
