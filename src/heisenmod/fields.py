@@ -261,10 +261,13 @@ class Field:
                 e >>= 1
             return result
 
+        # a^(q-2), kept for the elements actually inverted (at most q codes)
+        inverses = _Memo(lambda a: power(a, q - 2))
+
         def inv(a):
             if a == 0:
                 raise DivisionByZero("inverse of zero")
-            return power(a, q - 2)
+            return inverses[a]
 
         if q <= _TABLE_LIMIT:
             # add table one digit at a time: the codes below w * p are

@@ -306,3 +306,15 @@ def oracle_search(p: int, d: int):
             )
             return True, rep, pairs
     return False, None, pairs
+
+
+def oracle_rank1_partner(a: Matrix):
+    """The first B, over all d x d matrices in code order, with Z = AB - BA
+    nonzero and commuting with A and B, or None."""
+    field, d = a.field, a.rows
+    for entries in itertools.product(range(field.order), repeat=d * d):
+        b = Matrix(field, d, d, list(entries))
+        z = a * b - b * a
+        if not z.is_zero() and a * z == z * a and b * z == z * b:
+            return b
+    return None

@@ -77,6 +77,20 @@ def test_division_by_zero_raises():
         field.inv(0)
 
 
+@pytest.mark.parametrize("p, m", [(3, 6), (2, 10)])
+def test_table_free_inverse_is_the_power(p, m):
+    # above the table limit inv is a^(q-2), memoized per element
+    field = make_extension(p, find_irreducible(p, m))
+    q = field.order
+    for a in random.Random(q).sample(range(1, q), 40) + [1, q - 1]:
+        first = field.inv(a)
+        assert first == field.pow(a, q - 2)
+        assert field.mul(a, first) == 1
+        assert field.inv(a) == first  # a second call reads the memo
+    with pytest.raises(DivisionByZero):
+        field.inv(0)
+
+
 def test_characteristic_kills_everything():
     for field in SMALL_FIELDS:
         for a in field.elements():

@@ -60,6 +60,7 @@ from oracles import (
     oracle_hom_dim,
     oracle_hom_space,
     oracle_irreducible,
+    oracle_rank1_partner,
     oracle_search,
     oracle_uniserial,
 )
@@ -723,21 +724,37 @@ def test_search_input_guards():
     with pytest.raises(TooLarge):
         search_min_faithful(2, 3, 2)  # exhaustive mode is rank 1 only
     with pytest.raises(TooLarge):
-        search_min_faithful(1, 3, 4)  # 3^32 pairs is past the bound
+        search_min_faithful(1, 3, 4)  # d >= 4: the lines of U are unbounded
 
 
-@pytest.mark.parametrize("p", [11, 13])
-def test_search_refuses_past_its_bound_before_enumerating(p, monkeypatch):
-    # the scan needs numpy; a refusal by the guard never gets to import it
-    monkeypatch.setitem(sys.modules, "numpy", None)
+@pytest.mark.parametrize(
+    "p, d",
+    [
+        # GF(11) and GF(13) run at d = 2, 3 (at most 2,379 classes); at
+        # d = 4 the lines of U are unbounded
+        pytest.param(11, 4, id="11"),
+        pytest.param(13, 4, id="13"),
+        pytest.param(67, 2, id="67"),  # 67^2 + 67 > 2^12 classes
+    ],
+)
+def test_search_refuses_past_its_bound_before_enumerating(p, d, monkeypatch):
+    def enumerated(field, d):
+        raise AssertionError("the guard must refuse before enumerating")
+
+    monkeypatch.setattr(modules, "_similarity_classes", enumerated)
     with pytest.raises(TooLarge):
-        search_min_faithful(1, p, 2)  # 11^8 > 2^26 pairs
+        search_min_faithful(1, p, d)
 
 
 def test_search_bound_admits_gf7_at_dimension_two(monkeypatch):
+    # the search is linear algebra on Matrix and never imports numpy;
+    # GF(11) and GF(13), past the old 2^26 bound on pairs, run as well
     monkeypatch.setitem(sys.modules, "numpy", None)
-    with pytest.raises(ImportError):  # past the guard, at the scan
-        search_min_faithful(1, 7, 2)  # 7^8 = 5.76M pairs
+    for p in (7, 11, 13):
+        res = search_min_faithful(1, p, 2)
+        assert not res.found and res.rep is None
+        assert res.pairs_tested == p**8  # 7^8 = 5.76M pairs
+        assert res.classes == _class_count(p, 2)  # 56 classes over GF(7)
 
 
 def _class_count(q, d):
@@ -751,7 +768,7 @@ def test_search_agrees_with_the_full_scan(p, d):
     found, oracle_rep, scanned = oracle_search(p, d)
     res = search_min_faithful(1, p, d)
     assert res.found == found
-    assert res.pairs_evaluated == _class_count(p, d) * p ** (d * d)
+    assert res.classes == _class_count(p, d)
     if found:
         for rep in (res.rep, oracle_rep):
             assert rep.dim == d
@@ -759,6 +776,19 @@ def test_search_agrees_with_the_full_scan(p, d):
     else:
         assert res.rep is None
         assert res.pairs_tested == scanned == p ** (2 * d * d)
+
+
+@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_rank1_partner_agrees_with_brute_force(p, d):
+    # every similarity class: a partner exists exactly when the scan over
+    # all B finds one, and the partner returned is a witness
+    for a in modules._similarity_classes(GF(p), d):
+        b = modules._rank1_partner(a)
+        assert (b is None) == (oracle_rank1_partner(a) is None), a
+        if b is not None:
+            z = a * b - b * a
+            assert not z.is_zero()
+            assert (a * z - z * a).is_zero() and (b * z - z * b).is_zero()
 
 
 @pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2)])

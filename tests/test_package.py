@@ -2,11 +2,15 @@
 
 heisenmod's namespace loads lazily: every public name resolves, on first
 use, to the object its owning submodule defines.  Self-checks must keep
-running under python -O, so the source holds no assert statement.
+running under python -O, so the source holds no assert statement.  numpy
+is a test and benchmark dependency only: the library never imports it.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,44 @@ def test_source_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert offenders == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_source_does_not_import_numpy():
+    offenders = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "numpy" in _imported_modules(path)
+    ]
+    assert offenders == []
+
+
+_BLOCKED_NUMPY_SEARCH = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from heisenmod import run_suite
+report = run_suite("sec3-min-dim", p=[2, 3, 5], n=[1])
+print(json.dumps({o.case: [o.ok, o.message] for o in report.outcomes}))
+"""
+
+
+def test_gate_searches_run_with_numpy_blocked():
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKED_NUMPY_SEARCH],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcomes = json.loads(proc.stdout)
+    assert all(ok for ok, _ in outcomes.values()), outcomes
+    assert outcomes["p=2,d=2"][1] == "d=2: witness found after 256 pairs"
+    assert outcomes["p=3,d=2"][1] == "d=2: none found over 6561 pairs"
+    assert outcomes["p=5,d=2"][1] == "d=2: none found over 390625 pairs"
