@@ -505,7 +505,7 @@ def _pth_power_scalar(m: Matrix, p: int, what: str) -> FieldElem:
     if delta is None:
         raise MinPolyShape(f"minimal polynomial of {what} is not X^{p} - c")
     beta = delta.pth_root()
-    nil = m - Matrix.scalar(m.field, m.rows, beta)
+    nil = m.shift(beta)
     if (nil ** (p - 1)).is_zero():
         raise MinPolyShape(
             f"minimal polynomial of {what} divides X^{p} - c properly"
@@ -537,12 +537,43 @@ def invariants(rep: Representation) -> InvariantTuple:
     return InvariantTuple(alpha, deltas, epsilons)
 
 
+def _common_eigenvector(
+    xs: Sequence[Matrix], betas: Sequence[FieldElem]
+) -> list[int]:
+    """The product of the (x_k - beta_k)^(p-1) applied to the basis vectors,
+    the last first, until one gives v != 0; v scaled so that its last
+    nonzero coordinate is 1.  On V in its model basis only the last basis
+    vector gives v != 0."""
+    field, d = xs[0].field, xs[0].rows
+    nils = [x.shift(beta) for x, beta in zip(xs, betas)]
+    for j in reversed(range(d)):
+        v = [0] * d
+        v[j] = 1
+        for nil in nils:
+            for _ in range(field.p - 1):
+                v = nil.apply(v)
+        if any(v):
+            break
+    verify(any(v), "the nilpotent parts of the x images have product 0, not rank 1")
+    scale, mul = field.inv(next(x for x in reversed(v) if x)), field.mul
+    return [mul(x, scale) for x in v]
+
+
 def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
     """Parameters and an exact equivalence onto the truncated polynomial
     module: the returned t satisfies t^-1 rep(g) t = build_V(params)(g).
 
-    The basis behind t is the common eigenvector of all x images followed
-    by its shifts under the y images, in mixed radix order.
+    The basis behind t is the common eigenvector v of all x images
+    followed by its shifts under the y images, in mixed radix order.  v is
+    the product of the N_k^(p-1), N_k = x_k - beta_k, applied to a basis
+    vector that it does not kill, scaled so that its last nonzero
+    coordinate is 1 (_common_eigenvector).  invariants has checked
+    N_k^p = 0 and the x images commute, so every N_k kills v.  On V the
+    product has rank 1, so some basis vector gives v != 0 and v spans the
+    common eigenline: it is the vector an elimination of the stacked N_k
+    finds.  On any other input the checks at the end (t invertible, t
+    intertwining every generator) fail, so a returned t is proved either
+    way.
     """
     field = rep.field
     p = field.p
@@ -551,19 +582,9 @@ def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
     alpha = inv.alpha
     betas = [d.pth_root() for d in inv.deltas]
     gammas = [e.pth_root() for e in inv.epsilons]
-    d = rep.dim
 
-    # common eigenvector: kernel of all x_k - beta_k stacked vertically
-    stacked_rows = []
-    for k in range(n):
-        shifted = rep.x[k] - Matrix.scalar(field, d, betas[k])
-        stacked_rows.extend(shifted.row_lists())
-    stacked = Matrix(field, n * d, d, [e for row in stacked_rows for e in row])
-    kernel = stacked.kernel_basis()
-    verify(bool(kernel), "commuting nilpotent images must share an eigenvector")
-    v = kernel[0]
-
-    shifts = [rep.y[k] - Matrix.scalar(field, d, gammas[k]) for k in range(n)]
+    v = _common_eigenvector(rep.x, betas)
+    shifts = [rep.y[k].shift(gammas[k]) for k in range(n)]
     cols = []
     for idx in range(p**n):
         exps = []
@@ -624,10 +645,10 @@ def canonical_pair(a: Matrix, b: Matrix, c: Matrix) -> tuple[Matrix, Matrix, Mat
     p = field.p
     beta = a.det().pth_root()
     gamma = b.det().pth_root()
-    kernel = (a - Matrix.scalar(field, p, beta)).kernel_basis()
+    kernel = a.shift(beta).kernel_basis()
     verify(bool(kernel), "A - beta must be singular")
     cols = [kernel[0]]
-    shift = b - Matrix.scalar(field, p, gamma)
+    shift = b.shift(gamma)
     for _ in range(p - 1):
         cols.append(shift.apply(cols[-1]))
     x = Matrix.from_columns(field, cols)

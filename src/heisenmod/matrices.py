@@ -146,6 +146,18 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return self._scaled(self.field.p - 1)
 
+    def shift(self, c) -> "Matrix":
+        """self - c*I, changing only the diagonal entries."""
+        if self.rows != self.cols:
+            raise ShapeMismatch("shift of a non-square matrix")
+        field, n = self.field, self.rows
+        c = field.code(c)
+        if not c:
+            return self
+        sub, data = field.sub, list(self.data)
+        data[:: n + 1] = [sub(x, c) for x in data[:: n + 1]]
+        return Matrix(field, n, n, data)
+
     def _scaled(self, c: int) -> "Matrix":
         codec = self.field.row_codec[1]
         packed = codec.pack(self.data) * codec.elem[c]
@@ -478,11 +490,27 @@ def direct_sum(mats: Sequence[Matrix]) -> Matrix:
     return Matrix(field, n, c, data)
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; block (i,j) is a[i][j] * b."""
+    """Kronecker product; block (i,j) is a[i][j] * b.
+
+    b's rows are written straight into place from one scaled copy of b per
+    distinct nonzero entry of a (b itself for 1); zero blocks are skipped.
+    """
     a._check(b)
-    if not a.data:
-        return Matrix.zeros(a.field, a.rows * b.rows, a.cols * b.cols)
-    return assemble_grid([[b._scaled(x) for x in a.row(i)] for i in range(a.rows)])
+    br, bc, width = b.rows, b.cols, a.cols * b.cols
+    out = [0] * (a.rows * br * width)
+    scaled = {1: b.row_lists()}
+    for i in range(a.rows):
+        for j, x in enumerate(a.row(i)):
+            if not x:
+                continue
+            rows = scaled.get(x)
+            if rows is None:
+                rows = scaled[x] = b._scaled(x).row_lists()
+            base = i * br * width + j * bc
+            for r, row in enumerate(rows):
+                start = base + r * width
+                out[start : start + bc] = row
+    return Matrix(a.field, a.rows * br, width, out)
 
 
 def assemble_grid(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -521,7 +549,7 @@ def poly_at(f: Poly, a: Matrix) -> Matrix:
     for c in reversed(f.coeffs):
         acc = acc * a
         if c:
-            acc = acc + Matrix.scalar(a.field, n, c)
+            acc = acc.shift(a.field.neg(c))
     return acc
 
 
@@ -803,7 +831,7 @@ def jordan_form(a: Matrix) -> tuple[Matrix, Matrix]:
     blocks: list[Matrix] = []
     columns: list[list[int]] = []
     for lam, mult in eig:
-        N = a - Matrix.scalar(field, n, lam)
+        N = a.shift(lam)
         # kernels of N, N^2, ... until the generalized eigenspace saturates
         kernels = [Echelon(field, n)]
         power = Matrix.identity(field, n)

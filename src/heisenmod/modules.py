@@ -634,7 +634,7 @@ def split_by_central(
     out = []
     total = 0
     for lam, _ in roots:
-        shifted = central - Matrix.scalar(field, d, lam)
+        shifted = central.shift(lam)
         basis = SubspaceBasis(field, d, (shifted**d).kernel_basis())
         total += basis.dim
         out.append(

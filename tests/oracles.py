@@ -76,6 +76,22 @@ def oracle_apply(a: Matrix, v) -> list[int]:
     return out
 
 
+def oracle_kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product entry by entry: out[r][c] = a[r // br][c // bc] *
+    b[r % br][c % bc], one field.mul per entry."""
+    assert a.field == b.field
+    mul = a.field.mul
+    br, bc = b.rows, b.cols
+    rows, cols = a.rows * br, a.cols * bc
+    out = [0] * (rows * cols)
+    for r in range(rows):
+        for c in range(cols):
+            out[r * cols + c] = mul(
+                a.data[(r // br) * a.cols + c // bc], b.data[(r % br) * bc + c % bc]
+            )
+    return Matrix(a.field, rows, cols, out)
+
+
 def oracle_ext_mul(field, a: int, b: int) -> int:
     """a * b in GF(p^m) as polynomials over GF(p) modulo the modulus,
     without the extension field's own multiplication."""
@@ -318,3 +334,15 @@ def oracle_rank1_partner(a: Matrix):
         if not z.is_zero() and a * z == z * a and b * z == z * b:
             return b
     return None
+
+
+def oracle_common_eigenvector(xs, betas) -> list[int]:
+    """The first vector of the right kernel of all x_k - beta_k stacked
+    vertically, by one elimination of the stacked n*d x d matrix."""
+    field, d = xs[0].field, xs[0].rows
+    rows = []
+    for x, beta in zip(xs, betas):
+        rows.extend((x - Matrix.scalar(field, d, beta)).row_lists())
+    kernel = Matrix(field, len(rows), d, [e for row in rows for e in row]).kernel_basis()
+    assert kernel, "commuting nilpotent images must share an eigenvector"
+    return kernel[0]

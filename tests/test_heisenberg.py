@@ -43,6 +43,7 @@ from heisenmod import (
     canonical_pair,
     classify,
     conjugate_rep,
+    direct_sum,
     direct_sum_reps,
     find_irreducible,
     invariants,
@@ -54,6 +55,7 @@ from heisenmod import (
     triple_similarity,
     validate_rep,
 )
+from oracles import oracle_common_eigenvector
 
 
 def ext(p, m):
@@ -303,6 +305,45 @@ def test_classify_undoes_random_conjugation():
             ti = t.inv()
             for m, want in zip(scrambled.gen_matrices(), model.gen_matrices()):
                 assert ti * m * t == want
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (3, 6)], ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_matches_stacked_kernel_oracle(spec, n, monkeypatch):
+    # the eigenvector from the nilpotent parts is the one an elimination of
+    # the stacked x_k - beta_k returns, so params and t agree to the byte
+    p, m = spec
+    field = GF(p) if m == 1 else ext(p, m)
+    alg = HeisenbergAlgebra(n, field)
+    rng = random.Random(f"{spec}-{n}")
+    cases = []
+    for _ in range(3):
+        params = params_of(
+            field,
+            rng.randrange(1, field.order),
+            [rng.randrange(field.order) for _ in range(n)],
+            [rng.randrange(field.order) for _ in range(n)],
+        )
+        rep = build_V(alg, params)
+        scrambled = conjugate_rep(rep, rand_invertible(field, rep.dim, rng))
+        cases.append((params, scrambled, classify(scrambled)))
+    monkeypatch.setattr(heisenberg, "_common_eigenvector", oracle_common_eigenvector)
+    for params, scrambled, (got, t) in cases:
+        want, want_t = classify(scrambled)
+        assert got == want == params
+        assert t.data == want_t.data
+
+
+def test_classify_refuses_a_vanishing_nilpotent_product():
+    # x_1 = x_2 = N with N^2 = 0 passes invariants, but N * N = 0 has no
+    # rank 1 as on V; the check must raise, not assert
+    field = GF(2)
+    n_block = Matrix.from_rows(field, [[0, 0], [1, 0]])
+    nil = direct_sum([n_block, n_block])
+    eye = Matrix.identity(field, 4)
+    rep = Representation(HeisenbergAlgebra(2, field), [nil, nil], [nil, nil], eye)
+    with pytest.raises(VerificationFailed, match="product 0"):
+        classify(rep)
 
 
 def test_classify_rejects_non_scalar_center():

@@ -49,6 +49,7 @@ from oracles import (
     brute_min_poly,
     oracle_apply,
     oracle_ext_mul,
+    oracle_kron,
     oracle_matmul,
     oracle_rref,
 )
@@ -702,6 +703,65 @@ def test_kron_mixed_product_rule():
         [2, 0, 0, 0],
         [0, 2, 0, 0],
     ]
+
+
+# prime, table-backed GF(4) and GF(25), and table-free GF(3^6)
+KRON_FIELDS = [(2, 1), (5, 1), (2, 2), (5, 2), (3, 6)]
+
+
+@st.composite
+def kron_pairs(draw):
+    field = field_of(draw(st.sampled_from(KRON_FIELDS)))
+    ar, ac, br, bc = (draw(st.integers(0, 4)) for _ in range(4))
+    # a draws from a palette of at most three codes, so entries repeat and 0
+    # and 1 turn up often
+    palette = draw(st.lists(st.integers(0, field.order - 1), min_size=1, max_size=3))
+    a = Matrix(field, ar, ac, draw(st.lists(
+        st.sampled_from([0, 1, *palette]), min_size=ar * ac, max_size=ar * ac)))
+    b = Matrix(field, br, bc, draw(codes(field, br * bc)))
+    return a, b
+
+
+@settings(max_examples=150)
+@given(kron_pairs())
+def test_kron_matches_oracle(pair):
+    a, b = pair
+    assert kron(a, b) == oracle_kron(a, b)
+
+
+@pytest.mark.parametrize("spec", KRON_FIELDS, ids=str)
+def test_kron_of_empty_and_zero_factors(spec):
+    field = field_of(spec)
+    rng = random.Random(17)
+    b = rand_matrix(field, 2, 3, rng)
+    for a in [Matrix(field, 0, 0, []), Matrix(field, 0, 2, []),
+              Matrix(field, 3, 0, []), Matrix.zeros(field, 2, 2)]:
+        got = kron(a, b)
+        assert got == oracle_kron(a, b)
+        assert (got.rows, got.cols) == (a.rows * 2, a.cols * 3)
+    a = Matrix(field, 2, 2, [1, 0, 0, field.order - 1])
+    assert kron(a, Matrix(field, 0, 3, [])) == Matrix(field, 0, 6, [])
+
+
+@st.composite
+def shifts(draw):
+    field = field_of(draw(st.sampled_from(KERNEL_FIELDS)))
+    d = draw(st.integers(0, 6))
+    m = Matrix(field, d, d, draw(codes(field, d * d)))
+    return m, draw(st.integers(0, field.order - 1))
+
+
+@settings(max_examples=100)
+@given(shifts())
+def test_shift_matches_scalar_subtraction(case):
+    m, c = case
+    assert m.shift(c) == m - Matrix.scalar(m.field, m.rows, c)
+    assert m.shift(FieldElem(m.field, c)) == m.shift(c)
+
+
+def test_shift_rejects_non_square():
+    with pytest.raises(ShapeMismatch):
+        Matrix.zeros(GF(3), 2, 3).shift(1)
 
 
 def test_assemble_grid_matches_block_layout():
