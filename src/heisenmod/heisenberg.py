@@ -28,6 +28,7 @@ from .errors import (
     NotScalarCenter,
     RelationViolated,
     ShapeMismatch,
+    VerificationFailed,
     WrongDeltaCount,
     WrongDimension,
     ZeroAlpha,
@@ -514,20 +515,21 @@ def _pth_power_scalar(m: Matrix, p: int, what: str) -> FieldElem:
 
 
 def _central_scalar(rep: Representation) -> FieldElem:
+    """alpha, for z = alpha != 0 in dimension p^n."""
     c = rep.z.is_scalar()
     if c is None or c.code == 0:
         raise NotScalarCenter("z must act as a nonzero scalar")
+    p = rep.field.p
+    if rep.dim != p**rep.n:
+        raise WrongDimension(f"dimension {rep.dim} is not p^n = {p**rep.n}")
     return c
 
 
 def invariants(rep: Representation) -> InvariantTuple:
     """(alpha, deltas, epsilons) for a relation-checked module of dimension
     p^n with scalar central action."""
-    field = rep.field
-    p = field.p
+    p = rep.field.p
     alpha = _central_scalar(rep)
-    if rep.dim != p**rep.n:
-        raise WrongDimension(f"dimension {rep.dim} is not p^n = {p**rep.n}")
     deltas = tuple(
         _pth_power_scalar(m, p, f"x{k + 1}") for k, m in enumerate(rep.x)
     )
@@ -559,53 +561,68 @@ def _common_eigenvector(
     return [mul(x, scale) for x in v]
 
 
+def _pth_root_at_e0(m: Matrix) -> FieldElem:
+    """The p-th root of entry 0 of m^p e_0, from p applications of m."""
+    v = [1] + [0] * (m.rows - 1)
+    for _ in range(m.field.p):
+        v = m.apply(v)
+    return FieldElem(m.field, v[0]).pth_root()
+
+
 def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
     """Parameters and an exact equivalence onto the truncated polynomial
     module: the returned t satisfies t^-1 rep(g) t = build_V(params)(g).
 
-    The basis behind t is the common eigenvector v of all x images
-    followed by its shifts under the y images, in mixed radix order.  v is
-    the product of the N_k^(p-1), N_k = x_k - beta_k, applied to a basis
-    vector that it does not kill, scaled so that its last nonzero
-    coordinate is 1 (_common_eigenvector).  invariants has checked
-    N_k^p = 0 and the x images commute, so every N_k kills v.  On V the
-    product has rank 1, so some basis vector gives v != 0 and v spans the
-    common eigenline: it is the vector an elimination of the stacked N_k
-    finds.  On any other input the checks at the end (t invertible, t
-    intertwining every generator) fail, so a returned t is proved either
-    way.
+    beta_k is the p-th root of entry 0 of x_k^p e_0 and gamma_k that of
+    y_k^p e_0 (_pth_root_at_e0); no matrix power is formed.  The basis
+    behind t is the common eigenvector v of all x images followed by its
+    shifts under the y images, in mixed radix order.  v is the product of
+    the N_k^(p-1), N_k = x_k - beta_k, applied to a basis vector that it
+    does not kill, scaled so that its last nonzero coordinate is 1
+    (_common_eigenvector); on V that product has rank 1 and v spans the
+    common eigenline.
+
+    The final check alone is the proof: t is invertible and m t == t model
+    for every generator, so rep is V(params).  Then x_k^p = beta_k^p is a
+    scalar, so the parameters are the ones invariants reads off.  On any
+    other input the check fails; invariants(rep) then raises MinPolyShape
+    where a minimal polynomial has the wrong shape, and otherwise the
+    VerificationFailed propagates.
     """
+    alpha = _central_scalar(rep)
+    betas = [_pth_root_at_e0(m) for m in rep.x]
+    gammas = [_pth_root_at_e0(m) for m in rep.y]
+    params = ModuleParams(alpha, betas, gammas)
+    try:
+        t = _checked_transform(rep, params)
+    except VerificationFailed:
+        invariants(rep)  # the min-poly shape error, where it applies
+        raise
+    return params, t
+
+
+def _checked_transform(rep: Representation, params: ModuleParams) -> Matrix:
+    """t from the common eigenvector and its y shifts, checked invertible
+    and intertwining rep with build_V(params) generator by generator."""
     field = rep.field
     p = field.p
     n = rep.n
-    inv = invariants(rep)
-    alpha = inv.alpha
-    betas = [d.pth_root() for d in inv.deltas]
-    gammas = [e.pth_root() for e in inv.epsilons]
-
-    v = _common_eigenvector(rep.x, betas)
-    shifts = [rep.y[k].shift(gammas[k]) for k in range(n)]
+    v = _common_eigenvector(rep.x, params.betas)
+    shifts = [y.shift(gamma) for y, gamma in zip(rep.y, params.gammas)]
     cols = []
     for idx in range(p**n):
-        exps = []
-        rest = idx
-        for _ in range(n):
-            exps.append(rest % p)
-            rest //= p
-        exps.reverse()  # exps[0] pairs with y_1, the most significant digit
         w = list(v)
-        for k in range(n):
-            for _ in range(exps[k]):
+        for k in range(n):  # y_1 pairs with the most significant digit
+            for _ in range(idx // p ** (n - 1 - k) % p):
                 w = shifts[k].apply(w)
         cols.append(w)
     t = Matrix.from_columns(field, cols)
-    params = ModuleParams(alpha, betas, gammas)
     model = build_V(rep.algebra, params)
     verify(not t.det().is_zero(), "classification basis must be invertible")
     for (_, m), (_, want) in zip(rep.generators(), model.generators()):
         # m t == t model is conjugacy since t is invertible
         verify(m * t == t * want, "classification transform failed to verify")
-    return params, t
+    return t
 
 
 # -- matrix triples ---------------------------------------------------------------

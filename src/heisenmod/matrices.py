@@ -14,8 +14,9 @@ construct the Matrix last, since products cache its packed rows and columns.
 One packed-row kernel (heisenmod.fields.RowCodec) serves sums, products,
 apply and elimination; a whole row is one integer.  Row i of A*B is one
 sum(map(operator.mul, packed entries of row i of A, packed rows of B));
-apply(v), and column j of a product with fewer columns than rows, is the
-same sum over A's packed columns; each product is unpacked once.
+apply(v), and column j of a product with fewer columns than rows or with
+at most one nonzero entry of B in eight, is the same sum over A's packed
+columns, B's zeros skipped; each product is unpacked once.
 Elimination keeps every row packed, its slots wide enough for one row
 operation per pivot: finding a pivot reads one element per row, the pivot
 row is reduced and scaled once, and each other row takes one big-integer
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -172,14 +174,21 @@ class Matrix:
             raise ShapeMismatch(
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        n, k = self.rows, other.cols
+        n, k, b = self.rows, other.cols, other.data
         codec = self.field.row_codec[self.cols]
-        if k < n:
-            # column j is A's packed columns weighted by column j of B
-            cols, entries = self._columns_packed(), codec.scalars(other.data)
-            sums = [sum(map(operator.mul, entries[j::k], cols)) for j in range(k)]
+        if k < n or 8 * (len(b) - b.count(0)) <= len(b):
+            # column j is A's packed columns weighted by column j of B; B's
+            # zeros are skipped, so a sparse B costs one multiply per nonzero
+            cols, entries = self._columns_packed(), codec.scalars(b)
+            sums = []
+            for j in range(k):
+                col = entries[j::k]
+                sums.append(sum(map(operator.mul, compress(col, col),
+                                    compress(cols, col))))
             flat = codec.unpack(codec.join(sums, n), n * k)
-            data = [flat[j * n + i] for i in range(n) for j in range(k)]
+            data = [0] * (n * k)
+            for j in range(k):
+                data[j::k] = flat[j * n : (j + 1) * n]
         else:
             rows, entries, c = other._rows_packed(), codec.scalars(self.data), self.cols
             sums = [sum(map(operator.mul, entries[i * c : (i + 1) * c], rows))

@@ -665,24 +665,26 @@ def _similarity_classes(field: Field, d: int) -> Iterator[Matrix]:
     Yields the direct sum of the companions of f1 | f2 | ... | fk for every
     chain of monic invariant factors with degrees summing to d: the forms
     frobenius_form reports, q^2 + q of them at d = 2 and q^3 + q^2 + q at
-    d = 3.
+    d = 3.  The factors after f are the multiples f * g, g monic, taken by
+    degree and then in coefficient-code order.
     """
     monics = [
-        Poly._raw(field, [*low, 1])
-        for k in range(1, d + 1)
-        for low in itertools.product(range(field.order), repeat=k)
+        [Poly._raw(field, [*low, 1])
+         for low in itertools.product(range(field.order), repeat=k)]
+        for k in range(d + 1)
     ]
 
     def chains(prev: Poly, left: int) -> Iterator[list[Poly]]:
         if not left:
             yield []
             return
-        for f in monics:
-            if f.degree <= left and (f % prev).is_zero():
-                for rest in chains(f, left - f.degree):
+        for k in range(max(prev.degree, 1), left + 1):
+            multiples = [prev * g for g in monics[k - prev.degree]]
+            for f in sorted(multiples, key=lambda f: f.coeffs):
+                for rest in chains(f, left - k):
                     yield [f, *rest]
 
-    for chain in chains(Poly._raw(field, [1]), d):
+    for chain in chains(monics[0][0], d):
         yield direct_sum([companion(f) for f in chain])
 
 

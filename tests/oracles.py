@@ -12,10 +12,17 @@ from heisenmod import (
     FieldElem,
     HeisenbergAlgebra,
     Matrix,
+    ModuleParams,
     Poly,
     Representation,
     SubspaceBasis,
+    build_V,
+    companion,
+    direct_sum,
+    invariants,
 )
+from heisenmod.errors import verify
+from heisenmod.heisenberg import _common_eigenvector
 
 
 def trial_division_irreducible(f: Poly) -> bool:
@@ -346,3 +353,57 @@ def oracle_common_eigenvector(xs, betas) -> list[int]:
     kernel = Matrix(field, len(rows), d, [e for row in rows for e in row]).kernel_basis()
     assert kernel, "commuting nilpotent images must share an eigenvector"
     return kernel[0]
+
+
+def oracle_classify(rep):
+    """classify with its parameters from invariants: each x_k^p and y_k^p
+    as a full matrix power, checked to be the scalar delta_k, epsilon_k,
+    with (m - delta^(1/p))^(p-1) != 0; then the same basis and the same
+    final check as heisenberg.classify."""
+    field = rep.field
+    p, n = field.p, rep.n
+    inv = invariants(rep)
+    betas = [d.pth_root() for d in inv.deltas]
+    gammas = [e.pth_root() for e in inv.epsilons]
+    v = _common_eigenvector(rep.x, betas)
+    shifts = [rep.y[k].shift(gammas[k]) for k in range(n)]
+    cols = []
+    for idx in range(p**n):
+        digits = [idx // p ** (n - 1 - k) % p for k in range(n)]
+        w = list(v)
+        for k in range(n):
+            for _ in range(digits[k]):
+                w = shifts[k].apply(w)
+        cols.append(w)
+    t = Matrix.from_columns(field, cols)
+    params = ModuleParams(inv.alpha, betas, gammas)
+    model = build_V(rep.algebra, params)
+    verify(not t.det().is_zero(), "classification basis must be invertible")
+    for m, want in zip(rep.gen_matrices(), model.gen_matrices()):
+        verify(m * t == t * want, "classification transform failed to verify")
+    return params, t
+
+
+def oracle_similarity_classes(field, d: int) -> list[Matrix]:
+    """The rational canonical forms by testing f % prev for every monic f
+    of degree <= d: the chains of monic invariant factors f1 | f2 | ...
+    with degrees summing to d, each factor in coefficient-code order."""
+    monics = [
+        Poly(field, [*low, 1])
+        for k in range(1, d + 1)
+        for low in itertools.product(range(field.order), repeat=k)
+    ]
+
+    def chains(prev, left):
+        if not left:
+            yield []
+            return
+        for f in monics:
+            if f.degree <= left and (f % prev).is_zero():
+                for rest in chains(f, left - f.degree):
+                    yield [f, *rest]
+
+    return [
+        direct_sum([companion(f) for f in chain])
+        for chain in chains(Poly(field, [1]), d)
+    ]

@@ -17,6 +17,7 @@ import pytest
 from heisenmod import heisenberg
 from heisenmod import (
     GF,
+    AlgebraError,
     DegreeMismatch,
     FieldElem,
     HeisenbergAlgebra,
@@ -55,7 +56,7 @@ from heisenmod import (
     triple_similarity,
     validate_rep,
 )
-from oracles import oracle_common_eigenvector
+from oracles import oracle_classify, oracle_common_eigenvector
 
 
 def ext(p, m):
@@ -332,6 +333,98 @@ def test_classify_matches_stacked_kernel_oracle(spec, n, monkeypatch):
         want, want_t = classify(scrambled)
         assert got == want == params
         assert t.data == want_t.data
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (5, 2), (3, 6)]
+
+
+def field_of(spec):
+    p, m = spec
+    return GF(p) if m == 1 else ext(p, m)
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_matches_invariants_first_oracle(spec, n):
+    # parameters read from x_k^p e_0 are the ones invariants reads from
+    # the full powers, so params and t agree to the byte; GF(3^6) is
+    # table-free
+    field = field_of(spec)
+    alg = HeisenbergAlgebra(n, field)
+    rng = random.Random(f"oracle-{spec}-{n}")
+    params = params_of(
+        field,
+        rng.randrange(1, field.order),
+        [rng.randrange(field.order) for _ in range(n)],
+        [rng.randrange(field.order) for _ in range(n)],
+    )
+    rep = build_V(alg, params)
+    for case in (rep, conjugate_rep(rep, rand_invertible(field, rep.dim, rng))):
+        got, t = classify(case)
+        want, want_t = oracle_classify(case)
+        assert got == want == params
+        assert t.data == want_t.data
+
+
+def non_v_inputs():
+    """Inputs classify must refuse: (label, representation)."""
+    f3, f2 = GF(3), GF(2)
+    h1 = HeisenbergAlgebra(1, f3)
+    eye = Matrix.identity(f3, 3)
+    diag = Matrix.from_rows(f3, [[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+    n_block = Matrix.from_rows(f2, [[0, 0], [1, 0]])
+    nil = direct_sum([n_block, n_block])
+    v3 = build_V(h1, params_of(f3, 1, [2], [1]))
+    out = [
+        ("semisimple x", Representation(h1, [diag], [eye], eye)),
+        ("scalar x", Representation(h1, [eye], [diag], eye)),
+        ("semisimple y", Representation(h1, [v3.x[0]], [diag], v3.z)),
+        ("product 0", Representation(
+            HeisenbergAlgebra(2, f2), [nil, nil], [nil, nil],
+            Matrix.identity(f2, 4))),
+        ("non-scalar z", build_standard(h1)),
+        ("wrong dimension", direct_sum_reps([v3, v3])),
+    ]
+    rng = random.Random(31)
+    for spec, n in [((2, 1), 2), ((3, 1), 1), ((3, 1), 2), ((5, 1), 1),
+                    ((2, 2), 2), ((3, 6), 1)]:
+        field = field_of(spec)
+        alg = HeisenbergAlgebra(n, field)
+        params = params_of(
+            field,
+            rng.randrange(1, field.order),
+            [rng.randrange(field.order) for _ in range(n)],
+            [rng.randrange(field.order) for _ in range(n)],
+        )
+        rep = conjugate_rep(build_V(alg, params), rand_invertible(field, field.p**n, rng))
+        gens = rep.gen_matrices()
+        for _ in range(4):
+            which, pos = rng.randrange(2 * n), rng.randrange(rep.dim**2)
+            data = list(gens[which].data)
+            data[pos] = field.add(data[pos], rng.randrange(1, field.order))
+            moved = list(gens)
+            moved[which] = Matrix(field, rep.dim, rep.dim, data)
+            out.append((f"perturbed {field} {which}", Representation(
+                alg, moved[:n], moved[n : 2 * n], moved[-1])))
+        # x and y of one module in two different bases
+        other = conjugate_rep(rep, rand_invertible(field, rep.dim, rng))
+        out.append((f"mixed bases {field}", Representation(alg, rep.x, other.y, rep.z)))
+    return out
+
+
+def test_classify_refuses_non_v_like_the_oracle():
+    # the same exception as the invariants-first classify: the min-poly
+    # shape error where invariants raises it, else the same failed check
+    seen = set()
+    for label, rep in non_v_inputs():
+        with pytest.raises((AlgebraError, VerificationFailed)) as want:
+            oracle_classify(rep)
+        with pytest.raises((AlgebraError, VerificationFailed)) as got:
+            classify(rep)
+        assert got.type is want.type, label
+        assert str(got.value) == str(want.value), label
+        seen.add(want.type)
+    assert seen == {MinPolyShape, VerificationFailed, NotScalarCenter, WrongDimension}
 
 
 def test_classify_refuses_a_vanishing_nilpotent_product():

@@ -232,6 +232,26 @@ def test_product_at_largest_codes_has_no_slot_carry(spec, inner):
     assert a.apply([top] * inner) == oracle_apply(a, [top] * inner)
 
 
+@pytest.mark.parametrize(
+    "spec", [(2, 1), (3, 1), (5, 1), (2, 2), (5, 2), (3, 6)], ids=str
+)
+@pytest.mark.parametrize("n,inner,k", [(16, 16, 16), (8, 16, 24), (24, 16, 8), (3, 4, 4)])
+def test_sparse_right_factors_match_oracle(spec, n, inner, k):
+    # densities of B across the sparse threshold (one nonzero in eight),
+    # with k < n and k >= n; B's rows are packed only off the column path
+    field = field_of(spec)
+    rng = random.Random(f"{spec}-{n}-{inner}-{k}")
+    a_data = [rng.randrange(field.order) for _ in range(n * inner)]
+    size = inner * k
+    for nonzeros in sorted({0, 1, size // 16, size // 8, size // 8 + 1, size // 4, size}):
+        data = [0] * size
+        for pos in rng.sample(range(size), nonzeros):
+            data[pos] = rng.randrange(1, field.order)
+        a, b = Matrix(field, n, inner, a_data), Matrix(field, inner, k, data)
+        assert a * b == oracle_matmul(a, b)
+        assert (b._packed_rows is None) == (k < n or 8 * nonzeros <= size)
+
+
 def test_packed_cache_stays_out_of_equality_hash_and_pickle():
     field = ext(3, 2)
     rng = random.Random(6)

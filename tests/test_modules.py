@@ -62,6 +62,7 @@ from oracles import (
     oracle_irreducible,
     oracle_rank1_partner,
     oracle_search,
+    oracle_similarity_classes,
     oracle_uniserial,
 )
 
@@ -800,6 +801,20 @@ def test_similarity_classes_are_the_frobenius_forms(p, d):
         frobenius_form(Matrix(field, d, d, list(entries))).form
         for entries in itertools.product(range(p), repeat=d * d)
     }
+
+
+@pytest.mark.parametrize(
+    "spec, d",
+    [((2, 1), 1), ((2, 1), 3), ((3, 1), 3), ((5, 1), 2), ((5, 1), 3),
+     ((7, 1), 2), ((2, 2), 3), ((3, 2), 2)],
+)
+def test_similarity_classes_match_divisibility_oracle(spec, d):
+    # multiplying up gives the same forms in the same order as testing
+    # f % prev for every monic f
+    p, m = spec
+    field = GF(p) if m == 1 else ext(p, m)
+    forms = list(modules._similarity_classes(field, d))
+    assert forms == oracle_similarity_classes(field, d)
 
 
 @pytest.mark.parametrize(

@@ -134,7 +134,7 @@ def test_sweeps_cap_the_case_count():
 
 
 def test_combos_past_desk_scale_are_dropped_quietly_when_others_remain():
-    # (5, 2) alone is rejected, but alongside (5, 1) it is just skipped
-    report = run_suite("prop21", p=[5], n=[1, 2])
+    # (5, 3) alone is rejected, but alongside (5, 1) it is just skipped
+    report = run_suite("prop21", p=[5], n=[1, 3])
     assert report.ok
     assert {o.inputs["n"] for o in report.outcomes} == {1}
