@@ -49,10 +49,10 @@ _EXPORTS = {
     "modules": (
         "CompositionFactor", "CompositionSeries", "EnvelopingAlgebra",
         "IrreducibilityResult", "SearchResult", "SubspaceBasis", "Summand",
-        "composition_series", "condition_c", "enveloping_algebra",
-        "extend_scalars", "field_embedding", "hom_space", "is_irreducible",
-        "is_uniserial", "quotient_representation", "search_min_faithful",
-        "split_by_central", "spin", "sub_representation",
+        "composition_series", "extend_scalars", "field_embedding",
+        "hom_space", "is_irreducible", "is_uniserial",
+        "quotient_representation", "search_min_faithful", "split_by_central",
+        "spin", "sub_representation",
     ),
     "serialize": (
         "decode_elem", "decode_field", "decode_matrix", "decode_params",

@@ -455,6 +455,41 @@ class Echelon:
         return [list(self.vectors[i]) for i in order]
 
 
+def _standard_basis(
+    ops: Sequence[Matrix], seeds: Iterable[Sequence[int]],
+    base: Optional[Echelon] = None,
+) -> tuple[Echelon, list[list[int]], list[Optional[tuple[int, int]]]]:
+    """Close the seeds under the operators, modulo an optional base span.
+
+    The MeatAxe standard basis (Parker 1984; Holt, Eick, O'Brien, Handbook
+    of Computational Group Theory, 7.5).  Returns (echelon of base + span,
+    basis, words): basis[i] is a seed when words[i] is None, else ops[j]
+    applied to basis[b] for words[i] = (j, b), b < i.  A seed is spun out
+    before the next one is tried, newest basis vector first.  The base is
+    copied, never changed.
+    """
+    ech = base.copy() if base is not None else Echelon(ops[0].field, ops[0].cols)
+    basis: list[list[int]] = []
+    words: list[Optional[tuple[int, int]]] = []
+    for seed in seeds:
+        if ech.dim == ech.width or ech.insert(seed) is None:
+            continue
+        stack = [len(basis)]
+        basis.append(list(seed))
+        words.append(None)
+        while stack and ech.dim < ech.width:
+            b = stack.pop()
+            for j, g in enumerate(ops):
+                w = g.apply(basis[b])
+                if ech.insert(w) is not None:
+                    stack.append(len(basis))
+                    basis.append(w)
+                    words.append((j, b))
+                    if ech.dim == ech.width:
+                        break
+    return ech, basis, words
+
+
 # -- structured builders --------------------------------------------------------
 
 
@@ -577,50 +612,20 @@ def poly_apply(f: Poly, a: Matrix, v: Sequence[int]) -> list[int]:
 
 
 def _local_min_poly(a: Matrix, v: Sequence[int], base: Optional[Echelon] = None
-                    ) -> Poly:
-    """Least monic g with g(a) v inside the base subspace (default 0)."""
+                    ) -> tuple[Poly, Echelon]:
+    """Least monic g with g(a) v inside the base subspace (default 0), and
+    the echelon of the base plus the Krylov chain v, a v, ...
+
+    g's lower coefficients solve a^k v = sum c_i a^i v + (base part)."""
     field = a.field
-    n = a.rows
-    ech = base.copy() if base is not None else Echelon(field, n)
-    offset = ech.dim
-    # rows inserted past the offset carry combination coefficients over the
-    # Krylov sequence v, a v, a^2 v, ...
-    tracks: list[list[int]] = []
-    sub, mul = field.sub, field.mul
-    u = list(v)
-    k = 0
-    while True:
-        w = list(u)
-        track = [0] * (k + 1)
-        track[k] = 1
-        for idx, (row, p) in enumerate(zip(ech.vectors, ech.pivots)):
-            c = w[p]
-            if c:
-                for t in range(n):
-                    if row[t]:
-                        w[t] = sub(w[t], mul(c, row[t]))
-                if idx >= offset:
-                    tr = tracks[idx - offset]
-                    for t in range(len(tr)):
-                        if tr[t]:
-                            track[t] = sub(track[t], mul(c, tr[t]))
-        piv = None
-        for t, x in enumerate(w):
-            if x:
-                piv = t
-                break
-        if piv is None:
-            return Poly._raw(field, track)
-        ip = field.inv(w[piv])
-        if ip != 1:
-            w = [mul(ip, x) for x in w]
-            track = [mul(ip, x) for x in track]
-        ech.vectors.append(w)
-        ech.pivots.append(piv)
-        tracks.append(track)
-        u = a.apply(u)
-        k += 1
-        verify(k <= n, "Krylov chain exceeded the ambient dimension")
+    ech, chain, _ = _standard_basis([a], [v], base)
+    if not chain:
+        return Poly._raw(field, [1]), ech
+    cols = chain + (base.vectors if base is not None else [])
+    coords = Matrix.from_columns(field, cols).solve(a.apply(chain[-1]))
+    verify(coords is not None, "a^k v must lie in the Krylov chain and base")
+    neg = field.neg
+    return Poly._raw(field, [neg(c) for c in coords[: len(chain)]] + [1]), ech
 
 
 def min_poly(a: Matrix) -> Poly:
@@ -631,22 +636,16 @@ def min_poly(a: Matrix) -> Poly:
     n = a.rows
     if n == 0:
         return Poly._raw(field, [1])
-    covered = Echelon(field, n)
-    m = Poly._raw(field, [1])
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        if covered.contains(e):
-            continue
-        g = _local_min_poly(a, e)
-        m = m.lcm(g)
-        # fold the whole Krylov subspace of e into the covered span
-        u = e
-        for _ in range(g.degree):
-            covered.insert(u)
-            u = a.apply(u)
+    seeds = Matrix.identity(field, n).row_lists()
+    # the first Krylov echelon is the covered span; a later seed outside it
+    # is spun again modulo that span to fold its Krylov subspace in
+    m, covered = _local_min_poly(a, seeds[0])
+    for e in seeds[1:]:
         if covered.dim == n:
             break
+        if not covered.contains(e):
+            m = m.lcm(_local_min_poly(a, e)[0])
+            covered = _standard_basis([a], [e], covered)[0]
     return m
 
 
@@ -709,14 +708,12 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
     if n == 0:
         raise ShapeMismatch("canonical form of an empty matrix")
     W = Echelon(field, n)
-    blocks: list[tuple[list[int], Poly]] = []
+    blocks: list[tuple[list[int], Poly, list[list[int]]]] = []
     while W.dim < n:
         best_v: Optional[list[int]] = None
         best_g: Optional[Poly] = None
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            g = _local_min_poly(a, e, W)
+        for e in Matrix.identity(field, n).row_lists():
+            g = _local_min_poly(a, e, W)[0]
             if g.degree == 0:
                 continue
             if best_g is None:
@@ -736,19 +733,13 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
         # make the annihilator exact: subtract the components inside W
         w = poly_apply(best_g, a, best_v)
         if any(w):
-            cols = []
-            for gen, d in blocks:
-                u = list(gen)
-                for _ in range(d.degree):
-                    cols.append(u)
-                    u = a.apply(u)
-            B = Matrix.from_columns(field, cols)
+            B = Matrix.from_columns(field, [u for _, _, chain in blocks for u in chain])
             coords = B.solve(w)
             verify(coords is not None, "g(a)v must lie in the extracted span")
             pos = 0
             sub = field.sub
             u = best_v
-            for gen, d in blocks:
+            for gen, d, _ in blocks:
                 h = Poly._raw(field, coords[pos : pos + d.degree])
                 pos += d.degree
                 if not h.is_zero():
@@ -759,24 +750,15 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
             best_v = u
             w = poly_apply(best_g, a, best_v)
             verify(not any(w), "adjusted vector must be annihilated exactly")
-        u = list(best_v)
-        for _ in range(best_g.degree):
-            inserted = W.insert(u)
-            verify(inserted is not None, "cyclic basis must be independent")
-            u = a.apply(u)
-        blocks.append((best_v, best_g))
+        W, chain, _ = _standard_basis([a], [best_v], W)
+        verify(len(chain) == best_g.degree, "cyclic basis must be independent")
+        blocks.append((best_v, best_g, chain))
     # extraction yields decreasing divisibility; report ascending d1 | d2 | ...
     blocks.reverse()
     for d1, d2 in zip(blocks, blocks[1:]):
         verify((d2[1] % d1[1]).is_zero(), "invariant factor chain broken")
-    cols = []
-    for gen, d in blocks:
-        u = list(gen)
-        for _ in range(d.degree):
-            cols.append(u)
-            u = a.apply(u)
-    T = Matrix.from_columns(field, cols)
-    result = CanonicalForm([d for _, d in blocks], T)
+    T = Matrix.from_columns(field, [u for _, _, chain in blocks for u in chain])
+    result = CanonicalForm([d for _, d, _ in blocks], T)
     verify(T.inv() * a * T == result.form, "canonical form verification failed")
     return result
 

@@ -40,7 +40,15 @@ from .heisenberg import (
     invariants,
     validate_rep,
 )
-from .matrices import Echelon, Matrix, companion, direct_sum, kron, min_poly
+from .matrices import (
+    Echelon,
+    Matrix,
+    _standard_basis,
+    companion,
+    direct_sum,
+    kron,
+    min_poly,
+)
 
 # similarity classes of A the minimum-dimension search may examine
 _SEARCH_CLASS_LIMIT = 1 << 12
@@ -123,21 +131,7 @@ def spin(rep: Representation, v: Sequence[int]) -> SubspaceBasis:
     d = rep.dim
     if len(v) != d:
         raise ShapeMismatch("seed length differs from the dimension")
-    field = rep.field
-    ech = Echelon(field, d)
-    if ech.insert(v) is None:
-        return SubspaceBasis._from_echelon(ech)
-    gens = rep.gen_matrices()
-    queue = [list(v)]
-    while queue and ech.dim < d:
-        u = queue.pop()
-        for g in gens:
-            w = g.apply(u)
-            if ech.insert(w) is not None:
-                queue.append(w)
-                if ech.dim == d:
-                    break
-    return SubspaceBasis._from_echelon(ech)
+    return SubspaceBasis._from_echelon(_standard_basis(rep.gen_matrices(), [v])[0])
 
 
 @dataclass
@@ -271,6 +265,7 @@ def sub_representation(
     rows = [list(v) for v in basis.vectors]
     pivots = basis.pivots()
     field = rep.field
+    span = Matrix.from_columns(field, rows)
 
     def restrict(g: Matrix) -> Matrix:
         cols = []
@@ -278,14 +273,7 @@ def sub_representation(
             img = g.apply(b)
             coords = [img[p] for p in pivots]
             # invariance check: the coordinates must reconstruct the image
-            recon = [0] * rep.dim
-            add, mul = field.add, field.mul
-            for c, b2 in zip(coords, rows):
-                if c:
-                    for i, x in enumerate(b2):
-                        if x:
-                            recon[i] = add(recon[i], mul(c, x))
-            if recon != img:
+            if span.apply(coords) != img:
                 raise ShapeMismatch("subspace is not invariant")
             cols.append(coords)
         return Matrix.from_columns(field, cols)
@@ -395,19 +383,10 @@ def _composition_series(rep: Representation, max_samples: int, seed: int
     w_rows = [list(v) for v in w.vectors]
     pivset = set(w.pivots())
     free = [i for i in range(d) if i not in pivset]
-    add, mul = field.add, field.mul
+    span = Matrix.from_columns(field, w_rows)
 
     def lift_sub(space: SubspaceBasis) -> SubspaceBasis:
-        out = []
-        for coords in space.vectors:
-            v = [0] * d
-            for c, b in zip(coords, w_rows):
-                if c:
-                    for i, x in enumerate(b):
-                        if x:
-                            v[i] = add(v[i], mul(c, x))
-            out.append(v)
-        return SubspaceBasis(field, d, out)
+        return SubspaceBasis(field, d, [span.apply(c) for c in space.vectors])
 
     def lift_quot(space: SubspaceBasis) -> SubspaceBasis:
         out = list(w_rows)
@@ -471,22 +450,7 @@ def hom_space(r1: Representation, r2: Representation) -> list[Matrix]:
     field = r1.field
     d1, d2 = r1.dim, r2.dim
     g1s, g2s = r1.gen_matrices(), r2.gen_matrices()
-    ech = Echelon(field, d1)
-    basis: list[list[int]] = []
-    words: list[Optional[tuple[int, int]]] = []  # None for a seed, else (g, b')
-    for e in Matrix.identity(field, d1).row_lists():
-        if ech.dim == d1 or ech.insert(e) is None:
-            continue
-        basis.append(e)
-        words.append(None)
-        b = len(basis) - 1
-        while b < len(basis) and ech.dim < d1:
-            for j, g in enumerate(g1s):
-                w = g.apply(basis[b])
-                if ech.insert(w) is not None:
-                    basis.append(w)
-                    words.append((j, b))
-            b += 1
+    _, basis, words = _standard_basis(g1s, Matrix.identity(field, d1).row_lists())
     width = words.count(None) * d2
     if not width:
         return []
@@ -533,25 +497,13 @@ class EnvelopingAlgebra:
     __slots__ = ("field", "size", "basis", "_ech")
 
     def __init__(self, rep: Representation):
-        field = rep.field
-        d = rep.dim
-        self.field = field
-        self.size = d
-        self._ech = Echelon(field, d * d)
-        self.basis: list[Matrix] = []
-        gens = [m for m in rep.gen_matrices()]
-        queue = []
-        for m in [Matrix.identity(field, d)] + gens:
-            if self._ech.insert(m.data) is not None:
-                self.basis.append(m)
-                queue.append(m)
-        while queue:
-            m = queue.pop()
-            for g in gens:
-                w = g * m
-                if self._ech.insert(w.data) is not None:
-                    self.basis.append(w)
-                    queue.append(w)
+        field, d = rep.field, rep.dim
+        self.field, self.size = field, d
+        # kron(g, I) is left multiplication by g on row-major d^2 vectors
+        eye = Matrix.identity(field, d)
+        self._ech, basis, _ = _standard_basis(
+            [kron(g, eye) for g in rep.gen_matrices()], [eye.data])
+        self.basis = [Matrix(field, d, d, m) for m in basis]
 
     @property
     def dim(self) -> int:
@@ -561,15 +513,6 @@ class EnvelopingAlgebra:
         if (m.rows, m.cols) != (self.size, self.size) or m.field != self.field:
             return False
         return self._ech.contains(m.data)
-
-
-def enveloping_algebra(rep: Representation) -> EnvelopingAlgebra:
-    return EnvelopingAlgebra(rep)
-
-
-def condition_c(rep: Representation, target: Matrix) -> bool:
-    """Membership of the target operator in the image algebra."""
-    return enveloping_algebra(rep).contains(target)
 
 
 # -- change of scalars ------------------------------------------------------------

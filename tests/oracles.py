@@ -145,6 +145,20 @@ def oracle_rref(field, rows, cols: int):
     return M, tuple(pivots)
 
 
+def oracle_closure(field, ops, vectors, width: int) -> list[list[int]]:
+    """Reduced echelon rows of the smallest subspace that contains the
+    vectors and is mapped into itself by every op: apply each op to every
+    row and re-reduce until the dimension stops growing."""
+    rows, pivots = oracle_rref(field, vectors, width)
+    rows = rows[: len(pivots)]
+    while True:
+        images = [oracle_apply(g, v) for g in ops for v in rows]
+        grown, pivots = oracle_rref(field, rows + images, width)
+        if len(pivots) == len(rows):
+            return rows
+        rows = grown[: len(pivots)]
+
+
 def brute_det(a: Matrix) -> FieldElem:
     """Determinant by permutation expansion."""
     field = a.field

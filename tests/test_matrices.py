@@ -43,11 +43,13 @@ from heisenmod import (
     poly_at,
     similarity_transform,
 )
+from heisenmod.matrices import _standard_basis
 from oracles import (
     brute_char_poly,
     brute_det,
     brute_min_poly,
     oracle_apply,
+    oracle_closure,
     oracle_ext_mul,
     oracle_kron,
     oracle_matmul,
@@ -73,6 +75,20 @@ def rand_invertible(field, n, rng):
 
 
 FIELDS = [GF(2), GF(3), GF(5), ext(2, 2)]
+
+
+def non_cyclic(field, rng):
+    """A ⊕ A, a conjugate of it, and a scalar block plus a companion, at
+    n <= 6: the minimal polynomial is a proper divisor of the
+    characteristic polynomial, so one Krylov chain never fills the space."""
+    for k in range(1, 4):
+        a = rand_matrix(field, k, k, rng)
+        g = rand_invertible(field, 2 * k, rng)
+        f = Poly(field, [rng.randrange(field.order) for _ in range(5 - k)] + [1])
+        c = rng.randrange(field.order)
+        yield direct_sum([a, a])
+        yield g.inv() * direct_sum([a, a]) * g
+        yield direct_sum([Matrix.scalar(field, k + 1, c), companion(f)])
 
 
 # -- plain arithmetic ---------------------------------------------------------
@@ -565,6 +581,48 @@ def test_empty_shapes_eliminate():
     assert empty.det() == 1 and empty.inv() == empty
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), ext(2, 2)], ids=str)
+def test_standard_basis_matches_closure_oracle(field):
+    rng = random.Random(field.order + 40)
+
+    def vector(d):
+        return [rng.randrange(field.order) for _ in range(d)]
+
+    def sparse(d):
+        # mostly zero, so that proper closures are common
+        return Matrix(field, d, d, [x if rng.random() < 0.15 else 0 for x in vector(d * d)])
+
+    for trial in range(40):
+        d = rng.randint(1, 6)
+        ops = [sparse(d) for _ in range(rng.randint(1, 3))]
+        seeds = [vector(d) for _ in range(rng.randint(0, 3))]
+        base, base_rows = None, []
+        if trial % 2:
+            # the closure of a few vectors: an invariant base
+            base_rows = oracle_closure(field, ops, [vector(d) for _ in range(2)], d)
+            base = Echelon(field, d)
+            for v in base_rows:
+                base.insert(v)
+            before = ([list(v) for v in base.vectors], list(base.pivots))
+        ech, basis, words = _standard_basis(ops, seeds, base)
+        spanned = oracle_closure(field, ops, base_rows + seeds, d)
+        assert ech.dim == len(spanned) == len(base_rows) + len(basis)
+        assert oracle_rref(field, ech.vectors, d)[0][: ech.dim] == spanned
+        # independent modulo the base
+        assert len(oracle_rref(field, base_rows + basis, d)[1]) == ech.dim
+        # the seeds used appear in their given order; every other vector
+        # replays its word from an earlier one
+        used = iter(seeds)
+        for i, word in enumerate(words):
+            if word is None:
+                assert basis[i] in used
+            else:
+                j, b = word
+                assert b < i and oracle_apply(ops[j], basis[b]) == basis[i]
+        if base is not None:
+            assert ([list(v) for v in base.vectors], list(base.pivots)) == before
+
+
 def test_echelon_tracks_span():
     field = GF(3)
     ech = Echelon(field, 3)
@@ -639,14 +697,13 @@ def test_min_poly_matches_kernel_oracle_exhaustive_gf2():
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_min_poly_matches_kernel_oracle_random(field):
     rng = random.Random(field.order + 2)
-    for n in range(1, 5):
-        for _ in range(6):
-            m = rand_matrix(field, n, n, rng)
-            f = min_poly(m)
-            assert f == brute_min_poly(m)
-            assert f.is_monic()
-            assert poly_at(f, m).is_zero()
-            assert not (char_poly(m) % f).coeffs  # divides the char poly
+    randoms = [rand_matrix(field, n, n, rng) for n in range(1, 5) for _ in range(6)]
+    for m in randoms + list(non_cyclic(field, rng)):
+        f = min_poly(m)
+        assert f == brute_min_poly(m)
+        assert f.is_monic()
+        assert poly_at(f, m).is_zero()
+        assert not (char_poly(m) % f).coeffs  # divides the char poly
 
 
 def ppow(f, k):
@@ -827,21 +884,20 @@ def test_poly_at_matches_power_sum_and_poly_apply():
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_frobenius_form_certificate(field):
     rng = random.Random(field.order + 3)
-    for n in range(1, 6):
-        for _ in range(4):
-            a = rand_matrix(field, n, n, rng)
-            cf = frobenius_form(a)
-            factors = cf.invariant_factors
-            assert all(d.is_monic() for d in factors)
-            for d1, d2 in zip(factors, factors[1:]):
-                assert not (d2 % d1).coeffs  # ascending divisibility chain
-            prod = Poly(field, [1])
-            for d in factors:
-                prod = prod * d
-            assert prod == char_poly(a)
-            assert factors[-1] == min_poly(a)
-            t = cf.transform
-            assert t.inv() * a * t == cf.form
+    randoms = [rand_matrix(field, n, n, rng) for n in range(1, 6) for _ in range(4)]
+    for a in randoms + list(non_cyclic(field, rng)):
+        cf = frobenius_form(a)
+        factors = cf.invariant_factors
+        assert all(d.is_monic() for d in factors)
+        for d1, d2 in zip(factors, factors[1:]):
+            assert not (d2 % d1).coeffs  # ascending divisibility chain
+        prod = Poly(field, [1])
+        for d in factors:
+            prod = prod * d
+        assert prod == char_poly(a)
+        assert factors[-1] == min_poly(a)
+        t = cf.transform
+        assert t.inv() * a * t == cf.form
 
 
 def test_frobenius_form_is_a_similarity_invariant():

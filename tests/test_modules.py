@@ -18,6 +18,7 @@ from heisenmod import modules
 from heisenmod import (
     GF,
     DoesNotSplit,
+    EnvelopingAlgebra,
     FieldElem,
     HeisenbergAlgebra,
     Matrix,
@@ -35,10 +36,8 @@ from heisenmod import (
     build_standard,
     build_V,
     composition_series,
-    condition_c,
     conjugate_rep,
     direct_sum_reps,
-    enveloping_algebra,
     extend_scalars,
     field_embedding,
     find_irreducible,
@@ -573,7 +572,7 @@ def test_hom_space_check_raises_verification_failed(monkeypatch):
 def test_enveloping_algebra_of_irreducible_is_full_matrix_algebra():
     field = GF(3)
     rep = v_rep(field, 1, [1], [2])
-    env = enveloping_algebra(rep)
+    env = EnvelopingAlgebra(rep)
     assert env.dim == 9
     rng = random.Random(33)
     m = Matrix(field, 3, 3, [rng.randrange(3) for _ in range(9)])
@@ -585,12 +584,12 @@ def test_enveloping_algebra_of_irreducible_is_full_matrix_algebra():
 def test_enveloping_algebra_of_reducible_is_proper():
     field = GF(2)
     rep = build_standard(HeisenbergAlgebra(1, field))
-    env = enveloping_algebra(rep)
+    env = EnvelopingAlgebra(rep)
     assert env.dim < 9
     for g in rep.gen_matrices():
         assert env.contains(g)
-    assert condition_c(rep, rep.x[0] * rep.y[0])
-    assert not condition_c(rep, rep.x[0].transpose())
+    assert env.contains(rep.x[0] * rep.y[0])
+    assert not env.contains(rep.x[0].transpose())
 
 
 def test_enveloping_algebra_of_restriction_rep():
@@ -598,7 +597,7 @@ def test_enveloping_algebra_of_restriction_rep():
     rep = build_restriction_rep(
         2, Poly(field, [1, 1, 1]), [Poly.x(field)], [Poly(field, [1])]
     )
-    assert enveloping_algebra(rep).dim == 2 * 2 * 2  # m * p^2
+    assert EnvelopingAlgebra(rep).dim == 2 * 2 * 2  # m * p^2
 
 
 # -- change of scalars ------------------------------------------------------------
