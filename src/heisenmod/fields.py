@@ -16,11 +16,16 @@ own 2m-1 slots (Kronecker substitution).  With 2^s > L*m*(p-1)^2*p^(m-1),
 a sum of L such products fits, and so does folding it: unpacking folds the
 slots of degree >= m of every element at once modulo the defining
 polynomial, m-1 big-integer shift/multiply steps with no reduction mod p
-between them (the p^(m-1) headroom), then reads the slots through
-int.to_bytes and struct (shift and mask past 8 bytes), reduces each mod p
-and joins the digits into codes.  Over GF(p) a packed element is the code
-itself.  A table-free GF(p^m), and the building of the tables, computes
-with L = 1.
+between them (the p^(m-1) headroom).  A slot is the least of 1, 2, 4 and 8
+bytes with 2^s above that bound (GF(4) at L = 32 and GF(2) at L = 128 take
+one byte, GF(3^6) at L = 9 two).  One-byte slots, where q <= 256, are
+reduced mod p by one bytes.translate through a 256-entry table, and an
+element's digits are joined into its code by m-1 shift/mask/multiply steps
+on the whole row, which leave each code in its element's lowest byte for
+one to_bytes slice.  Wider slots are read through int.to_bytes and struct
+(shift and mask past 8 bytes), each reduced mod p and the digits joined
+per element.  Over GF(p) a packed element is the code itself.  A
+table-free GF(p^m), and the building of the tables, computes with L = 1.
 
 Polynomials are immutable coefficient tuples in ascending degree with no
 trailing zeros.  The zero polynomial has an empty tuple and degree -1.
@@ -112,7 +117,7 @@ class RowCodec:
     def __init__(self, p: int, modulus: Optional[tuple[int, ...]], inner: int):
         m = 1 if modulus is None else len(modulus) - 1
         bound = max(inner, 1) * m * (p - 1) ** 2 * p ** (m - 1)
-        need = bound.bit_length() // 8 + 1  # bytes with 2^s > bound
+        need = (bound.bit_length() + 7) // 8  # bytes with 2^s > bound
         size = next((b for b in (1, 2, 4, 8) if b >= need), need)
         s, w = 8 * size, 2 * m - 1
         ebytes, es = size * w, s * w
@@ -158,12 +163,29 @@ class RowCodec:
                 code = code * p + (v >> shift & smask) % p
             return code
 
-        def unpack(R, n):
-            values = slots(R, n)
-            codes = [x % p for x in values[m - 1 :: w]]
-            for i in range(m - 2, -1, -1):
-                codes = [c * p + x % p for c, x in zip(codes, values[i::w])]
-            return codes
+        if size == 1:
+            # byte slots: q - 1 <= bound < 256, so a code fits the slot of
+            # its lowest digit
+            residues = bytes(x % p for x in range(256))
+            reduced = lambda R, n: slots(R, n).translate(residues)
+            steps = [(s * k, p**k) for k in range(1, m)]
+
+            def unpack(R, n):
+                digits = int.from_bytes(reduced(R, n), "little")
+                low = masks[n]
+                codes = digits & low
+                for shift, weight in steps:
+                    codes += (digits >> shift & low) * weight
+                return list(codes.to_bytes(n * ebytes, "little")[::w])
+        else:
+            reduced = lambda R, n: [x % p for x in slots(R, n)]
+
+            def unpack(R, n):
+                values = slots(R, n)
+                codes = [x % p for x in values[m - 1 :: w]]
+                for i in range(m - 2, -1, -1):
+                    codes = [c * p + x % p for c, x in zip(codes, values[i::w])]
+                return codes
 
         def packed_element(c, sign=1):
             v = 0
@@ -177,7 +199,7 @@ class RowCodec:
             self.minus = range(p, 0, -1)  # for c != 0
             self.read = lambda R, j: (R >> s * j & smask) % p
             self.pack = from_slots
-            self.unpack = lambda R, n: [x % p for x in to_slots(R, n)]
+            self.unpack = (lambda R, n: list(reduced(R, n))) if size == 1 else reduced
             self.scalars = lambda codes: codes
         else:
             elem = self.elem = _Memo(packed_element)
@@ -187,7 +209,7 @@ class RowCodec:
             self.pack = lambda codes: int.from_bytes(
                 b"".join(map(blocks.__getitem__, codes)), "little")
             self.scalars = lambda codes: list(map(elem.__getitem__, codes))
-        self.canon = lambda R, n: from_slots([x % p for x in slots(R, n)])
+        self.canon = lambda R, n: from_slots(reduced(R, n))
         self.join = lambda sums, n: sum(
             map(operator.lshift, sums, itertools.count(0, es * n)))
 

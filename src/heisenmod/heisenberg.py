@@ -609,13 +609,15 @@ def _checked_transform(rep: Representation, params: ModuleParams) -> Matrix:
     n = rep.n
     v = _common_eigenvector(rep.x, params.betas)
     shifts = [y.shift(gamma) for y, gamma in zip(rep.y, params.gammas)]
-    cols = []
-    for idx in range(p**n):
-        w = list(v)
-        for k in range(n):  # y_1 pairs with the most significant digit
-            for _ in range(idx // p ** (n - 1 - k) % p):
-                w = shifts[k].apply(w)
-        cols.append(w)
+    # column idx is prod_k shifts[k]^digit_k v, y_1 with the most significant
+    # digit: shifts[k] applied to column idx - p^(n-1-k), k the least
+    # significant nonzero digit of idx
+    cols = [list(v)]
+    for idx in range(1, p**n):
+        k, step = n - 1, 1
+        while idx // step % p == 0:
+            k, step = k - 1, step * p
+        cols.append(shifts[k].apply(cols[idx - step]))
     t = Matrix.from_columns(field, cols)
     model = build_V(rep.algebra, params)
     verify(not t.det().is_zero(), "classification basis must be invertible")

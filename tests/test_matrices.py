@@ -234,18 +234,90 @@ def test_scalar_mul_matches_polynomial_oracle_on_every_pair():
                 assert field.mul(a, b) == oracle_ext_mul(field, a, b)
 
 
+def slot_bound(field, inner):
+    """The largest slot value of a sum of inner products, folds included."""
+    p, m = field.p, field.degree
+    return inner * m * (p - 1) ** 2 * p ** (m - 1)
+
+
+def slot_bytes(field, inner):
+    """The slot width of the codec for inner: entry 1 of a packed row starts
+    2m - 1 slots up."""
+    one = field.row_codec[inner].pack([0, 1])
+    return (one.bit_length() - 1) // (8 * (2 * field.degree - 1))
+
+
+def widest_inner(field, size):
+    """The largest inner whose slots are at most size bytes wide, or 0."""
+    return ((1 << 8 * size) - 1) // slot_bound(field, 1)
+
+
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
-@pytest.mark.parametrize("inner", [3, 31, 64, 65, 127])
+def test_slot_width_is_the_least_that_holds_the_bound(spec):
+    # the widths switch where 2^s > bound stops holding; a bound of exactly
+    # 2^8 - 1 or 2^16 - 1 fits, one of 2^8 or 2^16 does not
+    field = field_of(spec)
+    inners = {1, 2, 3, 9, 31, 32, 63, 64, 65, 127, 128, 129, 255, 256, 1024}
+    for size in (1, 2):
+        widest = widest_inner(field, size)
+        inners |= {widest, widest + 1} - {0}
+    for inner in sorted(inners):
+        bound = slot_bound(field, inner)
+        want = next((b for b in (1, 2, 4, 8) if bound < 1 << 8 * b),
+                    (bound.bit_length() + 7) // 8)
+        assert slot_bytes(field, inner) == want, inner
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("inner", [3, 31, 64, 65, 127, "1-byte", "2-byte"])
 def test_product_at_largest_codes_has_no_slot_carry(spec, inner):
     # every digit p - 1 makes each slot of every dot product as large as
     # the slot width allows for; inner + 1 a power of two leaves the least
-    # room in the slots
+    # room in the slots, and so does the largest inner of a slot width
     field = field_of(spec)
     top = field.order - 1
+    if isinstance(inner, str):
+        size = int(inner[0])
+        inner = widest_inner(field, size)
+        if not inner:  # even one product needs wider slots
+            assert slot_bytes(field, 1) > size
+            return
+        assert slot_bytes(field, inner) == size < slot_bytes(field, inner + 1)
+        if inner < 256:
+            check_elimination_at_largest_codes(field, inner - 1)
     a = Matrix(field, 3, inner, [top] * (3 * inner))
     b = Matrix(field, inner, 2, [top] * (inner * 2))
     assert a * b == oracle_matmul(a, b)
     assert a.apply([top] * inner) == oracle_apply(a, [top] * inner)
+
+
+def check_elimination_at_largest_codes(field, k):
+    """rref, det and kernel_basis of k x k and k x (k + 1) matrices of
+    largest codes, on the codec for inner k + 1: each upper triangular row
+    takes one row operation per pivot after it, each lower one per pivot
+    before it, before its next canon.  The determinants have closed forms:
+    1, and top^k (-1)^(k-1) (k - 1) for top (J - I), the hollow matrix."""
+    if k == 0:
+        return
+    p, top = field.p, field.order - 1
+    upper = [[top if j > i else int(i == j) for j in range(k)] for i in range(k)]
+    lower = [row[::-1] for row in upper[::-1]]
+    hollow = [[top if j != i else 0 for j in range(k)] for i in range(k)]
+    for rows in (upper, lower, hollow):
+        a = Matrix(field, k, k, [x for row in rows for x in row])
+        wide = Matrix(field, k, k + 1, [x for row in rows for x in row + [top]])
+        for m in (a, wide):
+            red, pivots = m.rref()
+            if k <= 64:
+                want, want_pivots = oracle_rref(field, m.row_lists(), m.cols)
+                assert (red.row_lists(), pivots) == (want, want_pivots)
+            kernel = m.kernel_basis()
+            assert len(kernel) == m.cols - len(pivots)
+            assert all(not any(oracle_apply(m, v)) for v in kernel)
+        if rows is hollow:
+            assert a.det() == field.element(top) ** k * ((-1) ** (k - 1) * (k - 1) % p)
+        else:
+            assert a.det() == 1
 
 
 @pytest.mark.parametrize(
