@@ -47,6 +47,7 @@ from .serialize import (
     encode_elem,
     encode_invariants,
     encode_matrix,
+    encode_params,
     encode_representation,
     encode_series,
     encode_subspace,
@@ -244,12 +245,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
             params, transform = classify(rep)
         except AlgebraError as exc:
             return 1, json.dumps({"error": str(exc)})
-        payload = {
-            "alpha": encode_elem(params.alpha),
-            "betas": [encode_elem(b) for b in params.betas],
-            "gammas": [encode_elem(g) for g in params.gammas],
-            "transform": encode_matrix(transform),
-        }
+        payload = {**encode_params(params), "transform": encode_matrix(transform)}
         return 0, json.dumps(payload)
     if action == "invariants":
         try:

@@ -273,18 +273,8 @@ class Field:
         self.sub = lambda a, b: read(elem[a] + minus[b], 0)
         self.neg = lambda a: read(minus[a], 0)
         self.mul = mul = lambda a, b: read(elem[a] * elem[b], 0)
-
-        def power(a, e):
-            result = 1
-            while e:
-                if e & 1:
-                    result = mul(result, a)
-                a = mul(a, a)
-                e >>= 1
-            return result
-
         # a^(q-2), kept for the elements actually inverted (at most q codes)
-        inverses = _Memo(lambda a: power(a, q - 2))
+        inverses = _Memo(lambda a: self.pow(a, q - 2))
 
         def inv(a):
             if a == 0:

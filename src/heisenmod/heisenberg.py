@@ -37,6 +37,7 @@ from .errors import (
 from .fields import Field, FieldElem, GF, Poly, make_extension
 from .matrices import (
     Matrix,
+    _conjugates,
     assemble_grid,
     commutator,
     companion,
@@ -208,6 +209,12 @@ class Representation:
     def gen_matrices(self) -> list[Matrix]:
         return list(self.x) + list(self.y) + [self.z]
 
+    def _map(self, f, algebra: Optional[HeisenbergAlgebra] = None
+             ) -> "Representation":
+        """f of every image, over this algebra or the one given."""
+        return Representation(algebra or self.algebra, [f(m) for m in self.x],
+                              [f(m) for m in self.y], f(self.z))
+
     def is_faithful(self) -> bool:
         """Nonzero central image; equivalent to faithfulness once the
         bracket relations hold, since every nonzero ideal contains z."""
@@ -285,11 +292,6 @@ def build_M(p: int, alpha: FieldElem, beta: FieldElem) -> Matrix:
     return Matrix(field, p, p, data)
 
 
-def _shift_block(field: Field, gamma: FieldElem, p: int) -> Matrix:
-    # gamma + multiplication by X on F[X]/(X^p): gamma diagonal, subdiagonal 1
-    return jordan_block(field, gamma, p)
-
-
 def build_V(algebra: HeisenbergAlgebra, params: ModuleParams) -> Representation:
     """The p^n dimensional module on truncated polynomials."""
     field = algebra.field
@@ -309,7 +311,8 @@ def build_V(algebra: HeisenbergAlgebra, params: ModuleParams) -> Representation:
         return out
 
     xs = [fold(k, build_M(p, params.alpha, params.betas[k])) for k in range(n)]
-    ys = [fold(k, _shift_block(field, params.gammas[k], p)) for k in range(n)]
+    # gamma + multiplication by X on F[X]/(X^p): gamma diagonal, subdiagonal 1
+    ys = [fold(k, jordan_block(field, params.gammas[k], p)) for k in range(n)]
     z = Matrix.scalar(field, p**n, params.alpha)
     return Representation(algebra, xs, ys, z)
 
@@ -454,12 +457,7 @@ def build_restriction_rep(
         ]
         return assemble_grid(grid)
 
-    rep = Representation(
-        HeisenbergAlgebra(n, F),
-        [blow_up(mx) for mx in over_K.x],
-        [blow_up(my) for my in over_K.y],
-        blow_up(over_K.z),
-    )
+    rep = over_K._map(blow_up, HeisenbergAlgebra(n, F))
     verify(validate_rep(rep).ok, "restriction broke the relations")
     return rep
 
@@ -467,12 +465,7 @@ def build_restriction_rep(
 def conjugate_rep(rep: Representation, t: Matrix) -> Representation:
     """The equivalent representation g -> t^-1 rep(g) t."""
     ti = t.inv()
-    return Representation(
-        rep.algebra,
-        [ti * m * t for m in rep.x],
-        [ti * m * t for m in rep.y],
-        ti * rep.z * t,
-    )
+    return rep._map(lambda m: ti * m * t)
 
 
 def direct_sum_reps(reps: Sequence[Representation]) -> Representation:
@@ -656,29 +649,16 @@ def canonical_pair(a: Matrix, b: Matrix, c: Matrix) -> tuple[Matrix, Matrix, Mat
     C a nonzero scalar: A' has beta on the diagonal and i*alpha above it,
     B' has gamma on the diagonal and ones below it.
 
-    X's columns are an eigenvector of A followed by its (B - gamma) shifts;
+    The triple is the h(1)-module x -> A, y -> B, z -> C (Cor 2.5 is the
+    n = 1 case of the classification): (A', B') are the images of its
+    V(alpha, beta, gamma) and X is classify's checked transform, so
     X^-1 A X = A' and X^-1 B X = B'.
     """
-    alpha = _check_triple(a, b, c)
-    field = a.field
-    p = field.p
-    beta = a.det().pth_root()
-    gamma = b.det().pth_root()
-    kernel = a.shift(beta).kernel_basis()
-    verify(bool(kernel), "A - beta must be singular")
-    cols = [kernel[0]]
-    shift = b.shift(gamma)
-    for _ in range(p - 1):
-        cols.append(shift.apply(cols[-1]))
-    x = Matrix.from_columns(field, cols)
-    a_form = build_M(p, alpha, beta)
-    b_form = jordan_block(field, gamma, p)
-    xi = x.inv()
-    verify(
-        xi * a * x == a_form and xi * b * x == b_form,
-        "normal form transform failed to verify",
-    )
-    return a_form, b_form, x
+    _check_triple(a, b, c)
+    rep = Representation(HeisenbergAlgebra(1, a.field), [a], [b], c)
+    params, x = classify(rep)
+    model = build_V(rep.algebra, params)
+    return model.x[0], model.y[0], x
 
 
 def triple_similarity(
@@ -699,9 +679,6 @@ def triple_similarity(
     _, _, x1 = canonical_pair(a1, b1, c1)
     _, _, x2 = canonical_pair(a2, b2, c2)
     x = x1 * x2.inv()
-    xi = x.inv()
-    verify(
-        xi * a1 * x == a2 and xi * b1 * x == b2 and xi * c1 * x == c2,
-        "simultaneous similarity failed to verify",
-    )
+    verify(_conjugates(x, [(a1, a2), (b1, b2), (c1, c2)]),
+           "simultaneous similarity failed to verify")
     return x

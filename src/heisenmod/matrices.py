@@ -490,6 +490,12 @@ def _standard_basis(
     return ech, basis, words
 
 
+def _conjugates(t: Matrix, pairs: Iterable[tuple[Matrix, Matrix]]) -> bool:
+    """True when t^-1 a t == b for every pair (a, b): det t != 0 and
+    a t == t b, with no inverse formed."""
+    return not t.det().is_zero() and all(a * t == t * b for a, b in pairs)
+
+
 # -- structured builders --------------------------------------------------------
 
 
@@ -759,7 +765,7 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
         verify((d2[1] % d1[1]).is_zero(), "invariant factor chain broken")
     T = Matrix.from_columns(field, [u for _, _, chain in blocks for u in chain])
     result = CanonicalForm([d for _, d, _ in blocks], T)
-    verify(T.inv() * a * T == result.form, "canonical form verification failed")
+    verify(_conjugates(T, [(a, result.form)]), "canonical form verification failed")
     return result
 
 
@@ -788,7 +794,7 @@ def similarity_transform(a: Matrix, b: Matrix) -> Optional[Matrix]:
         return None
     # T^-1 a T = F = S^-1 b S, so (T S^-1) conjugates a to b
     t = ca.transform * cb.transform.inv()
-    verify(t.inv() * a * t == b, "similarity transform failed to verify")
+    verify(_conjugates(t, [(a, b)]), "similarity transform failed to verify")
     return t
 
 
@@ -854,5 +860,5 @@ def jordan_form(a: Matrix) -> tuple[Matrix, Matrix]:
                 u = N.apply(u)
     J = direct_sum(blocks)
     T = Matrix.from_columns(field, columns)
-    verify(T.inv() * a * T == J, "Jordan form verification failed")
+    verify(_conjugates(T, [(a, J)]), "Jordan form verification failed")
     return J, T

@@ -37,6 +37,7 @@ from .heisenberg import (
     Representation,
     build_standard,
     commutator,
+    conjugate_rep,
     invariants,
     validate_rep,
 )
@@ -215,12 +216,7 @@ def is_irreducible(
             if len(kernel) != f.degree:
                 continue
             if transposed is None:
-                transposed = Representation(
-                    rep.algebra,
-                    [g.transpose() for g in rep.x],
-                    [g.transpose() for g in rep.y],
-                    rep.z.transpose(),
-                )
+                transposed = rep._map(Matrix.transpose)
             s = spin(transposed, theta.transpose().kernel_basis()[0])
             if s.dim < d:
                 # the annihilator of a proper transposed submodule is invariant
@@ -258,66 +254,56 @@ def _combination(field: Field, rows: int, cols: int, mats: Sequence[Matrix],
 # -- subquotients -----------------------------------------------------------------
 
 
+def _subquotients(rep: Representation, basis: SubspaceBasis
+                  ) -> tuple[Matrix, Representation, Representation]:
+    """(B, sub, quotient) for an invariant subspace W, by one conjugation.
+
+    B's columns are W's echelon rows in pivot order, then the unit vectors
+    at W's non-pivot positions in ascending order (Holt, Eick, O'Brien,
+    Handbook of Computational Group Theory, 7.5).  B^-1 rep B is block
+    upper triangular: the top-left block is the action on W in its echelon
+    basis, the bottom-right block the action on the quotient in the
+    complement coordinates.  A nonzero lower-left block means W is not
+    invariant.
+    """
+    d, k = rep.dim, basis.dim
+    pivots = set(basis.pivots())
+    units = [[int(i == f) for i in range(d)] for f in range(d) if f not in pivots]
+    b = Matrix.from_columns(rep.field, [*basis.vectors, *units])
+    moved = conjugate_rep(rep, b)
+    if not all(_block_triangular(m, [0, k, d]) for m in moved.gen_matrices()):
+        raise ShapeMismatch("subspace is not invariant")
+    return (b, moved._map(lambda m: _block(m, 0, k)),
+            moved._map(lambda m: _block(m, k, d)))
+
+
+def _block(m: Matrix, lo: int, hi: int) -> Matrix:
+    """The diagonal block of rows and columns lo..hi-1."""
+    c = m.cols
+    return Matrix(m.field, hi - lo, hi - lo,
+                  [x for r in range(lo, hi) for x in m.data[r * c + lo : r * c + hi]])
+
+
+def _block_triangular(m: Matrix, dims: Sequence[int]) -> bool:
+    """True when m is zero below its diagonal blocks dims[i]..dims[i+1]-1."""
+    c = m.cols
+    return not any(any(m.data[r * c : r * c + lo])
+                   for lo, hi in zip(dims, dims[1:]) for r in range(lo, hi))
+
+
 def sub_representation(
     rep: Representation, basis: SubspaceBasis
 ) -> Representation:
     """The action restricted to an invariant subspace, in its echelon basis."""
-    rows = [list(v) for v in basis.vectors]
-    pivots = basis.pivots()
-    field = rep.field
-    span = Matrix.from_columns(field, rows)
-
-    def restrict(g: Matrix) -> Matrix:
-        cols = []
-        for b in rows:
-            img = g.apply(b)
-            coords = [img[p] for p in pivots]
-            # invariance check: the coordinates must reconstruct the image
-            if span.apply(coords) != img:
-                raise ShapeMismatch("subspace is not invariant")
-            cols.append(coords)
-        return Matrix.from_columns(field, cols)
-
-    return Representation(
-        rep.algebra,
-        [restrict(m) for m in rep.x],
-        [restrict(m) for m in rep.y],
-        restrict(rep.z),
-    )
+    return _subquotients(rep, basis)[1]
 
 
 def quotient_representation(
     rep: Representation, basis: SubspaceBasis
 ) -> Representation:
-    """The action on the quotient, in the complement-coordinate basis.
-
-    Coordinates are read off at the non-pivot positions after reducing by
-    the subspace basis.
-    """
-    field = rep.field
-    d = rep.dim
-    ech = basis._echelon()
-    pivset = set(basis.pivots())
-    free = [i for i in range(d) if i not in pivset]
-
-    def project(v: Sequence[int]) -> list[int]:
-        r = ech.reduce(v)
-        return [r[i] for i in free]
-
-    def act(g: Matrix) -> Matrix:
-        cols = []
-        for pos in free:
-            e = [0] * d
-            e[pos] = 1
-            cols.append(project(g.apply(e)))
-        return Matrix.from_columns(field, cols)
-
-    return Representation(
-        rep.algebra,
-        [act(m) for m in rep.x],
-        [act(m) for m in rep.y],
-        act(rep.z),
-    )
+    """The action on the quotient by an invariant subspace, in the
+    coordinates at the subspace's non-pivot positions."""
+    return _subquotients(rep, basis)[2]
 
 
 @dataclass
@@ -354,53 +340,46 @@ def composition_series(
     max_samples: int = 64,
     seed: int = 0,
 ) -> CompositionSeries:
-    """A full chain of invariant subspaces with irreducible quotients."""
-    series = _composition_series(rep, max_samples, seed)
-    # one check of the whole lifted chain covers every level of the recursion
-    dims = series.chain_dims
-    verify(dims[0] == 0 and dims[-1] == rep.dim
-           and all(a < b for a, b in zip(dims, dims[1:]))
-           and all(s.is_invariant(rep) for s in series.chain[1:-1]),
-           "composition series is not a strictly rising invariant chain")
-    return series
+    """A full chain of invariant subspaces with irreducible quotients.
+
+    One basis T carries the whole series: the chain terms are the spans of
+    T's leading columns.  It is certified once: T is invertible and
+    T^-1 rep T is zero below its diagonal blocks, which are the factors.
+    """
+    t, dims, factors = _series_basis(rep, max_samples, seed)
+    verify(dims[0] == 0 and dims[-1] == rep.dim and len(dims) == len(factors) + 1
+           and all(a < b for a, b in zip(dims, dims[1:])),
+           "composition series is not a strictly rising chain")
+    # conjugate_rep inverts, so a singular T is refused first
+    verify(not t.det().is_zero(), "composition series basis is singular")
+    moved = conjugate_rep(rep, t)
+    verify(all(_block_triangular(m, dims) for m in moved.gen_matrices())
+           and all(moved._map(lambda m: _block(m, lo, hi)) == f
+                   for lo, hi, f in zip(dims, dims[1:], factors)),
+           "composition series basis does not triangularize onto its factors")
+    ech = Echelon(rep.field, rep.dim)
+    chain = [SubspaceBasis._from_echelon(ech)]
+    for j, col in enumerate(t.transpose().row_lists(), 1):
+        ech.insert(col)
+        if j in dims:
+            chain.append(SubspaceBasis._from_echelon(ech))
+    return CompositionSeries(chain, [_factor_info(f) for f in factors])
 
 
-def _composition_series(rep: Representation, max_samples: int, seed: int
-                        ) -> CompositionSeries:
-    field = rep.field
-    d = rep.dim
+def _series_basis(rep: Representation, max_samples: int, seed: int
+                  ) -> tuple[Matrix, list[int], list[Representation]]:
+    """(T, dims, factors): T^-1 rep T is block upper triangular with the
+    irreducible factors on its diagonal, block i spanning dims[i]..dims[i+1]-1.
+    A proper submodule W splits rep by the adapted basis B, and the series
+    of W and of rep/W join as T = B direct_sum([T_W, T_V/W])."""
     res = is_irreducible(rep, max_samples, seed)
-    empty = SubspaceBasis(field, d, [])
-    full = SubspaceBasis(field, d, Matrix.identity(field, d).row_lists())
     if res.irreducible:
-        return CompositionSeries([empty, full], [_factor_info(rep)])
-    w = res.submodule
-    sub = sub_representation(rep, w)
-    quot = quotient_representation(rep, w)
-    lower = _composition_series(sub, max_samples, seed)
-    upper = _composition_series(quot, max_samples, seed)
-
-    w_rows = [list(v) for v in w.vectors]
-    pivset = set(w.pivots())
-    free = [i for i in range(d) if i not in pivset]
-    span = Matrix.from_columns(field, w_rows)
-
-    def lift_sub(space: SubspaceBasis) -> SubspaceBasis:
-        return SubspaceBasis(field, d, [span.apply(c) for c in space.vectors])
-
-    def lift_quot(space: SubspaceBasis) -> SubspaceBasis:
-        out = list(w_rows)
-        for coords in space.vectors:
-            v = [0] * d
-            for c, pos in zip(coords, free):
-                v[pos] = c
-            out.append(v)
-        return SubspaceBasis(field, d, out)
-
-    chain = [empty]
-    chain.extend(lift_sub(s) for s in lower.chain[1:])
-    chain.extend(lift_quot(s) for s in upper.chain[1:])
-    return CompositionSeries(chain, lower.factors + upper.factors)
+        return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]
+    b, sub, quot = _subquotients(rep, res.submodule)
+    t_sub, dims_sub, lower = _series_basis(sub, max_samples, seed)
+    t_quot, dims_quot, upper = _series_basis(quot, max_samples, seed)
+    dims = dims_sub + [sub.dim + k for k in dims_quot[1:]]
+    return b * direct_sum([t_sub, t_quot]), dims, lower + upper
 
 
 def is_uniserial(rep: Representation) -> bool:
@@ -536,16 +515,8 @@ def field_embedding(F: Field, K: Field):
 def extend_scalars(rep: Representation, K: Field) -> Representation:
     """The same matrices read over the larger field K."""
     embed = field_embedding(rep.field, K)
-
-    def lift(m: Matrix) -> Matrix:
-        return Matrix(K, m.rows, m.cols, [embed(c) for c in m.data])
-
-    return Representation(
-        HeisenbergAlgebra(rep.n, K),
-        [lift(m) for m in rep.x],
-        [lift(m) for m in rep.y],
-        lift(rep.z),
-    )
+    return rep._map(lambda m: Matrix(K, m.rows, m.cols, [embed(c) for c in m.data]),
+                    HeisenbergAlgebra(rep.n, K))
 
 
 @dataclass

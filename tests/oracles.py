@@ -21,7 +21,7 @@ from heisenmod import (
     direct_sum,
     invariants,
 )
-from heisenmod.errors import verify
+from heisenmod.errors import ShapeMismatch, verify
 from heisenmod.heisenberg import _common_eigenvector
 
 
@@ -251,6 +251,53 @@ def invariant_subspaces(rep) -> list[SubspaceBasis]:
         ):
             out.append(s)
     return out
+
+
+def oracle_sub_quotient(rep, basis):
+    """(sub, quotient) of rep on a subspace W, one column at a time.
+
+    Sub coordinates of g w are read at W's pivots and checked by rebuilding
+    g w from them; a failed rebuild means W is not invariant (ShapeMismatch).
+    Quotient coordinates of g e_f, f a non-pivot position, are the last
+    coordinates of the solution of [W rows, unit vectors at the non-pivot
+    positions | g e_f], read off its reduced echelon form by oracle_rref.
+    """
+    field, d = rep.field, rep.dim
+    rows = [list(v) for v in basis.vectors]
+    pivots = basis.pivots()
+    units = [[int(i == f) for i in range(d)] for f in range(d) if f not in pivots]
+    k = len(rows)
+    span = Matrix(field, d, k, [w[i] for i in range(d) for w in rows])
+
+    def square(cols):
+        n = len(cols)
+        return Matrix(field, n, n, [c[i] for i in range(n) for c in cols])
+
+    def sub_cols(g):
+        cols = []
+        for w in rows:
+            img = oracle_apply(g, w)
+            coords = [img[p] for p in pivots]
+            if oracle_apply(span, coords) != img:
+                raise ShapeMismatch("subspace is not invariant")
+            cols.append(coords)
+        return square(cols)
+
+    def quotient_cols(g):
+        cols = []
+        for u in units:
+            img = oracle_apply(g, u)
+            aug = [[c[i] for c in rows + units] + [img[i]] for i in range(d)]
+            solved, found = oracle_rref(field, aug, d + 1)
+            assert found == tuple(range(d)), "the adapted basis must be invertible"
+            cols.append([solved[i][d] for i in range(k, d)])
+        return square(cols)
+
+    def restrict(act):
+        return Representation(rep.algebra, [act(m) for m in rep.x],
+                              [act(m) for m in rep.y], act(rep.z))
+
+    return restrict(sub_cols), restrict(quotient_cols)
 
 
 def oracle_irreducible(rep) -> bool:

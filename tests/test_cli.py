@@ -189,6 +189,7 @@ def test_analyze_classify_round_trip(cli):
     code, out, _ = cli(["analyze", "classify"], stdin_text=rep_json(conjugate_rep(rep, t)))
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["alpha", "betas", "gammas", "transform"]
     assert doc["alpha"] == 2 and doc["betas"] == [1] and doc["gammas"] == [2]
     transform = decode_matrix(doc["transform"])
     moved = conjugate_rep(rep, t)

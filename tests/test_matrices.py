@@ -10,6 +10,7 @@ schoolbook loops in oracles.py.
 import itertools
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,7 @@ from heisenmod import (
     poly_at,
     similarity_transform,
 )
-from heisenmod.matrices import _standard_basis
+from heisenmod.matrices import _conjugates, _standard_basis
 from oracles import (
     brute_char_poly,
     brute_det,
@@ -443,6 +444,50 @@ def test_jordan_form_self_check_raises(monkeypatch):
     monkeypatch.setattr(mt, "jordan_block", shifted)
     with pytest.raises(VerificationFailed, match="Jordan form"):
         jordan_form(a)
+
+
+def test_conjugates_is_det_and_the_schoolbook_products():
+    # t^-1 a t == b without an inverse: det t != 0 and a t == t b
+    rng = random.Random(44)
+    for field in (GF(2), ext(2, 2), GF(5)):
+        for n in range(1, 5):
+            for trial in range(12):
+                t = rand_matrix(field, n, n, rng)
+                if trial % 3 == 0:  # a singular t: its first column repeated
+                    t = Matrix.from_columns(field, [t.column(0), *map(t.column, range(n - 1))])
+                b = rand_matrix(field, n, n, rng)
+                c = Matrix.scalar(field, n, rng.randrange(field.order))
+                pairs = [(c, c), (t, t)]
+                if not brute_det(t).is_zero():
+                    pairs.append((t * b * t.inv(), b))
+                if trial % 4 == 1:
+                    a, _ = pairs[-1]
+                    data = list(a.data)
+                    i = rng.randrange(n * n)
+                    data[i] = (data[i] + 1) % field.order  # a wrong a
+                    pairs.append((Matrix(field, n, n, data), pairs[-1][1]))
+                want = not brute_det(t).is_zero() and all(
+                    oracle_matmul(a, t) == oracle_matmul(t, b) for a, b in pairs)
+                assert _conjugates(t, pairs) == want
+
+
+@pytest.mark.parametrize("form", ["frobenius_form", "jordan_form"])
+@pytest.mark.parametrize("corrupt", ["singular", "swapped"])
+def test_canonical_forms_refuse_a_broken_transform(monkeypatch, form, corrupt):
+    import heisenmod.matrices as mt
+
+    a = Matrix(GF(3), 3, 3, [1, 0, 0, 1, 1, 0, 0, 0, 2])
+    real = Matrix.from_columns.__func__
+
+    def broken(cls, field, cols):
+        # the form's own 3-column call builds the transform it returns
+        if sys._getframe(1).f_code.co_name == form and len(cols) == 3:
+            cols = [cols[0], cols[0], cols[2]] if corrupt == "singular" else cols[::-1]
+        return real(cls, field, cols)
+
+    monkeypatch.setattr(Matrix, "from_columns", classmethod(broken))
+    with pytest.raises(VerificationFailed, match="form verification failed"):
+        getattr(mt, form)(a)
 
 
 def test_transpose_and_trace():

@@ -55,6 +55,7 @@ from heisenmod import (
     validate_rep,
 )
 from oracles import (
+    all_subspaces,
     invariant_subspaces,
     oracle_hom_dim,
     oracle_hom_space,
@@ -62,6 +63,7 @@ from oracles import (
     oracle_rank1_partner,
     oracle_search,
     oracle_similarity_classes,
+    oracle_sub_quotient,
     oracle_uniserial,
 )
 
@@ -293,6 +295,36 @@ def test_sub_and_quotient_representations():
         sub_representation(rep, SubspaceBasis(field, 3, [[0, 0, 1]]))
 
 
+def test_subquotients_match_the_oracle():
+    # every subspace of small modules over GF(2), GF(3) and GF(4), each
+    # moved by a random invertible matrix: all_subspaces enumerates
+    # spanning sets, so d stays at most 4
+    rng = random.Random(43)
+    gf4 = ext(2, 2)
+    cases = [
+        build_standard(HeisenbergAlgebra(2, GF(2))),
+        companion_power(2, 2, 1),
+        direct_sum_reps([v_rep(GF(2), 1, [0], [0]), v_rep(GF(2), 1, [1], [1])]),
+        build_standard(HeisenbergAlgebra(1, GF(3))),
+        v_rep(GF(3), 2, [1], [2]),
+        build_standard(HeisenbergAlgebra(1, gf4)),
+        v_rep(gf4, 3, [2], [1]),
+    ]
+    for rep in cases:
+        rep = conjugate_rep(rep, rand_invertible(rep.field, rep.dim, rng))
+        invariant = set(invariant_subspaces(rep))
+        assert len(invariant) >= 2
+        for w in all_subspaces(rep.field, rep.dim):
+            if w in invariant:
+                sub, quot = oracle_sub_quotient(rep, w)
+                assert sub_representation(rep, w) == sub
+                assert quotient_representation(rep, w) == quot
+                continue
+            for fn in (oracle_sub_quotient, sub_representation, quotient_representation):
+                with pytest.raises(ShapeMismatch, match="not invariant"):
+                    fn(rep, w)
+
+
 def test_quotient_plus_sub_recover_composition_factors():
     field = GF(3)
     r1 = v_rep(field, 1, [0], [0])
@@ -352,16 +384,34 @@ def test_composition_series_factors_stable_under_seed_order():
 def test_composition_series_checks_the_lifted_chain(monkeypatch):
     field = GF(3)
     rep = direct_sum_reps([v_rep(field, 1, [0], [1]), v_rep(field, 2, [2], [0])])
-    real = modules._composition_series
+    real = modules._series_basis
+    t, dims, _ = real(rep, 64, 0)
+    assert dims == [0, 3, 6]
+    cols = t.transpose().row_lists()
 
-    def broken(*args):
-        series = real(*args)
-        series.chain[1] = series.chain[-1]  # no longer strictly rising
-        return series
+    def rising(t, dims):  # no longer strictly rising
+        return t, [0, 6, 6]
 
-    monkeypatch.setattr(modules, "_composition_series", broken)
-    with pytest.raises(VerificationFailed, match="composition series"):
-        composition_series(rep)
+    def swapped(t, dims):  # columns 0 and 3 trade blocks: the flag breaks
+        return Matrix.from_columns(field, [cols[3], *cols[1:3], cols[0], *cols[4:]]), dims
+
+    def singular(t, dims):
+        return Matrix.from_columns(field, [*cols[:3], cols[0], *cols[4:]]), dims
+
+    def sheared(t, dims):  # same diagonal blocks, nonzero block below them
+        add = field.add
+        low = [[add(x, y) for x, y in zip(c, e)] for c, e in zip(cols[:3], cols[3:])]
+        return Matrix.from_columns(field, [*low, *cols[3:]]), dims
+
+    for corrupt in (rising, swapped, singular, sheared):
+        def broken(sub, *args, corrupt=corrupt):
+            t, dims, factors = real(sub, *args)
+            # the recursion calls the patched name: corrupt the top level only
+            return (*corrupt(t, dims), factors) if sub is rep else (t, dims, factors)
+
+        monkeypatch.setattr(modules, "_series_basis", broken)
+        with pytest.raises(VerificationFailed, match="composition series"):
+            composition_series(rep)
 
 
 def companion_power(p, m, c, alpha=1, beta=0, field=None):
