@@ -17,8 +17,7 @@ product of n single-variable blocks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -144,8 +143,7 @@ class ModuleParams:
         )
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
+class InvariantTuple(NamedTuple):
     """(alpha, delta_1..delta_n, epsilon_1..epsilon_n): the full invariant
     of a faithful irreducible module of dimension p^n."""
 
@@ -233,8 +231,7 @@ class Representation:
         return f"Representation({self.algebra!r}, dim={self.dim})"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: list[str]
     faithful: bool
     z_scalar: Optional[FieldElem]

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DoesNotSplit,
@@ -658,8 +657,7 @@ def min_poly(a: Matrix) -> Poly:
 # -- rational canonical form ----------------------------------------------------
 
 
-@dataclass
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Frobenius data: invariant factors d1 | d2 | ... and a transform T
     with T^-1 A T equal to the direct sum of their companion blocks."""
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DoesNotSplit,
@@ -135,8 +134,7 @@ def spin(rep: Representation, v: Sequence[int]) -> SubspaceBasis:
     return SubspaceBasis._from_echelon(_standard_basis(rep.gen_matrices(), [v])[0])
 
 
-@dataclass
-class IrreducibilityResult:
+class IrreducibilityResult(NamedTuple):
     irreducible: bool
     method: str
     detail: str
@@ -306,16 +304,14 @@ def quotient_representation(
     return _subquotients(rep, basis)[2]
 
 
-@dataclass
-class CompositionFactor:
+class CompositionFactor(NamedTuple):
     dim: int
     faithful: bool
     invariants: Optional[InvariantTuple]
     rep: Representation
 
 
-@dataclass
-class CompositionSeries:
+class CompositionSeries(NamedTuple):
     chain: list[SubspaceBasis]
     factors: list[CompositionFactor]
 
@@ -519,8 +515,7 @@ def extend_scalars(rep: Representation, K: Field) -> Representation:
                     HeisenbergAlgebra(rep.n, K))
 
 
-@dataclass
-class Summand:
+class Summand(NamedTuple):
     eigenvalue: FieldElem
     basis: SubspaceBasis
     rep: Representation
@@ -561,8 +556,7 @@ def split_by_central(
 # -- exhaustive search -------------------------------------------------------------
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """pairs_tested counts the pairs (A, B) the search accounts for, and
     classes the similarity classes of A it examined."""
 

@@ -6,17 +6,18 @@ anchor string of the statement being checked, and every failure records
 the primitive inputs that reproduce it.  Randomized inputs always derive
 from the suite seed, so reruns are bit-identical.
 
-Cases are independent and dispatch to a process pool when jobs > 1, the
-only time the pool machinery is imported; aggregation sorts by case key,
-so the report does not depend on scheduling order.
+Cases are independent and dispatch to a pool of min(jobs, cases, CPUs)
+processes when that is above 1, the only time the pool machinery is
+imported; aggregation sorts by case key, so scheduling order is invisible.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple, Sequence
 
 from .errors import VerificationFailed
 from .fields import (
@@ -67,23 +68,25 @@ from .modules import (
 )
 
 
-@dataclass
-class CaseOutcome:
+class CaseOutcome(NamedTuple):
     case: str
     inputs: dict
     ok: bool
     message: str
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
     anchor: str
     cases_run: int
     cases_passed: int
     failures: list[CaseOutcome]
     wall_time: float
-    outcomes: list[CaseOutcome] = dataclass_field(default_factory=list, repr=False)
+    outcomes: Sequence[CaseOutcome] = ()
+
+    def __repr__(self):  # outcomes can run to hundreds of cases
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields[:-1], self))
+        return f"Report({shown})"
 
     @property
     def ok(self) -> bool:
@@ -825,7 +828,7 @@ def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
 
     Ranges default per suite; explicit lists are validated (primes for p,
     positive ranks and degrees).  Cases are deterministic given the seed
-    and independent, so jobs > 1 dispatches them to a process pool.
+    and independent, so they run on min(jobs, cases, CPUs) processes.
     """
     if name not in _BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
@@ -838,13 +841,16 @@ def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
             raise ValueError(f"p = {prime} is not prime")
     if any(v < 1 for v in nlist) or any(v < 1 for v in mlist):
         raise ValueError("n and m ranges must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs = {jobs} must be at least 1")
     cases = _BUILDERS[name](plist, nlist, mlist, seed)
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
     start = time.perf_counter()
-    if jobs > 1 and len(cases) > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(cases) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(cases) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_case, cases, chunksize=chunk))
     else:
         outcomes = [_run_case(c) for c in cases]

@@ -225,19 +225,29 @@ def brute_min_poly(a: Matrix) -> Poly:
 def all_subspaces(field, dim: int) -> list[SubspaceBasis]:
     """Every subspace of field^dim, as canonical SubspaceBasis values.
 
-    Spans of all vector subsets of size <= dim cover every subspace;
-    canonicalization dedupes them.  Only sensible for tiny (q, dim).
+    Each subspace has exactly one reduced echelon basis: for a set of pivot
+    columns, row i has 1 at its pivot, 0 before it and at the other pivots,
+    and any value in its remaining slots.  Enumerating every pivot set with
+    every filling lists each subspace once (374 for GF(2)^5, 2825 for
+    GF(2)^6); the library's canonical form must return the rows unchanged.
     """
-    nonzero = [
-        list(v)
-        for v in itertools.product(range(field.order), repeat=dim)
-        if any(v)
-    ]
-    seen = {SubspaceBasis(field, dim, [])}
-    for size in range(1, dim + 1):
-        for combo in itertools.combinations(range(len(nonzero)), size):
-            seen.add(SubspaceBasis(field, dim, [nonzero[i] for i in combo]))
-    return sorted(seen, key=lambda s: (s.dim, s.vectors))
+    out = []
+    for k in range(dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            free = [
+                (i, j)
+                for i, p in enumerate(pivots)
+                for j in range(p + 1, dim)
+                if j not in pivots
+            ]
+            for values in itertools.product(range(field.order), repeat=len(free)):
+                rows = [[int(j == p) for j in range(dim)] for p in pivots]
+                for (i, j), c in zip(free, values):
+                    rows[i][j] = c
+                s = SubspaceBasis(field, dim, rows)
+                verify(s.vectors == tuple(map(tuple, rows)), "rref is canonical")
+                out.append(s)
+    return sorted(out, key=lambda s: (s.dim, s.vectors))
 
 
 def invariant_subspaces(rep) -> list[SubspaceBasis]:

@@ -344,6 +344,9 @@ def test_suite_usage_errors(cli):
     assert code == 2
     code, _, err = cli(["suite", "prop21", "--n", "0"])
     assert code == 2
+    for jobs in ("0", "-3"):
+        code, out, err = cli(["suite", "ex27", "--jobs", jobs])
+        assert code == 2 and "jobs" in err and out == ""
 
 
 # -- argparse level ----------------------------------------------------------------

@@ -297,14 +297,20 @@ def test_sub_and_quotient_representations():
 
 def test_subquotients_match_the_oracle():
     # every subspace of small modules over GF(2), GF(3) and GF(4), each
-    # moved by a random invertible matrix: all_subspaces enumerates
-    # spanning sets, so d stays at most 4
+    # moved by a random invertible matrix; the subspace counts of GF(2)^d
+    # are the Galois numbers (OEIS A006116)
+    assert [len(all_subspaces(GF(2), d)) for d in range(7)] == [
+        1, 2, 5, 16, 67, 374, 2825
+    ]
     rng = random.Random(43)
     gf4 = ext(2, 2)
     cases = [
         build_standard(HeisenbergAlgebra(2, GF(2))),
         companion_power(2, 2, 1),
         direct_sum_reps([v_rep(GF(2), 1, [0], [0]), v_rep(GF(2), 1, [1], [1])]),
+        build_standard(HeisenbergAlgebra(3, GF(2))),
+        direct_sum_reps([build_standard(HeisenbergAlgebra(1, GF(2))),
+                         v_rep(GF(2), 1, [1], [0])]),
         build_standard(HeisenbergAlgebra(1, GF(3))),
         v_rep(GF(3), 2, [1], [2]),
         build_standard(HeisenbergAlgebra(1, gf4)),

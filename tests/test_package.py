@@ -4,11 +4,14 @@ heisenmod's namespace loads lazily: every public name resolves, on first
 use, to the object its owning submodule defines.  Self-checks must keep
 running under python -O, so the source holds no assert statement.  numpy
 is a test and benchmark dependency only: the library never imports it.
+Nor does it import dataclasses, whose import (with inspect) would add to
+every CLI process's start-up.
 """
 
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +89,35 @@ def test_source_does_not_import_numpy():
         if "numpy" in _imported_modules(path)
     ]
     assert offenders == []
+
+
+def test_source_does_not_import_dataclasses():
+    offenders = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if "dataclasses" in _imported_modules(path)
+    ]
+    assert offenders == []
+
+
+_LOADED = """
+import json, sys
+before = set(sys.modules)
+__import__(sys.argv[1])
+print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+def test_layers_load_neither_dataclasses_nor_inspect():
+    # measured against what this interpreter's start-up already loaded, so
+    # a site that preloads either module cannot fail the test
+    for module in ("heisenmod.cli", "heisenmod.modules", "heisenmod.suites"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED, module],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [], module
 
 
 _BLOCKED_NUMPY_SEARCH = """

@@ -107,9 +107,42 @@ def test_parallel_dispatch_agrees_with_serial():
     ]
 
 
+@pytest.mark.parametrize("cpus, workers", [(64, [18]), (4, [4]), (None, [])])
+def test_pool_size_is_capped_by_cases_and_cpus(monkeypatch, cpus, workers):
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process: starts none."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    report = run_suite("prop21", p=[3], n=[1], jobs=100_000)
+    assert report.cases_run == 18 and report.ok
+    # one CPU (or an unknown count) runs the cases here, with no pool
+    assert sizes == workers
+
+
 def test_range_validation():
     with pytest.raises(ValueError):
         run_suite("nope")
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            run_suite("ex27", p=[2], jobs=jobs)
     with pytest.raises(ValueError):
         run_suite("thm22", p=[4])
     with pytest.raises(ValueError):
