@@ -111,7 +111,8 @@ class RowCodec:
     entries is read by unpack(R, n) as its n codes, by read(R, j) as the code
     of entry j alone, and by canon(R, n) as the packed row with reduced
     digits that it stands for.  join(sums, n) lays sums of rows of n entries
-    side by side, the first lowest, to be unpacked at once.
+    side by side, the first lowest, to be unpacked at once.  Entry j takes
+    the bits from j * bits up.
     """
 
     def __init__(self, p: int, modulus: Optional[tuple[int, ...]], inner: int):
@@ -121,6 +122,7 @@ class RowCodec:
         size = next((b for b in (1, 2, 4, 8) if b >= need), need)
         s, w = 8 * size, 2 * m - 1
         ebytes, es = size * w, s * w
+        self.bits = es
         smask, emask = (1 << s) - 1, (1 << es) - 1
         # slot values <-> integers, lowest slot first
         if size == 1:

@@ -12,16 +12,19 @@ A Matrix is immutable after construction: build its entry list first and
 construct the Matrix last, since products cache its packed rows and columns.
 
 One packed-row kernel (heisenmod.fields.RowCodec) serves sums, products,
-apply and elimination; a whole row is one integer.  Row i of A*B is one
-sum(map(operator.mul, packed entries of row i of A, packed rows of B));
-apply(v), and column j of a product with fewer columns than rows or with
-at most one nonzero entry of B in eight, is the same sum over A's packed
-columns, B's zeros skipped; each product is unpacked once.
+apply, elimination and Echelon; a whole row is one integer.  Row i of A*B
+is one sum(map(operator.mul, packed entries of row i of A, packed rows of
+B)); apply(v), and column j of a product with fewer columns than rows or
+with at most one nonzero entry of B in eight, is the same sum over A's
+packed columns, B's zeros skipped; each product is unpacked once.
 Elimination keeps every row packed, its slots wide enough for one row
 operation per pivot: finding a pivot reads one element per row, the pivot
 row is reduced and scaled once, and each other row takes one big-integer
 multiply-add.  The determinant is the product of the pivots of the same
-elimination times the sign of its swaps.
+elimination times the sign of its swaps.  Echelon is a semi-echelon basis:
+each stored row is canonical, 1 at its pivot and 0 at the pivot of every
+earlier row, and never changes after insertion, so reducing a vector is one
+multiply-add per row and one canon.
 """
 
 from __future__ import annotations
@@ -383,75 +386,82 @@ def _rref_rows(
 
 
 class Echelon:
-    """Growing row echelon basis for a subspace of code vectors.
-
-    Inserted vectors are kept normalized (pivot entry 1) and fully reduced
-    against each other, so membership tests are plain reductions.
+    """Growing semi-echelon basis of a subspace of code vectors (Holt, Eick,
+    O'Brien, 7.5): rows[i] is packed by codec, with pivot pivots[i].
+    reduce(v) is the unique vector of the coset of v that is zero at every
+    pivot.  The fully reduced rows, vectors or sorted_rows() in pivot order,
+    are built only when read.
     """
 
-    __slots__ = ("field", "width", "vectors", "pivots")
+    __slots__ = ("field", "width", "rows", "pivots")
 
     def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.vectors: list[list[int]] = []
-        self.pivots: list[int] = []
+        self.field, self.width = field, width
+        self.rows, self.pivots = [], []
+
+    @property
+    def codec(self):
+        return self.field.row_codec[self.width + 1]
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
+
+    def _reduced(self, v: Sequence[int]) -> int:
+        if len(v) != self.width:
+            raise ShapeMismatch(f"vector length {len(v)} for width {self.width}")
+        return self._clear(self.codec.pack(v), self.rows, self.pivots)
+
+    def _clear(self, w: int, rows: list[int], pivots: list[int]) -> int:
+        """w minus its entry at each pivot times that pivot's row, in order."""
+        read, minus = self.codec.read, self.codec.minus
+        for row, piv in zip(rows, pivots):
+            x = read(w, piv)
+            if x:
+                w += minus[x] * row
+        return self.codec.canon(w, self.width)
 
     def reduce(self, v: Sequence[int]) -> list[int]:
-        f = self.field
-        sub, mul = f.sub, f.mul
-        w = list(v)
-        for row, p in zip(self.vectors, self.pivots):
-            c = w[p]
-            if c:
-                for k in range(self.width):
-                    if row[k]:
-                        w[k] = sub(w[k], mul(c, row[k]))
-        return w
+        return self.codec.unpack(self._reduced(v), self.width)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
+        return not self._reduced(v)
 
     def insert(self, v: Sequence[int]) -> Optional[int]:
         """Add v to the span; returns its pivot, or None if dependent."""
-        w = self.reduce(v)
-        piv = None
-        for k, x in enumerate(w):
-            if x:
-                piv = k
-                break
-        if piv is None:
+        w = self._reduced(v)
+        if not w:
             return None
-        f = self.field
-        ipv = f.inv(w[piv])
-        if ipv != 1:
-            mul = f.mul
-            w = [mul(ipv, x) for x in w]
-        # keep earlier rows reduced against the new one
-        sub, mul = f.sub, f.mul
-        for row in self.vectors:
-            c = row[piv]
-            if c:
-                for k in range(self.width):
-                    if w[k]:
-                        row[k] = sub(row[k], mul(c, w[k]))
-        self.vectors.append(w)
+        codec = self.codec
+        # the lowest set bit lies in the first nonzero entry
+        piv = ((w & -w).bit_length() - 1) // codec.bits
+        x = codec.read(w, piv)
+        if x != 1:
+            w = codec.canon(w * codec.elem[self.field.inv(x)], self.width)
+        self.rows.append(w)
         self.pivots.append(piv)
         return piv
 
     def copy(self) -> "Echelon":
         e = Echelon(self.field, self.width)
-        e.vectors = [list(v) for v in self.vectors]
-        e.pivots = list(self.pivots)
+        e.rows, e.pivots = list(self.rows), list(self.pivots)
         return e
 
     def sorted_rows(self) -> list[list[int]]:
-        order = sorted(range(self.dim), key=lambda i: self.pivots[i])
-        return [list(self.vectors[i]) for i in order]
+        """The reduced echelon rows, in pivot order."""
+        n, k, codec = self.width, self.dim, self.codec
+        if k == n:
+            return Matrix.identity(self.field, n).row_lists()
+        # the later rows, cleared first, clear each row at their pivots
+        rows, pivots = [], []
+        for row, piv in zip(self.rows[::-1], self.pivots[::-1]):
+            rows.append(self._clear(row, rows, pivots))
+            pivots.append(piv)
+        rows = [row for _, row in sorted(zip(pivots, rows))]
+        flat = codec.unpack(codec.join(rows, n), k * n)
+        return [flat[i * n : (i + 1) * n] for i in range(k)]
+
+    vectors = property(sorted_rows)
 
 
 def _standard_basis(
@@ -626,7 +636,7 @@ def _local_min_poly(a: Matrix, v: Sequence[int], base: Optional[Echelon] = None
     ech, chain, _ = _standard_basis([a], [v], base)
     if not chain:
         return Poly._raw(field, [1]), ech
-    cols = chain + (base.vectors if base is not None else [])
+    cols = chain + (base.sorted_rows() if base is not None else [])
     coords = Matrix.from_columns(field, cols).solve(a.apply(chain[-1]))
     verify(coords is not None, "a^k v must lie in the Krylov chain and base")
     neg = field.neg

@@ -1,13 +1,14 @@
 """Submodule structure of matrix representations.
 
-A subspace is stored as the unique reduced echelon basis of row vectors, so
-subspace equality is tuple equality.  Spinning closes a vector under all
-generator images.  Irreducibility is decided by the Holt-Rees test: for a
-random algebra element A and an irreducible factor f of its minimal
-polynomial with nullity(f(A)) = deg f, one spin in ker f(A) and one
-transposed spin in ker f(A)^T settle the question.  The test is randomized
-but never guesses: it exhibits a submodule, proves irreducibility, or raises
-after the sample budget.
+A subspace is a frozen snapshot of a matrices.Echelon: the unique reduced
+echelon basis of row vectors, so subspace equality is tuple equality, and a
+copy of the packed semi-echelon rows, which test membership.  Spinning
+closes a vector under all generator images.  Irreducibility is decided by
+the Holt-Rees test: for a random algebra element A and an irreducible
+factor f of its minimal polynomial with nullity(f(A)) = deg f, one spin in
+ker f(A) and one transposed spin in ker f(A)^T settle the question.  The
+test is randomized but never guesses: it exhibits a submodule, proves
+irreducibility, or raises after the sample budget.
 """
 
 from __future__ import annotations
@@ -55,26 +56,23 @@ _SEARCH_CLASS_LIMIT = 1 << 12
 
 
 class SubspaceBasis:
-    """A subspace of F^d held as its reduced echelon basis."""
+    """A subspace of F^d: its reduced echelon rows and a frozen Echelon."""
 
-    __slots__ = ("field", "ambient", "vectors")
+    __slots__ = ("field", "ambient", "vectors", "_ech")
 
     def __init__(self, field: Field, ambient: int, vectors: Sequence[Sequence[int]]):
-        ech = Echelon(field, ambient)
+        self._ech = Echelon(field, ambient)
         for v in vectors:
-            if len(v) != ambient:
-                raise ShapeMismatch("vector length differs from ambient dimension")
-            ech.insert(v)
-        self.field = field
-        self.ambient = ambient
-        self.vectors = tuple(tuple(v) for v in ech.sorted_rows())
+            self._ech.insert(v)
+        self.field, self.ambient = field, ambient
+        self.vectors = tuple(map(tuple, self._ech.sorted_rows()))
 
     @classmethod
     def _from_echelon(cls, ech: Echelon) -> "SubspaceBasis":
+        """A snapshot that later inserts into ech leave unchanged."""
         s = object.__new__(cls)
-        s.field = ech.field
-        s.ambient = ech.width
-        s.vectors = tuple(tuple(v) for v in ech.sorted_rows())
+        s.field, s.ambient, s._ech = ech.field, ech.width, ech.copy()
+        s.vectors = tuple(map(tuple, ech.sorted_rows()))
         return s
 
     @property
@@ -82,34 +80,23 @@ class SubspaceBasis:
         return len(self.vectors)
 
     def pivots(self) -> list[int]:
-        out = []
-        for v in self.vectors:
-            for i, x in enumerate(v):
-                if x:
-                    out.append(i)
-                    break
-        return out
-
-    def _echelon(self) -> Echelon:
-        e = Echelon(self.field, self.ambient)
-        e.vectors = [list(v) for v in self.vectors]
-        e.pivots = self.pivots()
-        return e
+        return sorted(self._ech.pivots)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return self._echelon().contains(v)
+        return self._ech.contains(v)
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        e = self._echelon()
-        return all(e.contains(v) for v in other.vectors)
+        if other.field != self.field:
+            raise MixedFields(f"{other.field} vs {self.field}")
+        if other.ambient != self.ambient:
+            raise ShapeMismatch(f"subspace of F^{other.ambient} in F^{self.ambient}")
+        return all(map(self._ech.contains, other.vectors))
 
     def is_invariant(self, rep: Representation) -> bool:
-        e = self._echelon()
-        for g in rep.gen_matrices():
-            for v in self.vectors:
-                if not e.contains(g.apply(list(v))):
-                    return False
-        return True
+        if rep.field != self.field:
+            raise MixedFields(f"{rep.field} vs {self.field}")
+        return all(self._ech.contains(g.apply(v))
+                   for g in rep.gen_matrices() for v in self.vectors)
 
     def __eq__(self, other):
         return (

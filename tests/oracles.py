@@ -145,6 +145,54 @@ def oracle_rref(field, rows, cols: int):
     return M, tuple(pivots)
 
 
+class oracle_echelon:
+    """Growing fully reduced echelon basis by the per-entry loop over the
+    field's sub, mul and inv: every row is normalized and kept reduced
+    against each later one, so a membership test is a plain reduction."""
+
+    def __init__(self, field, width: int):
+        self.field, self.width = field, width
+        self.vectors: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def reduce(self, v) -> list[int]:
+        sub, mul = self.field.sub, self.field.mul
+        w = list(v)
+        for row, p in zip(self.vectors, self.pivots):
+            c = w[p]
+            if c:
+                for k in range(self.width):
+                    if row[k]:
+                        w[k] = sub(w[k], mul(c, row[k]))
+        return w
+
+    def contains(self, v) -> bool:
+        return not any(self.reduce(v))
+
+    def insert(self, v):
+        """Add v to the span; returns its pivot, or None if dependent."""
+        w = self.reduce(v)
+        piv = next((k for k, x in enumerate(w) if x), None)
+        if piv is None:
+            return None
+        sub, mul = self.field.sub, self.field.mul
+        ipv = self.field.inv(w[piv])
+        w = [mul(ipv, x) for x in w]
+        for row in self.vectors:
+            c = row[piv]
+            if c:
+                for k in range(self.width):
+                    if w[k]:
+                        row[k] = sub(row[k], mul(c, w[k]))
+        self.vectors.append(w)
+        self.pivots.append(piv)
+        return piv
+
+    def sorted_rows(self) -> list[list[int]]:
+        order = sorted(range(len(self.vectors)), key=self.pivots.__getitem__)
+        return [list(self.vectors[i]) for i in order]
+
+
 def oracle_closure(field, ops, vectors, width: int) -> list[list[int]]:
     """Reduced echelon rows of the smallest subspace that contains the
     vectors and is mapped into itself by every op: apply each op to every

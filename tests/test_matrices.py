@@ -51,6 +51,7 @@ from oracles import (
     brute_min_poly,
     oracle_apply,
     oracle_closure,
+    oracle_echelon,
     oracle_ext_mul,
     oracle_kron,
     oracle_matmul,
@@ -752,6 +753,66 @@ def test_echelon_tracks_span():
     assert not any(ech.reduce([1, 0, 1]))
     for row, piv in zip(ech.sorted_rows(), sorted(ech.pivots)):
         assert row[piv] == 1  # normalized pivots in pivot order
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_echelon_matches_per_entry_oracle(spec):
+    # input by input: the same pivots, reductions and membership answers;
+    # a third of the inputs are combinations of earlier ones, a third
+    # sparse, and every input after the first width also probes
+    field = field_of(spec)
+    rng = random.Random(f"echelon-{spec}")
+    add, mul, top = field.add, field.mul, field.order - 1
+    for width in (1, 2, 5, 9):
+        ech, want = Echelon(field, width), oracle_echelon(field, width)
+        seen = [[top] * width]
+        for i in range(3 * width):
+            kind = rng.randrange(3)
+            if kind == 0:
+                v = [0] * width
+                for u in rng.sample(seen, min(len(seen), 3)):
+                    c = rng.randrange(field.order)
+                    v = [add(x, mul(c, y)) for x, y in zip(v, u)]
+            else:
+                v = [rng.randrange(field.order) if kind == 2 or rng.random() < 0.3
+                     else 0 for _ in range(width)]
+            assert ech.reduce(v) == want.reduce(v)
+            assert ech.contains(v) == want.contains(v)
+            assert ech.insert(v) == want.insert(v)
+            assert ech.sorted_rows() == want.sorted_rows()
+            seen.append(v)
+        assert ech.pivots == want.pivots and ech.vectors == want.sorted_rows()
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("k", [31, 64, 65, 127])
+def test_echelon_at_largest_codes_has_no_slot_carry(spec, k):
+    # unitriangular rows of largest codes, the last inserted first: each
+    # takes one multiply-add per earlier row before its single canon, and
+    # each is stored as its unit vector
+    field = field_of(spec)
+    top = field.order - 1
+    upper = [[top if j > i else int(i == j) for j in range(k)] for i in range(k)]
+    eye = Matrix.identity(field, k).row_lists()
+    ech, wide = Echelon(field, k), Echelon(field, k + 1)
+    for i in reversed(range(k)):
+        assert ech.insert(upper[i]) == wide.insert(upper[i] + [top]) == i
+    assert ech.sorted_rows() == eye
+    assert [ech.codec.unpack(r, k) for r in ech.rows] == eye[::-1]
+    assert not any(ech.reduce([top] * k))
+    # one column more leaves the space unfilled, so the rows are reduced
+    flat = [x for row in upper for x in row + [top]]
+    assert wide.sorted_rows() == Matrix(field, k, k + 1, flat).rref()[0].row_lists()
+
+
+def test_echelon_refuses_a_vector_of_another_length():
+    ech = Echelon(GF(3), 3)
+    ech.insert([1, 0, 0])
+    for v in ([0, 0, 0, 1], [1, 0]):
+        for op in (ech.insert, ech.reduce, ech.contains):
+            with pytest.raises(ShapeMismatch):
+                op(v)
+    assert ech.dim == 1 and ech.pivots == [0]
 
 
 # -- determinant and characteristic polynomial --------------------------------

@@ -7,6 +7,7 @@ internal certificates.
 """
 
 import itertools
+import pickle
 import random
 import sys
 import time
@@ -22,6 +23,7 @@ from heisenmod import (
     FieldElem,
     HeisenbergAlgebra,
     Matrix,
+    MixedFields,
     ModuleParams,
     NotExtension,
     Poly,
@@ -61,6 +63,7 @@ from oracles import (
     oracle_hom_space,
     oracle_irreducible,
     oracle_rank1_partner,
+    oracle_rref,
     oracle_search,
     oracle_similarity_classes,
     oracle_sub_quotient,
@@ -111,6 +114,23 @@ def test_subspace_basis_normalizes_spanning_sets():
     assert not SubspaceBasis(field, 3, [[1, 2, 0]]).contains_subspace(a)
     empty = SubspaceBasis(field, 3, [])
     assert empty.dim == 0 and a.contains_subspace(empty)
+
+
+def test_subspaces_refuse_wrong_lengths_and_fields():
+    field = GF(3)
+    line = SubspaceBasis(field, 3, [[1, 0, 0]])
+    with pytest.raises(ShapeMismatch):
+        line.contains([1, 0])
+    with pytest.raises(ShapeMismatch):
+        SubspaceBasis(field, 3, [[1, 0]])
+    with pytest.raises(ShapeMismatch):
+        line.contains_subspace(SubspaceBasis(field, 2, [[1, 0]]))
+    with pytest.raises(MixedFields):
+        line.contains_subspace(SubspaceBasis(GF(5), 3, [[1, 0, 0]]))
+    with pytest.raises(MixedFields):
+        line.is_invariant(build_standard(HeisenbergAlgebra(1, GF(5))))
+    with pytest.raises(ShapeMismatch):
+        line.is_invariant(build_standard(HeisenbergAlgebra(2, field)))
 
 
 def test_subspace_invariance():
@@ -371,6 +391,32 @@ def test_composition_series_of_standard_rep():
         assert s.is_invariant(rep)
     # one-dimensional factors kill z, so none are faithful
     assert not any(f.faithful for f in series.factors)
+
+
+def test_subspace_snapshots_do_not_grow_with_their_echelon():
+    # the series inserts into one echelon after taking each chain term, so
+    # each term must answer membership for its own span alone
+    field = GF(3)
+    rep = direct_sum_reps([build_standard(HeisenbergAlgebra(1, field)),
+                           v_rep(field, 1, [0], [1])])
+    d = rep.dim
+    series = composition_series(rep)
+    assert len(series.chain) > 3
+    rng = random.Random(11)
+    probes = Matrix.identity(field, d).row_lists()
+    probes += [[rng.randrange(3) for _ in range(d)] for _ in range(20)]
+    for s in series.chain:
+        for v in probes:
+            inside = len(oracle_rref(field, [*s.vectors, v], d)[1]) == s.dim
+            assert s.contains(v) == inside
+        again = SubspaceBasis(field, d, s.vectors)
+        assert s == again and hash(s) == hash(again) and s.pivots() == again.pivots()
+        clone = pickle.loads(pickle.dumps(s))
+        assert clone == s and all(clone.contains(v) == s.contains(v) for v in probes)
+    for v in probes:
+        s = spin(rep, v)
+        again = SubspaceBasis(field, d, s.vectors)
+        assert s == again and hash(s) == hash(again)
 
 
 def test_composition_series_factors_stable_under_seed_order():
