@@ -24,8 +24,10 @@ from .errors import (
     NotExtension,
     NotScalarCenter,
     ShapeMismatch,
+    Singular,
     TooLarge,
     UndecidedIrreducibility,
+    VerificationFailed,
     WrongDimension,
     ZeroAlpha,
     verify,
@@ -150,8 +152,18 @@ def is_irreducible(
     whole dual under the transposed generators, V is irreducible; a proper
     transposed spin has a proper annihilator, which is a submodule.  When
     no factor of A has dim N = deg f, the next sample is drawn, and
-    UndecidedIrreducibility is raised after max_samples.
+    UndecidedIrreducibility is raised after max_samples.  The proof needs
+    only A in the image algebra, f irreducible and f(A) singular.
     """
+    return _holt_rees(rep, max_samples, seed)[0]
+
+
+def _holt_rees(rep: Representation, max_samples: int, seed: int,
+               first: Optional[tuple[Matrix, Poly]] = None
+               ) -> tuple[IrreducibilityResult, Matrix, Poly]:
+    """(verdict, A, f) of is_irreducible, A and f the pair that settled it.
+    first = (A, f), A in the image algebra and f irreducible, is tried
+    before any sample; f need not divide, or be, A's minimal polynomial."""
     d = rep.dim
     if d == 0:
         raise ShapeMismatch("irreducibility needs dimension >= 1")
@@ -169,19 +181,26 @@ def is_irreducible(
         return _combination(field, d, d, pool,
                             [rng.randrange(field.order) for _ in pool])
 
-    a = None
+    def elements() -> Iterator[tuple[str, Matrix, Optional[Poly], list[Poly]]]:
+        """(label, A, min_poly(A) or None, factors to try), first included."""
+        if first is not None:
+            yield "inherited element", first[0], None, [first[1]]
+        a = None
+        for sample in range(1, max_samples + 1):
+            if pool:
+                word = combination() if a is None else a
+                for _ in range(2):
+                    word = word * combination()
+                    pool.append(word)
+            a = combination()
+            pool.append(a)
+            m = min_poly(a)
+            yield f"sample {sample}", a, m, m.irreducible_factors()
+
     transposed = None
-    for sample in range(1, max_samples + 1):
-        if pool:
-            word = combination() if a is None else a
-            for _ in range(2):
-                word = word * combination()
-                pool.append(word)
-        a = combination()
-        pool.append(a)
-        m = min_poly(a)
-        powers = [Matrix.identity(field, d)]
-        for f in m.irreducible_factors():
+    for label, a, m, factors in elements():
+        powers = [Matrix.identity(field, d), a]
+        for f in factors:
             if f == m:
                 # f(A) = 0: no powers of A needed
                 theta = Matrix.zeros(field, d, d)
@@ -190,14 +209,16 @@ def is_irreducible(
                     powers.append(powers[-1] * a)
                 theta = _combination(field, d, d, powers, f.coeffs)
             kernel = theta.kernel_basis()
-            head = f"sample {sample}, deg f = {f.degree}, nullity {len(kernel)}"
+            if not kernel:  # an inherited f(A) may be invertible
+                continue
+            head = f"{label}, deg f = {f.degree}, nullity {len(kernel)}"
             s = spin(rep, kernel[0])
             if s.dim < d:
                 return IrreducibilityResult(
                     False, "norton",
                     f"{head}: a kernel vector generates a dim {s.dim} submodule",
                     s,
-                )
+                ), a, f
             if len(kernel) != f.degree:
                 continue
             if transposed is None:
@@ -214,13 +235,13 @@ def is_irreducible(
                     f"{head}: a transposed kernel vector exposes a dim "
                     f"{sub.dim} submodule",
                     sub,
-                )
+                ), a, f
             return IrreducibilityResult(
                 True, "norton",
                 f"{head}: a kernel vector and a transposed kernel vector "
                 "both spin to the full space",
                 None,
-            )
+            ), a, f
     raise UndecidedIrreducibility(
         f"no sample in {max_samples} had a factor f with nullity deg f"
     )
@@ -239,9 +260,10 @@ def _combination(field: Field, rows: int, cols: int, mats: Sequence[Matrix],
 # -- subquotients -----------------------------------------------------------------
 
 
-def _subquotients(rep: Representation, basis: SubspaceBasis
-                  ) -> tuple[Matrix, Representation, Representation]:
-    """(B, sub, quotient) for an invariant subspace W, by one conjugation.
+def _subquotients(rep: Representation, basis: SubspaceBasis, extra: Sequence[Matrix] = ()
+                  ) -> tuple[Matrix, Representation, Representation, list]:
+    """(B, sub, quotient, blocks) for an invariant subspace W, by one
+    conjugation; blocks has the two diagonal blocks of B^-1 m B per m in extra.
 
     B's columns are W's echelon rows in pivot order, then the unit vectors
     at W's non-pivot positions in ascending order (Holt, Eick, O'Brien,
@@ -255,11 +277,13 @@ def _subquotients(rep: Representation, basis: SubspaceBasis
     pivots = set(basis.pivots())
     units = [[int(i == f) for i in range(d)] for f in range(d) if f not in pivots]
     b = Matrix.from_columns(rep.field, [*basis.vectors, *units])
-    moved = conjugate_rep(rep, b)
+    bi = b.inv()
+    moved = rep._map(lambda m: bi * m * b)
     if not all(_block_triangular(m, [0, k, d]) for m in moved.gen_matrices()):
         raise ShapeMismatch("subspace is not invariant")
     return (b, moved._map(lambda m: _block(m, 0, k)),
-            moved._map(lambda m: _block(m, k, d)))
+            moved._map(lambda m: _block(m, k, d)),
+            [(_block(e, 0, k), _block(e, k, d)) for e in (bi * m * b for m in extra)])
 
 
 def _block(m: Matrix, lo: int, hi: int) -> Matrix:
@@ -333,9 +357,10 @@ def composition_series(
     verify(dims[0] == 0 and dims[-1] == rep.dim and len(dims) == len(factors) + 1
            and all(a < b for a, b in zip(dims, dims[1:])),
            "composition series is not a strictly rising chain")
-    # conjugate_rep inverts, so a singular T is refused first
-    verify(not t.det().is_zero(), "composition series basis is singular")
-    moved = conjugate_rep(rep, t)
+    try:
+        moved = conjugate_rep(rep, t)
+    except Singular:
+        raise VerificationFailed("composition series basis is singular") from None
     verify(all(_block_triangular(m, dims) for m in moved.gen_matrices())
            and all(moved._map(lambda m: _block(m, lo, hi)) == f
                    for lo, hi, f in zip(dims, dims[1:], factors)),
@@ -349,18 +374,22 @@ def composition_series(
     return CompositionSeries(chain, [_factor_info(f) for f in factors])
 
 
-def _series_basis(rep: Representation, max_samples: int, seed: int
+def _series_basis(rep: Representation, max_samples: int, seed: int,
+                  first: Optional[tuple[Matrix, Poly]] = None
                   ) -> tuple[Matrix, list[int], list[Representation]]:
     """(T, dims, factors): T^-1 rep T is block upper triangular with the
     irreducible factors on its diagonal, block i spanning dims[i]..dims[i+1]-1.
     A proper submodule W splits rep by the adapted basis B, and the series
-    of W and of rep/W join as T = B direct_sum([T_W, T_V/W])."""
-    res = is_irreducible(rep, max_samples, seed)
+    of W and of rep/W join as T = B direct_sum([T_W, T_V/W]).  The Holt-Rees
+    pair (A, f) that found W is tried first on W and rep/W as (block, f): the
+    diagonal blocks of B^-1 A B are the same word in the generators' blocks,
+    so they lie in the image algebras of W and rep/W (is_irreducible)."""
+    res, a, f = _holt_rees(rep, max_samples, seed, first)
     if res.irreducible:
         return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]
-    b, sub, quot = _subquotients(rep, res.submodule)
-    t_sub, dims_sub, lower = _series_basis(sub, max_samples, seed)
-    t_quot, dims_quot, upper = _series_basis(quot, max_samples, seed)
+    b, sub, quot, [(a_sub, a_quot)] = _subquotients(rep, res.submodule, [a])
+    t_sub, dims_sub, lower = _series_basis(sub, max_samples, seed, (a_sub, f))
+    t_quot, dims_quot, upper = _series_basis(quot, max_samples, seed, (a_quot, f))
     dims = dims_sub + [sub.dim + k for k in dims_quot[1:]]
     return b * direct_sum([t_sub, t_quot]), dims, lower + upper
 

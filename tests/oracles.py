@@ -5,6 +5,7 @@ textbook expansions only, no shared machinery with the library code under
 test beyond basic field arithmetic.
 """
 
+import functools
 import itertools
 
 from heisenmod import (
@@ -270,8 +271,10 @@ def brute_min_poly(a: Matrix) -> Poly:
         powers.append(powers[-1] * a)
 
 
-def all_subspaces(field, dim: int) -> list[SubspaceBasis]:
-    """Every subspace of field^dim, as canonical SubspaceBasis values.
+@functools.lru_cache(maxsize=None)
+def all_subspaces(field, dim: int) -> tuple[SubspaceBasis, ...]:
+    """Every subspace of field^dim, as canonical SubspaceBasis values, built
+    once per (field, dim).
 
     Each subspace has exactly one reduced echelon basis: for a set of pivot
     columns, row i has 1 at its pivot, 0 before it and at the other pivots,
@@ -295,7 +298,7 @@ def all_subspaces(field, dim: int) -> list[SubspaceBasis]:
                 s = SubspaceBasis(field, dim, rows)
                 verify(s.vectors == tuple(map(tuple, rows)), "rref is canonical")
                 out.append(s)
-    return sorted(out, key=lambda s: (s.dim, s.vectors))
+    return tuple(sorted(out, key=lambda s: (s.dim, s.vectors)))
 
 
 def invariant_subspaces(rep) -> list[SubspaceBasis]:
@@ -362,6 +365,18 @@ def oracle_irreducible(rep) -> bool:
     return all(
         s.dim in (0, rep.dim) for s in invariant_subspaces(rep)
     )
+
+
+def oracle_composition_length(rep) -> int:
+    """The length of a maximal chain of invariant subspaces: the longest
+    path from 0 to the whole space through all of them ordered by strict
+    inclusion (by Jordan-Hoelder every maximal chain has this length)."""
+    spaces = invariant_subspaces(rep)  # by dimension: 0 first, the whole space last
+    longest = {}
+    for s in spaces:
+        longest[s] = max((n + 1 for t, n in longest.items()
+                          if t.dim < s.dim and s.contains_subspace(t)), default=0)
+    return longest[spaces[-1]]
 
 
 def oracle_uniserial(rep) -> bool:

@@ -461,3 +461,47 @@ def test_failed_self_check_is_internal_error_under_optimize(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "internal error: VerificationFailed" in proc.stderr
+
+
+CORRUPTED_SERIES = """
+import sys
+import heisenmod.modules as md
+from heisenmod import Matrix
+from heisenmod.cli import main
+
+if not sys.flags.optimize:
+    sys.exit(4)
+plain_series_basis = md._series_basis
+calls = []
+
+def series_basis(*args):
+    calls.append(True)
+    top = len(calls) == 1
+    t, dims, factors = plain_series_basis(*args)
+    if top:
+        # the first column again in place of the last: T is singular
+        cols = t.transpose().row_lists()
+        t = Matrix.from_columns(t.field, [*cols[:-1], cols[0]])
+    return t, dims, factors
+
+md._series_basis = series_basis
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_singular_series_basis_is_internal_error_under_optimize(tmp_path):
+    field = GF(3)
+    rep = direct_sum_reps([build_V(HeisenbergAlgebra(1, field), params_of(field, 1, [0], [1])),
+                           build_V(HeisenbergAlgebra(1, field), params_of(field, 2, [2], [0]))])
+    path = tmp_path / "rep.json"
+    path.write_text(rep_json(rep), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_SERIES,
+         "analyze", "series", "--in", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert ("internal error: VerificationFailed: composition series basis is singular"
+            in proc.stderr)

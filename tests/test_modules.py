@@ -49,6 +49,8 @@ from heisenmod import (
     is_irreducible,
     is_uniserial,
     make_extension,
+    min_poly,
+    poly_at,
     quotient_representation,
     search_min_faithful,
     spin,
@@ -59,6 +61,7 @@ from heisenmod import (
 from oracles import (
     all_subspaces,
     invariant_subspaces,
+    oracle_composition_length,
     oracle_hom_dim,
     oracle_hom_space,
     oracle_irreducible,
@@ -68,6 +71,7 @@ from oracles import (
     oracle_similarity_classes,
     oracle_sub_quotient,
     oracle_uniserial,
+    trial_division_irreducible,
 )
 
 
@@ -496,6 +500,180 @@ def test_composition_series_of_conjugated_sum_over_gf7():
         assert series.chain_dims == [0, 7, 14]
         assert all(f.faithful for f in series.factors)
         assert sorted(repr(f.invariants) for f in series.factors) == want
+
+
+# -- the inherited Holt-Rees element ---------------------------------------------
+
+
+def product_companion(field, roots, beta=0):
+    """The companion module of the product of X - c over distinct roots c."""
+    f = Poly(field, [1])
+    for c in roots:
+        f = f * Poly(field, [field.neg(c), 1])
+    return build_companion_rep(field.one(), field.element(beta), f)
+
+
+def series_corpus():
+    """Modules of dimension <= 6 over GF(2), GF(3) and GF(4): companion
+    modules of (X - c)^m and of products of distinct irreducibles, and
+    conjugated sums V + V' (isomorphic or not)."""
+    rng = random.Random(53)
+    gf4 = ext(2, 2)
+    reps = [companion_power(2, m, c, beta=c) for m in (1, 2, 3) for c in (0, 1)]
+    reps.append(companion_power(3, 2, 2, beta=1))
+    reps += [companion_power(2, m, c, beta=c % 2, field=gf4) for m in (1, 2) for c in (1, 2)]
+    reps += [
+        product_companion(GF(2), [0, 1]),
+        build_companion_rep(GF(2).one(), GF(2).one(),
+                            Poly(GF(2), [0, 1]) * Poly(GF(2), [1, 1, 1])),
+        product_companion(GF(3), [0, 1], beta=2),
+        product_companion(gf4, [2, 3]),
+    ]
+    for field, pairs in ((GF(2), [((0, 1), (1, 1)), ((1, 0), (1, 0))]),
+                         (GF(3), [((1, 2), (2, 2))]),
+                         (gf4, [((0, 1), (3, 1)), ((2, 2), (2, 2))])):
+        for (b, g), (b2, g2) in pairs:
+            total = direct_sum_reps([v_rep(field, 1, [b], [g]), v_rep(field, 1, [b2], [g2])])
+            reps.append(conjugate_rep(total, rand_invertible(field, total.dim, rng)))
+    return reps
+
+
+def test_inherited_elements_match_subspace_enumeration(monkeypatch):
+    # every factor is irreducible and the series is as long as a maximal
+    # chain of invariant subspaces; the inherited pair settles some verdicts
+    holt_rees, details = modules._holt_rees, []
+
+    def recorded(*args):
+        out = holt_rees(*args)
+        details.append(out[0].detail)
+        return out
+
+    monkeypatch.setattr(modules, "_holt_rees", recorded)
+    rng = random.Random(61)
+    for rep in series_corpus():
+        assert rep.dim <= 6
+        field, length = rep.field, oracle_composition_length(rep)
+        for seed in range(2):
+            series = composition_series(rep, seed=seed)
+            assert len(series.factors) == length, (rep, seed)
+            assert all(oracle_irreducible(f.rep) for f in series.factors), (rep, seed)
+            assert all(s.is_invariant(rep) for s in series.chain)
+        # A random in the image algebra and f a random monic irreducible of
+        # degree 1 or 2, unrelated to A: the verdict still holds
+        basis = EnvelopingAlgebra(rep).basis
+        irreducibles = [
+            f for k in (1, 2) for low in itertools.product(range(field.order), repeat=k)
+            if trial_division_irreducible(f := Poly(field, [*low, 1]))
+        ]
+        for seed in range(3):
+            a = modules._combination(field, rep.dim, rep.dim, basis,
+                                     [rng.randrange(field.order) for _ in basis])
+            res, _, _ = holt_rees(rep, 64, seed, (a, rng.choice(irreducibles)))
+            assert res.irreducible == (length == 1)
+            assert res.irreducible == is_irreducible(rep, seed=seed).irreducible
+            if not res.irreducible:
+                assert 0 < res.submodule.dim < rep.dim and res.submodule.is_invariant(rep)
+    assert any(d.startswith("inherited element") for d in details)
+
+
+def pinned_corpus():
+    """Seeded modules whose is_irreducible verdicts and details are pinned:
+    conjugated V, conjugated V + V' and companion modules."""
+    rng = random.Random(67)
+    gf4 = ext(2, 2)
+    reps = [v_rep(GF(2), 1, [0, 1], [1, 0]), v_rep(GF(3), 2, [1], [2]),
+            v_rep(GF(5), 1, [3], [1]), v_rep(gf4, 3, [2], [1])]
+    reps = [conjugate_rep(r, rand_invertible(r.field, r.dim, rng)) for r in reps]
+    reps += [conjugated_sum(p, rng)[0] for p in (2, 3, 5)]
+    reps += [companion_power(2, 3, 1), companion_power(3, 2, 2, beta=1),
+             build_companion_rep(GF(3).one(), GF(3).zero(), Poly(GF(3), [1, 0, 1])),
+             product_companion(GF(2), [0, 1])]
+    return reps
+
+
+# (irreducible, detail) of pinned_corpus() under the seeds 0, 1, 2: the
+# seeded samples and their details are part of is_irreducible's results
+FULL = "a kernel vector and a transposed kernel vector both spin to the full space"
+PINNED_VERDICTS = [
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (True, "sample 3, deg f = 1, nullity 1", FULL),
+    (True, "sample 1, deg f = 2, nullity 2", FULL),
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (True, "sample 1, deg f = 5, nullity 5", FULL),
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (True, "sample 1, deg f = 1, nullity 1", FULL),
+    (False, "sample 1, deg f = 1, nullity 2", "a kernel vector generates a dim 2 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 2 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 2 submodule"),
+    (False, "sample 2, deg f = 1, nullity 1", "a kernel vector generates a dim 3 submodule"),
+    (False, "sample 1, deg f = 2, nullity 4", "a kernel vector generates a dim 3 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 3 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 5 submodule"),
+    (False, "sample 2, deg f = 1, nullity 1", "a kernel vector generates a dim 5 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 5 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 2 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 2 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 2 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 3 submodule"),
+    (False, "sample 2, deg f = 2, nullity 2", "a kernel vector generates a dim 3 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 3 submodule"),
+    (True, "sample 1, deg f = 6, nullity 6", FULL),
+    (True, "sample 2, deg f = 6, nullity 6", FULL),
+    (True, "sample 1, deg f = 2, nullity 2", FULL),
+    (False, "sample 1, deg f = 1, nullity 2", "a kernel vector generates a dim 2 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 2 submodule"),
+    (False, "sample 1, deg f = 1, nullity 1", "a kernel vector generates a dim 2 submodule"),
+]
+
+
+def test_is_irreducible_verdicts_and_details_are_pinned():
+    got = [(res.irreducible, res.detail) for rep in pinned_corpus()
+           for res in (is_irreducible(rep, seed=seed) for seed in range(3))]
+    assert got == [(irr, f"{head}: {tail}") for irr, head, tail in PINNED_VERDICTS]
+
+
+def an_algebra_pair(rep, nullity_is_degree):
+    """(A, f): A in the image algebra, f an irreducible factor of its
+    minimal polynomial, with nullity f(A) = deg f exactly when asked."""
+    return next((a, f) for a in EnvelopingAlgebra(rep).basis
+                for f in min_poly(a).irreducible_factors()
+                if (len(poly_at(f, a).kernel_basis()) == f.degree) == nullity_is_degree)
+
+
+def test_inherited_pair_reaches_each_branch():
+    holt_rees = modules._holt_rees
+    field = GF(3)
+    rng = random.Random(59)
+    v = conjugate_rep(v_rep(field, 1, [1], [2]), rand_invertible(field, 3, rng))
+    X = Poly(field, [0, 1])
+
+    # nullity deg f, both spins full: the pair decides irreducibility
+    a, f = an_algebra_pair(v, True)
+    res, a2, f2 = holt_rees(v, 64, 0, (a, f))
+    assert res.irreducible and res.detail.startswith("inherited element")
+    assert (a2, f2) == (a, f)
+
+    # a kernel vector spins to a proper subspace: the pair exposes it
+    standard = build_standard(HeisenbergAlgebra(1, field))
+    res, a2, f2 = holt_rees(standard, 64, 0, (standard.z, X))
+    assert not res.irreducible and res.detail.startswith("inherited element")
+    assert "a kernel vector generates" in res.detail and (a2, f2) == (standard.z, X)
+    assert 0 < res.submodule.dim < 3 and res.submodule.is_invariant(standard)
+
+    # nullity > deg f with a full kernel spin, and f(A) invertible: both
+    # fall back to the samples of is_irreducible under the same seed
+    sum_rep, _ = conjugated_sum(3, rng)
+    for rep, pair in [(v, an_algebra_pair(v, False)), (v, (Matrix.identity(field, 3), X)),
+                      (sum_rep, (Matrix.identity(field, 6), X))]:
+        for seed in range(3):
+            res, a2, _ = holt_rees(rep, 64, seed, pair)
+            assert res == is_irreducible(rep, seed=seed)
+            assert res.detail.startswith("sample ") and a2 is not pair[0]
 
 
 # -- uniseriality ------------------------------------------------------------------
