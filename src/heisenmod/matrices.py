@@ -598,17 +598,18 @@ def assemble_grid(grid: Sequence[Sequence[Matrix]]) -> Matrix:
 
 
 def poly_at(f: Poly, a: Matrix) -> Matrix:
-    """f(a) by Horner's rule."""
+    """f(a) by Horner's rule from c_k a + c_(k-1) I: k - 1 matrix
+    products at degree k >= 1."""
     if a.rows != a.cols:
         raise ShapeMismatch("polynomial of a non-square matrix")
     if a.field != f.field:
         raise MixedFields("polynomial and matrix over different fields")
-    n = a.rows
-    acc = Matrix.zeros(a.field, n, n)
-    for c in reversed(f.coeffs):
-        acc = acc * a
-        if c:
-            acc = acc.shift(a.field.neg(c))
+    cs, neg = f.coeffs, a.field.neg
+    if len(cs) < 2:
+        return Matrix.scalar(a.field, a.rows, cs[0] if cs else 0)
+    acc = a._scaled(cs[-1]).shift(neg(cs[-2]))
+    for c in reversed(cs[:-2]):
+        acc = (acc * a).shift(neg(c))
     return acc
 
 

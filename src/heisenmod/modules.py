@@ -574,7 +574,7 @@ def split_by_central(
 
 class SearchResult(NamedTuple):
     """pairs_tested counts the pairs (A, B) the search accounts for, and
-    classes the similarity classes of A it examined."""
+    classes the similarity classes of A it settled."""
 
     found: bool
     rep: Optional[Representation]
@@ -583,14 +583,15 @@ class SearchResult(NamedTuple):
     classes: int = 0
 
 
-def _similarity_classes(field: Field, d: int) -> Iterator[Matrix]:
-    """One rational canonical form per similarity class of d x d matrices.
+def _similarity_classes(field: Field, d: int) -> Iterator[list[Poly]]:
+    """One chain of monic invariant factors f1 | f2 | ... | fk per
+    similarity class of d x d matrices.
 
-    Yields the direct sum of the companions of f1 | f2 | ... | fk for every
-    chain of monic invariant factors with degrees summing to d: the forms
-    frobenius_form reports, q^2 + q of them at d = 2 and q^3 + q^2 + q at
-    d = 3.  The factors after f are the multiples f * g, g monic, taken by
-    degree and then in coefficient-code order.
+    The chains are those with degrees summing to d, q^2 + q of them at
+    d = 2 and q^3 + q^2 + q at d = 3; the direct sum of the companions of a
+    chain is the rational canonical form frobenius_form reports, and fk is
+    its minimal polynomial.  The factors after f are the multiples f * g,
+    g monic, taken by degree and then in coefficient-code order.
     """
     monics = [
         [Poly._raw(field, [*low, 1])
@@ -603,19 +604,43 @@ def _similarity_classes(field: Field, d: int) -> Iterator[Matrix]:
             yield []
             return
         for k in range(max(prev.degree, 1), left + 1):
-            multiples = [prev * g for g in monics[k - prev.degree]]
-            for f in sorted(multiples, key=lambda f: f.coeffs):
+            # the first factor (prev = 1) is any monic, already in code order
+            factors = sorted(
+                (prev * g for g in monics[k - prev.degree]),
+                key=lambda f: f.coeffs) if prev.degree else monics[k]
+            for f in factors:
                 for rest in chains(f, left - k):
                     yield [f, *rest]
 
-    for chain in chains(monics[0][0], d):
-        yield direct_sum([companion(f) for f in chain])
+    yield from chains(monics[0][0], d)
+
+
+def _squarefree(f: Poly) -> bool:
+    """gcd(f, f') = 1: no irreducible factor of f repeats.  f' = 0, as for
+    X^p - c, leaves gcd(f, f') = f."""
+    mul, p = f.field.mul, f.field.p
+    # f' term by term: the integer i acts as the prime-field code i % p
+    df = [mul(i % p, c) for i, c in enumerate(f.coeffs)][1:]
+    a, b = f, Poly._raw(f.field, df)
+    while b.coeffs:
+        a, b = b, a % b
+    return not a.degree
 
 
 def _ad(a: Matrix) -> Matrix:
-    """ad_A(X) = [A, X] as a d^2 x d^2 matrix on row-major vectors of X."""
-    eye = Matrix.identity(a.field, a.rows)
-    return kron(a, eye) - kron(eye, a.transpose())
+    """ad_A(X) = AX - XA as a d^2 x d^2 matrix on row-major vectors of X:
+    row (i, j) holds A[i][k] at column (k, j) and -A[l][j] at (i, l)."""
+    field, d = a.field, a.rows
+    sub, cols, at = field.sub, d * d, a.data
+    out = [0] * (cols * cols)
+    for i in range(d):
+        for j in range(d):
+            base = (i * d + j) * cols
+            out[base + j : base + cols : d] = at[i * d : i * d + d]
+            for l in range(d):
+                c = base + i * d + l
+                out[c] = sub(out[c], at[l * d + j])
+    return Matrix(field, cols, cols, out)
 
 
 def _rank1_partner(a: Matrix) -> Optional[Matrix]:
@@ -658,13 +683,23 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     other d runs an exhaustive search for rank 1 over all pairs (A, B) of
     d x d matrices.  A pair with C = [A, B] nonzero and commuting with A
     and B is a witness, and so is (T^-1 A T, T^-1 B T) for every invertible
-    T.  So A ranges over one rational canonical form per similarity class,
-    and for each one _rank1_partner settles every B by a few small linear
-    systems: every pair is accounted for (pairs_tested is p^(2 d^2)) and
-    classes counts the forms examined, p at d = 1 and p^2 + p at d = 2.
+    T.  So A ranges over one rational canonical form per similarity class:
+    every pair is accounted for (pairs_tested is p^(2 d^2)) and classes
+    counts the classes settled, p at d = 1 and p^2 + p at d = 2.
+
+    A witness needs Z = [A, B] in U = im ad_A & ker ad_A, and U = 0 when
+    the minimal polynomial fk of A is squarefree, that is when A is
+    semisimple.  In any characteristic such an A is diagonal over the
+    algebraic closure, with entries a_i, so ad_A is diagonal in the basis
+    e_i e_j^T with eigenvalues a_i - a_j; each eigenvector lies in ker ad_A
+    or in im ad_A, so by rank-nullity im ad_A & ker ad_A = 0.  (The
+    converse holds too, by the Jordan-Chevalley decomposition ad_A = ad_S +
+    ad_N: Humphreys, Introduction to Lie Algebras, 4.2.)  So only the
+    classes whose fk repeats a factor reach _rank1_partner's few small
+    linear systems: q of the q^2 + q classes at d = 2.
 
     The guard counts classes before any is enumerated: at most 2^12, which
-    admits GF(61) at d = 2 (3,782 classes, about 0.8 s on a 2-vCPU Xeon);
+    admits GF(61) at d = 2 (3,782 classes, about 0.1 s on a 2-vCPU Xeon);
     GF(67) and up at d = 2 raise TooLarge at once.  d >= 4 raises TooLarge
     as well, since the lines of im ad_A & ker ad_A cannot be bounded before
     enumerating them.
@@ -688,9 +723,12 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
         raise TooLarge(
             f"{classes} similarity classes exceed the 2^12 search bound")
     witness = None
-    # every class is examined, so the result accounts for all pairs even
+    # every class is settled, so the result accounts for all pairs even
     # when a witness turns up early
-    for a in _similarity_classes(field, d):
+    for chain in _similarity_classes(field, d):
+        if _squarefree(chain[-1]):
+            continue  # semisimple: U = 0, no partner
+        a = direct_sum([companion(f) for f in chain])
         b = _rank1_partner(a)
         if witness is None and b is not None:
             witness = Representation(

@@ -477,6 +477,24 @@ def oracle_rank1_partner(a: Matrix):
     return None
 
 
+def oracle_ad(a: Matrix) -> Matrix:
+    """ad_A(X) = AX - XA on row-major vectors of X by the Kronecker
+    formula kron(A, I) - kron(I, A^T)."""
+    eye = Matrix.identity(a.field, a.rows)
+    return oracle_kron(a, eye) - oracle_kron(eye, a.transpose())
+
+
+def oracle_u_dim(a: Matrix) -> int:
+    """dim of U = im ad_A & ker ad_A, as ad_A(ker ad_A^2): the images under
+    ad_A that ad_A kills."""
+    field, d = a.field, a.rows
+    ad = oracle_ad(a)
+    ker2 = (ad * ad).kernel_basis()
+    return Matrix(
+        field, len(ker2), d * d, [x for v in ker2 for x in ad.apply(v)]
+    ).rank()
+
+
 def oracle_common_eigenvector(xs, betas) -> list[int]:
     """The first vector of the right kernel of all x_k - beta_k stacked
     vertically, by one elimination of the stacked n*d x d matrix."""

@@ -1056,6 +1056,36 @@ def test_poly_at_matches_power_sum_and_poly_apply():
         assert poly_apply(f, a, v) == poly_at(f, a).apply(v)
 
 
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_poly_at_costs_degree_minus_one_products(spec, monkeypatch):
+    # Horner's rule from c_k A + c_(k-1) I: no product by 0 or by I
+    p, m = spec
+    field = GF(p) if m == 1 else ext(p, m)
+    rng = random.Random(p * 10 + m)
+    products = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    for k in range(6):
+        for _ in range(4):
+            a = rand_matrix(field, 4, 4, rng)
+            coeffs = [rng.randrange(field.order) for _ in range(k)]
+            coeffs.append(rng.randrange(1, field.order))
+            expect = Matrix.zeros(field, 4, 4)
+            for i, c in enumerate(coeffs):
+                expect = expect + FieldElem(field, c) * a**i
+            products.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Matrix, "__mul__", counted)
+                got = poly_at(Poly(field, coeffs), a)
+            assert got == expect
+            assert len(products) == max(k - 1, 0)
+    assert poly_at(Poly(field, []), a) == Matrix.zeros(field, 4, 4)
+
+
 # -- canonical forms -----------------------------------------------------------
 
 

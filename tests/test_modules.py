@@ -14,6 +14,8 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_sqf_p
 
 from heisenmod import modules
 from heisenmod import (
@@ -37,8 +39,10 @@ from heisenmod import (
     build_restriction_rep,
     build_standard,
     build_V,
+    companion,
     composition_series,
     conjugate_rep,
+    direct_sum,
     direct_sum_reps,
     extend_scalars,
     field_embedding,
@@ -61,6 +65,7 @@ from heisenmod import (
 from oracles import (
     all_subspaces,
     invariant_subspaces,
+    oracle_ad,
     oracle_composition_length,
     oracle_hom_dim,
     oracle_hom_space,
@@ -70,6 +75,7 @@ from oracles import (
     oracle_search,
     oracle_similarity_classes,
     oracle_sub_quotient,
+    oracle_u_dim,
     oracle_uniserial,
     trial_division_irreducible,
 )
@@ -1042,6 +1048,12 @@ def _class_count(q, d):
     return {1: q, 2: q**2 + q, 3: q**3 + q**2 + q}[d]
 
 
+def _forms(field, d):
+    # the rational canonical forms of the invariant-factor chains
+    return [direct_sum([companion(f) for f in chain])
+            for chain in modules._similarity_classes(field, d)]
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_search_agrees_with_the_full_scan(p, d):
@@ -1062,7 +1074,7 @@ def test_search_agrees_with_the_full_scan(p, d):
 def test_rank1_partner_agrees_with_brute_force(p, d):
     # every similarity class: a partner exists exactly when the scan over
     # all B finds one, and the partner returned is a witness
-    for a in modules._similarity_classes(GF(p), d):
+    for a in _forms(GF(p), d):
         b = modules._rank1_partner(a)
         assert (b is None) == (oracle_rank1_partner(a) is None), a
         if b is not None:
@@ -1074,7 +1086,7 @@ def test_rank1_partner_agrees_with_brute_force(p, d):
 @pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2)])
 def test_similarity_classes_are_the_frobenius_forms(p, d):
     field = GF(p)
-    forms = list(modules._similarity_classes(field, d))
+    forms = _forms(field, d)
     assert len(set(forms)) == len(forms)
     assert set(forms) == {
         frobenius_form(Matrix(field, d, d, list(entries))).form
@@ -1092,7 +1104,7 @@ def test_similarity_classes_match_divisibility_oracle(spec, d):
     # f % prev for every monic f
     p, m = spec
     field = GF(p) if m == 1 else ext(p, m)
-    forms = list(modules._similarity_classes(field, d))
+    forms = _forms(field, d)
     assert forms == oracle_similarity_classes(field, d)
 
 
@@ -1100,8 +1112,124 @@ def test_similarity_classes_match_divisibility_oracle(spec, d):
     "q, d", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)]
 )
 def test_similarity_class_counts(q, d):
-    forms = list(modules._similarity_classes(GF(q), d))
+    forms = _forms(GF(q), d)
     assert len(forms) == _class_count(q, d)
+
+
+def _monics(field, degree):
+    for low in itertools.product(range(field.order), repeat=degree):
+        yield Poly(field, [*low, 1])
+
+
+def _inseparable(field):
+    # X^p - c: f' = 0, and f = (X - c^(1/p))^p repeats its one factor
+    p = field.p
+    return [Poly(field, [field.neg(c)] + [0] * (p - 1) + [1])
+            for c in range(field.order)]
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_squarefree_matches_sympy(p, top):
+    field = GF(p)
+    for k in range(top + 1):
+        for f in [*_monics(field, k), *_inseparable(field)]:
+            want = gf_sqf_p(list(reversed(f.coeffs)), p, ZZ)
+            assert modules._squarefree(f) == want, f
+    assert not any(map(modules._squarefree, _inseparable(field)))
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2)])
+def test_squarefree_matches_factor_multiplicities(p, m):
+    # squarefree exactly when f is the product of its distinct factors
+    field = ext(p, m)
+    for k in range(1, 4):
+        for f in _monics(field, k):
+            product = Poly(field, [1])
+            for g in f.irreducible_factors():
+                product = product * g
+            assert modules._squarefree(f) == (product == f), f
+    assert not any(map(modules._squarefree, _inseparable(field)))
+
+
+def test_semisimple_classes_have_no_rank1_room():
+    # the lemma the search prunes by: dim(im ad_A & ker ad_A) = 0 exactly
+    # when the minimal polynomial fk is squarefree (935 classes)
+    count = 0
+    for field in [GF(2), GF(3), ext(2, 2), GF(5), GF(7), ext(3, 2)]:
+        for d in (1, 2, 3):
+            if field.order**d > 400:
+                continue
+            for chain in modules._similarity_classes(field, d):
+                a = direct_sum([companion(f) for f in chain])
+                assert (oracle_u_dim(a) == 0) == modules._squarefree(chain[-1]), chain
+                count += 1
+    assert count == 935
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_search_settles_only_non_semisimple_classes(p, monkeypatch):
+    # at d = 2 only the q classes (X - c)^2 reach linear algebra
+    calls = []
+    partner = modules._rank1_partner
+
+    def counted(a):
+        calls.append(a)
+        return partner(a)
+
+    monkeypatch.setattr(modules, "_rank1_partner", counted)
+    res = search_min_faithful(1, p, 2)
+    assert len(calls) == p
+    assert res.classes == _class_count(p, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_non_semisimple_class_count_at_dimension_three(q):
+    field = GF(q) if q != 4 else ext(2, 2)
+    chains = list(modules._similarity_classes(field, 3))
+    repeated = [c for c in chains if not modules._squarefree(c[-1])]
+    assert len(chains) == _class_count(q, 3)
+    assert len(repeated) == q**2 + q
+
+
+# SearchResult fields (found, pairs_tested, mode, classes) as computed when
+# every class, semisimple or not, went through _rank1_partner
+SEARCH_PINS = {
+    (2, 1): (False, 4, "exhaustive", 2),
+    (2, 2): (True, 256, "exhaustive", 6),
+    (3, 1): (False, 9, "exhaustive", 3),
+    (3, 2): (False, 6561, "exhaustive", 12),
+    (5, 1): (False, 25, "exhaustive", 5),
+    (5, 2): (False, 390625, "exhaustive", 30),
+    (7, 1): (False, 49, "exhaustive", 7),
+    (7, 2): (False, 5764801, "exhaustive", 56),
+}
+
+
+@pytest.mark.parametrize("p, d", sorted(SEARCH_PINS))
+def test_search_results_are_pinned(p, d):
+    res = search_min_faithful(1, p, d)
+    assert (res.found, res.pairs_tested, res.mode, res.classes) == SEARCH_PINS[p, d]
+    if (p, d) == (2, 2):
+        # A the companion of X^2, B = E_12, Z = I
+        assert [m.data for m in res.rep.x] == [[0, 0, 1, 0]]
+        assert [m.data for m in res.rep.y] == [[0, 1, 0, 0]]
+        assert res.rep.z.data == [1, 0, 0, 1]
+    else:
+        assert res.rep is None
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (5, 1), (2, 2), (3, 2)])
+def test_ad_matches_kronecker_formula(spec):
+    p, m = spec
+    field = GF(p) if m == 1 else ext(p, m)
+    rng = random.Random(18 * p + m)
+    for d in range(1, 5):
+        for _ in range(3):
+            a = Matrix(field, d, d, [rng.randrange(field.order) for _ in range(d * d)])
+            ad = modules._ad(a)
+            assert ad == oracle_ad(a)
+            x = Matrix(field, d, d, [rng.randrange(field.order) for _ in range(d * d)])
+            assert ad.apply(x.data) == (a * x - x * a).data
 
 
 @pytest.mark.parametrize("d", [2, 3])  # the scan's witness, the standard one
