@@ -574,7 +574,8 @@ def split_by_central(
 
 class SearchResult(NamedTuple):
     """pairs_tested counts the pairs (A, B) the search accounts for, and
-    classes the similarity classes of A it settled."""
+    classes the similarity classes of A it settled, each either directly
+    or through its trace-zero translate A - cI."""
 
     found: bool
     rep: Optional[Representation]
@@ -694,12 +695,20 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     e_i e_j^T with eigenvalues a_i - a_j; each eigenvector lies in ker ad_A
     or in im ad_A, so by rank-nullity im ad_A & ker ad_A = 0.  (The
     converse holds too, by the Jordan-Chevalley decomposition ad_A = ad_S +
-    ad_N: Humphreys, Introduction to Lie Algebras, 4.2.)  So only the
-    classes whose fk repeats a factor reach _rank1_partner's few small
-    linear systems: q of the q^2 + q classes at d = 2.
+    ad_N: Humphreys, Introduction to Lie Algebras, 4.2.)
+
+    Adding a scalar changes no bracket: ad_(A - cI) = ad_A, so A and A - cI
+    have the same U, and (A, B) is a witness exactly when (A - cI, B) is.
+    As tr(A - cI) = tr(A) - dc, when p does not divide d the one trace-zero
+    translate is c = tr(A) / d, and each class is settled through it: a
+    chain whose trace, the sum of -f.coeffs[-2], is nonzero is skipped.
+    When p divides d every translate keeps the trace of A, so every class
+    is examined.  Of the classes examined, only those whose fk repeats a
+    factor reach _rank1_partner's few small linear systems: at d = 2 the
+    one class X^2 for odd q, and X^2 and (X + 1)^2 for q = 2.
 
     The guard counts classes before any is enumerated: at most 2^12, which
-    admits GF(61) at d = 2 (3,782 classes, about 0.1 s on a 2-vCPU Xeon);
+    admits GF(61) at d = 2 (3,782 classes, about 6 ms on a 2-vCPU Xeon);
     GF(67) and up at d = 2 raise TooLarge at once.  d >= 4 raises TooLarge
     as well, since the lines of im ad_A & ker ad_A cannot be bounded before
     enumerating them.
@@ -725,7 +734,10 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     witness = None
     # every class is settled, so the result accounts for all pairs even
     # when a witness turns up early
+    translate = d % p != 0
     for chain in _similarity_classes(field, d):
+        if translate and sum(f.coeffs[-2] for f in chain) % p:
+            continue  # settled through its trace-zero translate
         if _squarefree(chain[-1]):
             continue  # semisimple: U = 0, no partner
         a = direct_sum([companion(f) for f in chain])

@@ -19,7 +19,7 @@ import random
 import time
 from typing import NamedTuple, Sequence
 
-from .errors import VerificationFailed
+from .errors import TooLarge, VerificationFailed
 from .fields import (
     FieldElem,
     GF,
@@ -164,7 +164,8 @@ _PROP21_MAX_DIM = 81
 
 
 # -- case functions ------------------------------------------------------------
-# Each returns (ok, message); raising counts as a failure with the error text.
+# Each returns (ok, message); raising counts as a failure with the error text,
+# except VerificationFailed and TooLarge, which propagate (see _run_case).
 
 
 def _case_prop21(p, n, alpha, betas, gammas):
@@ -540,8 +541,8 @@ def _run_case(args) -> CaseOutcome:
     func_name, key, kwargs = args
     try:
         ok, message = _CASE_FUNCS[func_name](**kwargs)
-    except VerificationFailed:
-        raise  # a library bug, not a false property
+    except (VerificationFailed, TooLarge):
+        raise  # a library bug or a refused request, not a false property
     except Exception as exc:  # report, never crash the sweep
         ok, message = False, f"{type(exc).__name__}: {exc}"
     return CaseOutcome(case=key, inputs=dict(kwargs), ok=ok, message=message)
@@ -829,6 +830,8 @@ def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
     Ranges default per suite; explicit lists are validated (primes for p,
     positive ranks and degrees).  Cases are deterministic given the seed
     and independent, so they run on min(jobs, cases, CPUs) processes.
+    A case that raises VerificationFailed or TooLarge checked nothing, so
+    the error propagates instead of being reported as a failed case.
     """
     if name not in _BUILDERS:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")

@@ -325,6 +325,15 @@ def test_suite_search_message_lines(cli):
     assert "d=3: witness found" in out
 
 
+def test_suite_refused_search_is_exit_two(cli):
+    # GF(67) at d = 2 is past the 2^12 class bound: a refusal, not a FAIL
+    code, out, err = cli(["suite", "sec3-min-dim", "--p", "67", "--n", "1"])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: TooLarge: 4556 similarity classes exceed the 2^12 search bound\n"
+    )
+
+
 def test_suite_parallel_matches_serial(cli):
     code, serial, _ = cli(["suite", "cor26", "--p", "2,3", "--json"])
     assert code == 0

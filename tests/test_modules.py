@@ -1167,8 +1167,9 @@ def test_semisimple_classes_have_no_rank1_room():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_search_settles_only_non_semisimple_classes(p, monkeypatch):
-    # at d = 2 only the q classes (X - c)^2 reach linear algebra
+def test_search_settles_only_trace_zero_non_semisimple_classes(p, monkeypatch):
+    # at d = 2 the classes (X - c)^2 are one translation orbit, settled by
+    # X^2 alone for odd p; at p = 2, p | d and both X^2 and (X + 1)^2 run
     calls = []
     partner = modules._rank1_partner
 
@@ -1178,8 +1179,97 @@ def test_search_settles_only_non_semisimple_classes(p, monkeypatch):
 
     monkeypatch.setattr(modules, "_rank1_partner", counted)
     res = search_min_faithful(1, p, 2)
-    assert len(calls) == p
+    field = GF(p)
+    squares = [companion(Poly(field, [c * c % p, -2 * c % p, 1])) for c in range(p)]
+    assert calls == (squares if p == 2 else squares[:1])
     assert res.classes == _class_count(p, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_search_examines_exactly_the_trace_zero_classes(p, d, monkeypatch):
+    # the classes past the trace filter are those whose form has trace 0
+    # (Matrix.trace), or every class when p | d
+    seen = []
+    squarefree = modules._squarefree
+
+    def recorded(f):
+        seen.append(f)
+        return squarefree(f)
+
+    monkeypatch.setattr(modules, "_squarefree", recorded)
+    search_min_faithful(1, p, d)
+    chains = list(modules._similarity_classes(GF(p), d))
+    want = [c[-1] for c in chains
+            if d % p == 0
+            or direct_sum([companion(f) for f in c]).trace().is_zero()]
+    assert seen == want
+    assert len(want) == (len(chains) if d % p == 0 else len(chains) // p)
+
+
+# every chain over GF(p) at d = 1, 2 for p <= 7, and at d = 3 for p <= 3
+_COVERING = [(p, d) for p in (2, 3, 5, 7) for d in (1, 2)] + [(2, 3), (3, 3)]
+
+
+def _trace_zero_translate(a):
+    # the class of A - cI with c = tr(A) / d, defined when p does not divide d
+    c = a.trace() / a.rows
+    return frobenius_form(a - Matrix.scalar(a.field, a.rows, c)).form
+
+
+@pytest.mark.parametrize("p, d", _COVERING)
+def test_translation_orbits_share_ad_and_hold_one_trace_zero_class(p, d):
+    # the covering argument of the search: ad_(A - cI) = ad_A, and for
+    # p not dividing d each orbit {A - cI} has exactly one trace-zero class
+    field = GF(p)
+    forms = oracle_similarity_classes(field, d)
+    orbits = set()
+    for a in forms:
+        ad = oracle_ad(a)
+        orbit = set()
+        for c in range(p):
+            shifted = a - Matrix.scalar(field, d, c)
+            assert oracle_ad(shifted) == ad
+            orbit.add(frobenius_form(shifted).form)
+        assert a in orbit
+        traces = [b.trace() for b in orbit]
+        if d % p:
+            assert len(orbit) == p
+            assert sum(t.is_zero() for t in traces) == 1
+            assert _trace_zero_translate(a) in orbit
+        else:
+            assert len(set(traces)) == 1  # p | d: translation keeps the trace
+        orbits.add(frozenset(orbit))
+    assert set().union(*orbits) == set(forms)
+    if d % p:
+        zero = [a for a in forms if a.trace().is_zero()]
+        assert len(orbits) == len(zero) == len(forms) // p
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank1_partner_exists_exactly_for_the_trace_zero_translate(p):
+    field = GF(p)
+    found = {}
+    for a in oracle_similarity_classes(field, 2):
+        zero = _trace_zero_translate(a)
+        if zero not in found:
+            found[zero] = oracle_rank1_partner(zero) is not None
+        assert (oracle_rank1_partner(a) is not None) == found[zero]
+    assert len(found) == _class_count(p, 2) // p
+
+
+def test_rank1_partner_carries_over_to_every_translate():
+    # at (2, 2) partners exist; a partner of A is one of every A - cI
+    field = GF(2)
+    for a in oracle_similarity_classes(field, 2):
+        b = oracle_rank1_partner(a)
+        for c in range(2):
+            shifted = a - Matrix.scalar(field, 2, c)
+            assert (oracle_rank1_partner(shifted) is None) == (b is None)
+            if b is not None:
+                z = shifted * b - b * shifted
+                assert not z.is_zero()
+                assert shifted * z == z * shifted and b * z == z * b
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from heisenmod import CaseOutcome, Report, run_suite, suite_names
+from heisenmod import CaseOutcome, Report, TooLarge, run_suite, suite_names
 
 
 def test_suite_names_lists_all_eleven():
@@ -152,6 +152,13 @@ def test_range_validation():
     with pytest.raises(ValueError):
         # every (p, m) combination is past desk scale
         run_suite("cor23", p=[5], m=[5])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_refused_case_raises_instead_of_failing(jobs):
+    # GF(67) at d = 2 is past the search bound: nothing was refuted
+    with pytest.raises(TooLarge, match="4556 similarity classes"):
+        run_suite("sec3-min-dim", p=[67], n=[1], jobs=jobs)
 
 
 def test_sweeps_cap_the_case_count():
