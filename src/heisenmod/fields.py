@@ -566,10 +566,6 @@ class Poly:
     def x(cls, field: Field) -> "Poly":
         return cls._raw(field, [0, 1])
 
-    @classmethod
-    def constant(cls, field: Field, c: ElemLike) -> "Poly":
-        return cls._raw(field, [field.code(c)])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -579,10 +575,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def lc(self) -> int:
-        """Leading coefficient code; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0
 
     def elem(self, i: int) -> FieldElem:
         c = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -704,12 +696,6 @@ class Poly:
             return Poly._raw(self.field, [])
         g = self.gcd(other)
         return ((self // g) * other).monic()
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by X^k."""
-        if self.is_zero():
-            return self
-        return Poly._raw(self.field, [0] * k + list(self.coeffs))
 
     def inflate(self, k: int) -> "Poly":
         """Substitute X^k for X."""

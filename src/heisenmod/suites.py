@@ -6,9 +6,12 @@ anchor string of the statement being checked, and every failure records
 the primitive inputs that reproduce it.  Randomized inputs always derive
 from the suite seed, so reruns are bit-identical.
 
-Cases are independent and dispatch to a pool of min(jobs, cases, CPUs)
-processes when that is above 1, the only time the pool machinery is
-imported; aggregation sorts by case key, so scheduling order is invisible.
+A suite is one `_SUITES` entry (anchor, default ranges, case builder)
+plus its case function, which every built case carries itself.  Cases are
+independent and dispatch to a pool of min(jobs, cases, CPUs) processes
+when that is above 1 (case functions pickle by reference), the only time
+the pool machinery is imported; aggregation sorts by case key, so
+scheduling order is invisible.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 import os
 import random
 import time
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import TooLarge, VerificationFailed
 from .fields import (
@@ -123,12 +126,20 @@ class Report(NamedTuple):
 # -- shared helpers ------------------------------------------------------------
 
 
-def _random_params(field, n: int, rng: random.Random) -> ModuleParams:
-    q = field.order
+def _random_codes(q: int, n: int, rng: random.Random) -> dict:
+    """alpha, betas, gammas codes drawn from rng in that order, alpha != 0."""
+    return {
+        "alpha": rng.randrange(1, q),
+        "betas": [rng.randrange(q) for _ in range(n)],
+        "gammas": [rng.randrange(q) for _ in range(n)],
+    }
+
+
+def _params(field, alpha: int, betas, gammas) -> ModuleParams:
     return ModuleParams(
-        FieldElem(field, rng.randrange(1, q)),
-        [FieldElem(field, rng.randrange(q)) for _ in range(n)],
-        [FieldElem(field, rng.randrange(q)) for _ in range(n)],
+        FieldElem(field, alpha),
+        [FieldElem(field, b) for b in betas],
+        [FieldElem(field, g) for g in gammas],
     )
 
 
@@ -139,23 +150,32 @@ def _random_invertible(field, d: int, rng: random.Random) -> Matrix:
             return m
 
 
+def _pair(draw, same: bool):
+    """Two draws, the second equal to the first when `same` and otherwise
+    redrawn until it differs."""
+    first = second = draw()
+    while not same and second == first:
+        second = draw()
+    return first, second
+
+
+def _faithful_problems(rep, dim: int) -> list[str]:
+    """What keeps rep from being a faithful module of dimension dim."""
+    problems = []
+    report = validate_rep(rep)
+    if not report.ok:
+        problems.append(f"relations violated: {report.violations}")
+    if not rep.is_faithful():
+        problems.append("not faithful")
+    if rep.dim != dim:
+        problems.append(f"dimension {rep.dim} != {dim}")
+    return problems
+
+
 def _irreducible_polys(p: int, degree: int) -> list[Poly]:
     """All monic irreducible polynomials of the given degree over GF(p),
     in ascending coefficient-code order."""
     return sorted(monic_irreducibles(p, degree), key=lambda f: f.coeffs)
-
-
-def _decode_params(p: int, n: int, alpha: int, betas, gammas) -> ModuleParams:
-    field = GF(p)
-    return ModuleParams(
-        FieldElem(field, alpha),
-        [FieldElem(field, b) for b in betas],
-        [FieldElem(field, g) for g in gammas],
-    )
-
-
-def _lines(q: int, d: int) -> int:
-    return (q**d - 1) // (q - 1)
 
 
 # one prop21 case takes about 0.03 s at d = 25, 0.6 s at d = 81 and 1.6 s
@@ -170,16 +190,9 @@ _PROP21_MAX_DIM = 81
 
 def _case_prop21(p, n, alpha, betas, gammas):
     field = GF(p)
-    params = _decode_params(p, n, alpha, betas, gammas)
+    params = _params(field, alpha, betas, gammas)
     rep = build_V(HeisenbergAlgebra(n, field), params)
-    problems = []
-    report = validate_rep(rep)
-    if not report.ok:
-        problems.append(f"relations violated: {report.violations}")
-    if not rep.is_faithful():
-        problems.append("not faithful")
-    if rep.dim != p**n:
-        problems.append(f"dimension {rep.dim} != {p**n}")
+    problems = _faithful_problems(rep, p**n)
     if rep.z != Matrix.scalar(field, rep.dim, params.alpha):
         problems.append("central image is not alpha * identity")
     if not is_irreducible(rep):
@@ -189,7 +202,7 @@ def _case_prop21(p, n, alpha, betas, gammas):
 
 def _case_thm22(p, n, alpha, betas, gammas, conj_seed):
     field = GF(p)
-    params = _decode_params(p, n, alpha, betas, gammas)
+    params = _params(field, alpha, betas, gammas)
     rep = build_V(HeisenbergAlgebra(n, field), params)
     if conj_seed is not None:
         rng = random.Random(conj_seed)
@@ -230,14 +243,7 @@ def _case_cor24(p, n, seed, same):
     rng = random.Random(seed)
     field = GF(p)
     algebra = HeisenbergAlgebra(n, field)
-    first = _random_params(field, n, rng)
-    if same:
-        second = first
-    else:
-        while True:
-            second = _random_params(field, n, rng)
-            if second != first:
-                break
+    first, second = _pair(lambda: _params(field, **_random_codes(p, n, rng)), same)
     d = p**n
     r1 = conjugate_rep(build_V(algebra, first), _random_invertible(field, d, rng))
     r2 = conjugate_rep(build_V(algebra, second), _random_invertible(field, d, rng))
@@ -274,14 +280,7 @@ def _case_cor25(p, seed, same):
         xi = x.inv()
         return (xi * a * x, xi * b * x, xi * c * x)
 
-    one = fresh()
-    if same:
-        two = one
-    else:
-        while True:
-            two = fresh()
-            if two != one:
-                break
+    one, two = _pair(fresh, same)
     t1 = conjugated(*one)
     t2 = conjugated(*two)
     problems = []
@@ -356,16 +355,8 @@ def _case_sec3_search(p, d):
 
 
 def _case_sec3_witness(p, n):
-    field = GF(p)
-    rep = build_standard(HeisenbergAlgebra(n, field))
-    report = validate_rep(rep)
-    problems = []
-    if not report.ok:
-        problems.append(f"relations violated: {report.violations}")
-    if not rep.is_faithful():
-        problems.append("not faithful")
-    if rep.dim != n + 2:
-        problems.append(f"dimension {rep.dim} != {n + 2}")
+    rep = build_standard(HeisenbergAlgebra(n, GF(p)))
+    problems = _faithful_problems(rep, n + 2)
     return not problems, "; ".join(problems) or f"d={n + 2}: witness found"
 
 
@@ -519,28 +510,10 @@ def _case_note52(p, fcodes, alpha, beta):
     return not problems, "; ".join(problems)
 
 
-_CASE_FUNCS = {
-    "prop21": _case_prop21,
-    "thm22": _case_thm22,
-    "cor23": _case_cor23,
-    "cor24": _case_cor24,
-    "cor25": _case_cor25,
-    "cor26": _case_cor26,
-    "ex27": _case_ex27,
-    "sec3_search": _case_sec3_search,
-    "sec3_witness": _case_sec3_witness,
-    "sec4": _case_sec4,
-    "thm51_minpolys": _case_thm51_minpolys,
-    "thm51_irreducible": _case_thm51_irreducible,
-    "thm51_uniserial": _case_thm51_uniserial,
-    "note52": _case_note52,
-}
-
-
 def _run_case(args) -> CaseOutcome:
-    func_name, key, kwargs = args
+    func, key, kwargs = args
     try:
-        ok, message = _CASE_FUNCS[func_name](**kwargs)
+        ok, message = func(**kwargs)
     except (VerificationFailed, TooLarge):
         raise  # a library bug or a refused request, not a false property
     except Exception as exc:  # report, never crash the sweep
@@ -549,25 +522,56 @@ def _run_case(args) -> CaseOutcome:
 
 
 # -- case builders ------------------------------------------------------------
+# Each takes (plist, nlist, mlist, seed) and returns (case function, key,
+# inputs) triples; an empty list means every combination was over a limit.
 
 
-def _param_sweep(p, n, seed, budget):
-    """All (alpha, betas, gammas) code tuples when few, a seeded sample
-    otherwise."""
-    total = (p - 1) * p ** (2 * n)
-    if total <= budget:
-        for alpha in range(1, p):
-            for betas in itertools.product(range(p), repeat=n):
-                for gammas in itertools.product(range(p), repeat=n):
-                    yield alpha, list(betas), list(gammas)
-        return
-    rng = random.Random(seed * 1000003 + p * 101 + n)
-    for _ in range(10):
-        yield (
-            rng.randrange(1, p),
-            [rng.randrange(p) for _ in range(n)],
-            [rng.randrange(p) for _ in range(n)],
-        )
+def _seeded(func, combos, k, key, rng, same=False) -> list:
+    """k cases of func per combination (a dict of inputs), each seeded from
+    rng in order; case i has key.format(i=i, **combo) and, with `same`,
+    the flag same = i % 2 == 0."""
+    cases = []
+    for combo in combos:
+        for i in range(k):
+            inputs = {**combo, "seed": rng.randrange(2**32)}
+            if same:
+                inputs["same"] = i % 2 == 0
+            cases.append((func, key.format(i=i, **combo), inputs))
+    return cases
+
+
+def _line_capped(plist, mlist) -> list[dict]:
+    """The (p, m) combinations where GF(p)^(pm) has at most 5,000 lines,
+    the bound of the old exhaustive spin.  No computation needs it any
+    more; cor23, sec4-restriction and thm51 keep it only because gate
+    checks 07-09 pin the case counts it leaves (it drops (3, 3))."""
+    return [{"p": p, "m": m} for p in plist for m in mlist
+            if (p ** (p * m) - 1) // (p - 1) <= 5000]
+
+
+def _all_codes(p: int, n: int):
+    """Every alpha, betas, gammas code dict over GF(p) with alpha != 0."""
+    for alpha in range(1, p):
+        for betas in itertools.product(range(p), repeat=n):
+            for gammas in itertools.product(range(p), repeat=n):
+                yield {"alpha": alpha, "betas": list(betas), "gammas": list(gammas)}
+
+
+_CODES_KEY = "p={p},n={n},alpha={alpha},betas={betas},gammas={gammas}"
+
+
+def _per_irreducible(func, plist, rng) -> list:
+    """One case of func per monic irreducible f of degree 2 (and 3 when
+    p = 2), with alpha then beta drawn from rng."""
+    cases = []
+    for p in plist:
+        for degree in [2, 3] if p == 2 else [2]:
+            for f in _irreducible_polys(p, degree):
+                cases.append((func, f"p={p},f={list(f.coeffs)}", {
+                    "p": p, "fcodes": list(f.coeffs),
+                    "alpha": rng.randrange(1, p), "beta": rng.randrange(p),
+                }))
+    return cases
 
 
 def _build_prop21(plist, nlist, mlist, seed):
@@ -575,15 +579,15 @@ def _build_prop21(plist, nlist, mlist, seed):
     for p in plist:
         for n in nlist:
             if p**n > _PROP21_MAX_DIM:
-                continue  # above desk scale
-            for alpha, betas, gammas in _param_sweep(p, n, seed, budget=64):
-                key = f"p={p},n={n},alpha={alpha},betas={betas},gammas={gammas}"
-                cases.append(("prop21", key, {
-                    "p": p, "n": n, "alpha": alpha,
-                    "betas": betas, "gammas": gammas,
-                }))
-    if not cases:
-        raise ValueError("requested ranges are above desk scale")
+                continue  # case cost, see _PROP21_MAX_DIM
+            if (p - 1) * p ** (2 * n) <= 64:
+                codes = _all_codes(p, n)
+            else:  # a seeded sample of 10
+                rng = random.Random(seed * 1000003 + p * 101 + n)
+                codes = [_random_codes(p, n, rng) for _ in range(10)]
+            for code in codes:
+                inputs = {"p": p, "n": n, **code}
+                cases.append((_case_prop21, _CODES_KEY.format(**inputs), inputs))
     return cases
 
 
@@ -598,95 +602,28 @@ def _build_thm22(plist, nlist, mlist, seed):
                     f"p={p}, n={n} gives {total} parameter tuples,"
                     " above desk scale"
                 )
-            for alpha in range(1, p):
-                for betas in itertools.product(range(p), repeat=n):
-                    for gammas in itertools.product(range(p), repeat=n):
-                        key = (
-                            f"p={p},n={n},alpha={alpha},"
-                            f"betas={list(betas)},gammas={list(gammas)}"
-                        )
-                        cases.append(("thm22", key, {
-                            "p": p, "n": n, "alpha": alpha,
-                            "betas": list(betas), "gammas": list(gammas),
-                            "conj_seed": None,
-                        }))
+            for code in _all_codes(p, n):
+                inputs = {"p": p, "n": n, **code, "conj_seed": None}
+                cases.append((_case_thm22, _CODES_KEY.format(**inputs), inputs))
             for i in range(50):
-                alpha = rng.randrange(1, p)
-                betas = [rng.randrange(p) for _ in range(n)]
-                gammas = [rng.randrange(p) for _ in range(n)]
-                key = f"p={p},n={n},conjugate={i:02d}"
-                cases.append(("thm22", key, {
-                    "p": p, "n": n, "alpha": alpha,
-                    "betas": betas, "gammas": gammas,
-                    "conj_seed": rng.randrange(2**32),
-                }))
-    return cases
-
-
-def _build_cor23(plist, nlist, mlist, seed):
-    rng = random.Random(seed)
-    cases = []
-    for p in plist:
-        for m in mlist:
-            if _lines(p, p * m) > 5000:
-                continue  # enumeration gone; kept as gate check 09 pins 15 cases
-            for i in range(5):
-                key = f"p={p},m={m},case={i}"
-                cases.append(("cor23", key, {
-                    "p": p, "m": m, "seed": rng.randrange(2**32),
-                }))
-    if not cases:
-        raise ValueError("requested ranges are above desk scale")
+                inputs = {"p": p, "n": n, **_random_codes(p, n, rng)}
+                inputs["conj_seed"] = rng.randrange(2**32)
+                cases.append((_case_thm22, f"p={p},n={n},conjugate={i:02d}", inputs))
     return cases
 
 
 def _build_cor24(plist, nlist, mlist, seed):
-    combos = [(p, n) for p in plist for n in nlist if p**n <= 8]
-    if not combos:
-        raise ValueError("requested ranges are above desk scale")
-    rng = random.Random(seed)
-    per_combo = max(1, round(100 / len(combos)))
-    cases = []
-    for p, n in combos:
-        for i in range(per_combo):
-            key = f"p={p},n={n},pair={i:02d}"
-            cases.append(("cor24", key, {
-                "p": p, "n": n, "seed": rng.randrange(2**32),
-                "same": i % 2 == 0,
-            }))
-    return cases
+    # p^n <= 8 stays because gate check 03 pins the 100 cases it leaves
+    combos = [{"p": p, "n": n} for p in plist for n in nlist if p**n <= 8]
+    per_combo = max(1, round(100 / (len(combos) or 1)))
+    return _seeded(_case_cor24, combos, per_combo, "p={p},n={n},pair={i:02d}",
+                   random.Random(seed), same=True)
 
 
 def _build_cor25(plist, nlist, mlist, seed):
-    rng = random.Random(seed)
-    cases = []
-    per_p = max(1, round(100 / len(plist)))
-    for p in plist:
-        for i in range(per_p):
-            key = f"p={p},triple={i:02d}"
-            cases.append(("cor25", key, {
-                "p": p, "seed": rng.randrange(2**32), "same": i % 2 == 0,
-            }))
-    return cases
-
-
-def _build_cor26(plist, nlist, mlist, seed):
-    rng = random.Random(seed)
-    cases = []
-    for p in plist:
-        for i in range(100):
-            key = f"p={p},deltas={i:03d}"
-            cases.append(("cor26", key, {"p": p, "seed": rng.randrange(2**32)}))
-    return cases
-
-
-def _build_ex27(plist, nlist, mlist, seed):
-    cases = []
-    for p in plist:
-        for alpha in range(1, p):
-            key = f"p={p},alpha={alpha}"
-            cases.append(("ex27", key, {"p": p, "alpha": alpha}))
-    return cases
+    return _seeded(_case_cor25, [{"p": p} for p in plist],
+                   max(1, round(100 / len(plist))), "p={p},triple={i:02d}",
+                   random.Random(seed), same=True)
 
 
 def _build_sec3(plist, nlist, mlist, seed):
@@ -694,134 +631,113 @@ def _build_sec3(plist, nlist, mlist, seed):
     for p in plist:
         for n in nlist:
             if n == 1:
-                cases.append(("sec3_search", f"p={p},d=2", {"p": p, "d": 2}))
-                cases.append(("sec3_search", f"p={p},d=3", {"p": p, "d": 3}))
+                for d in (2, 3):
+                    cases.append((_case_sec3_search, f"p={p},d={d}", {"p": p, "d": d}))
             else:
                 key = f"p={p},n={n},d={n + 2}"
-                cases.append(("sec3_witness", key, {"p": p, "n": n}))
-    return cases
-
-
-def _build_sec4(plist, nlist, mlist, seed):
-    rng = random.Random(seed)
-    combos = [
-        (p, m) for p in plist for m in mlist if _lines(p, p * m) <= 5000
-    ]
-    if not combos:
-        raise ValueError("requested ranges are above desk scale")
-    cases = []
-    for p, m in combos:
-        for i in range(5):
-            key = f"p={p},m={m},case={i}"
-            cases.append(("sec4", key, {
-                "p": p, "m": m, "seed": rng.randrange(2**32),
-            }))
+                cases.append((_case_sec3_witness, key, {"p": p, "n": n}))
     return cases
 
 
 def _build_thm51(plist, nlist, mlist, seed):
     rng = random.Random(seed)
-    cases = []
-    per_p = max(1, round(20 / len(plist)))
-    for p in plist:
-        for i in range(per_p):
-            key = f"p={p},minpolys={i:02d}"
-            cases.append(("thm51_minpolys", key, {
-                "p": p, "seed": rng.randrange(2**32),
-            }))
-    for p in plist:
-        degrees = [2, 3] if p == 2 else [2]
-        for degree in degrees:
-            for f in _irreducible_polys(p, degree):
-                alpha = rng.randrange(1, p)
-                beta = rng.randrange(p)
-                key = f"p={p},f={list(f.coeffs)}"
-                cases.append(("thm51_irreducible", key, {
-                    "p": p, "fcodes": list(f.coeffs),
-                    "alpha": alpha, "beta": beta,
-                }))
-    for p in plist:
-        for m in mlist:
-            if _lines(p, p * m) > 5000:
-                continue  # enumeration gone; kept as gate check 08 pins 9 cases
-            for i in range(3):
-                key = f"p={p},m={m},uniserial={i}"
-                cases.append(("thm51_uniserial", key, {
-                    "p": p, "m": m, "seed": rng.randrange(2**32),
-                }))
-    return cases
+    minpolys = _seeded(_case_thm51_minpolys, [{"p": p} for p in plist],
+                       max(1, round(20 / len(plist))), "p={p},minpolys={i:02d}",
+                       rng)
+    irreducible = _per_irreducible(_case_thm51_irreducible, plist, rng)
+    return minpolys + irreducible + _seeded(
+        _case_thm51_uniserial, _line_capped(plist, mlist), 3,
+        "p={p},m={m},uniserial={i}", rng,
+    )
 
 
-def _build_note52(plist, nlist, mlist, seed):
-    rng = random.Random(seed)
-    cases = []
-    for p in plist:
-        degrees = [2, 3] if p == 2 else [2]
-        for degree in degrees:
-            for f in _irreducible_polys(p, degree):
-                key = f"p={p},f={list(f.coeffs)}"
-                cases.append(("note52", key, {
-                    "p": p, "fcodes": list(f.coeffs),
-                    "alpha": rng.randrange(1, p), "beta": rng.randrange(p),
-                }))
-    return cases
+class _Suite(NamedTuple):
+    anchor: str  # the statement the suite re-derives
+    p: list  # default ranges
+    n: list
+    m: list
+    build: Callable  # (plist, nlist, mlist, seed) -> case triples
 
 
-_ANCHORS = {
-    "prop21": "Prop 2.1(3): V_{alpha,beta,gamma} is a faithful irreducible"
-              " module of dimension p^n with scalar central action",
-    "thm22": "Thm 2.2: every faithful p^n-dimensional module is equivalent"
-             " to a V_{alpha,beta,gamma}, recovered by classify",
-    "cor23": "Cor 2.3: a faithful irreducible module has dimension p^n * m",
-    "cor24": "Cor 2.4(3): faithful p^n-dimensional modules are isomorphic"
-             " iff their invariant tuples agree",
-    "cor25": "Cor 2.5: triples with [A,B] = C = alpha*I are simultaneously"
-             " similar iff their determinant triples agree",
-    "cor26": "Cor 2.6: D is similar to the companion matrix of X^p - det(D)",
-    "ex27": "Ex 2.7: delta = (1,0,...,0) gives companion(X^2 - alpha) for"
-            " p = 2 and a nilpotent D for p > 2",
-    "sec3-min-dim": "Sec 3: the minimum faithful dimension is n + 2, except"
-                    " 2 for n = 1 in characteristic 2",
-    "sec4-restriction": "Sec 4: restriction of scalars along GF(p^m)/GF(p)"
-                        " preserves irreducibility under condition (C)",
-    "thm51": "Thm 5.1: companion modules realize the stated minimal"
-             " polynomials; irreducible f gives an irreducible module;"
-             " f = (X - gamma^p)^m gives a uniserial module with m factors",
-    "note52": "Note 5.2: over a splitting field the companion module is a"
-              " direct sum of pairwise distinct V_{alpha,beta,gamma_i}",
-}
-
-_BUILDERS = {
-    "prop21": _build_prop21,
-    "thm22": _build_thm22,
-    "cor23": _build_cor23,
-    "cor24": _build_cor24,
-    "cor25": _build_cor25,
-    "cor26": _build_cor26,
-    "ex27": _build_ex27,
-    "sec3-min-dim": _build_sec3,
-    "sec4-restriction": _build_sec4,
-    "thm51": _build_thm51,
-    "note52": _build_note52,
-}
-
-_DEFAULTS = {
-    "prop21": {"p": [2, 3, 5], "n": [1, 2], "m": [1]},
-    "thm22": {"p": [2, 3], "n": [1, 2], "m": [1]},
-    "cor23": {"p": [2, 3], "n": [1], "m": [2, 3]},
-    "cor24": {"p": [2, 3, 5], "n": [1, 2], "m": [1]},
-    "cor25": {"p": [3, 5], "n": [1], "m": [1]},
-    "cor26": {"p": [2, 3, 5], "n": [1], "m": [1]},
-    "ex27": {"p": [2, 3, 5], "n": [1], "m": [1]},
-    "sec3-min-dim": {"p": [2, 3, 5], "n": [1], "m": [1]},
-    "sec4-restriction": {"p": [2, 3], "n": [1], "m": [2, 3]},
-    "thm51": {"p": [2, 3], "n": [1], "m": [2, 3]},
-    "note52": {"p": [2, 3], "n": [1], "m": [1]},
+_SUITES = {
+    "prop21": _Suite(
+        "Prop 2.1(3): V_{alpha,beta,gamma} is a faithful irreducible"
+        " module of dimension p^n with scalar central action",
+        [2, 3, 5], [1, 2], [1], _build_prop21,
+    ),
+    "thm22": _Suite(
+        "Thm 2.2: every faithful p^n-dimensional module is equivalent"
+        " to a V_{alpha,beta,gamma}, recovered by classify",
+        [2, 3], [1, 2], [1], _build_thm22,
+    ),
+    "cor23": _Suite(
+        "Cor 2.3: a faithful irreducible module has dimension p^n * m",
+        [2, 3], [1], [2, 3],
+        lambda plist, nlist, mlist, seed: _seeded(
+            _case_cor23, _line_capped(plist, mlist), 5,
+            "p={p},m={m},case={i}", random.Random(seed),
+        ),
+    ),
+    "cor24": _Suite(
+        "Cor 2.4(3): faithful p^n-dimensional modules are isomorphic"
+        " iff their invariant tuples agree",
+        [2, 3, 5], [1, 2], [1], _build_cor24,
+    ),
+    "cor25": _Suite(
+        "Cor 2.5: triples with [A,B] = C = alpha*I are simultaneously"
+        " similar iff their determinant triples agree",
+        [3, 5], [1], [1], _build_cor25,
+    ),
+    "cor26": _Suite(
+        "Cor 2.6: D is similar to the companion matrix of X^p - det(D)",
+        [2, 3, 5], [1], [1],
+        lambda plist, nlist, mlist, seed: _seeded(
+            _case_cor26, [{"p": p} for p in plist], 100, "p={p},deltas={i:03d}",
+            random.Random(seed),
+        ),
+    ),
+    "ex27": _Suite(
+        "Ex 2.7: delta = (1,0,...,0) gives companion(X^2 - alpha) for"
+        " p = 2 and a nilpotent D for p > 2",
+        [2, 3, 5], [1], [1],
+        lambda plist, nlist, mlist, seed: [
+            (_case_ex27, f"p={p},alpha={a}", {"p": p, "alpha": a})
+            for p in plist for a in range(1, p)
+        ],
+    ),
+    "sec3-min-dim": _Suite(
+        "Sec 3: the minimum faithful dimension is n + 2, except"
+        " 2 for n = 1 in characteristic 2",
+        [2, 3, 5], [1], [1], _build_sec3,
+    ),
+    "sec4-restriction": _Suite(
+        "Sec 4: restriction of scalars along GF(p^m)/GF(p)"
+        " preserves irreducibility under condition (C)",
+        [2, 3], [1], [2, 3],
+        lambda plist, nlist, mlist, seed: _seeded(
+            _case_sec4, _line_capped(plist, mlist), 5,
+            "p={p},m={m},case={i}", random.Random(seed),
+        ),
+    ),
+    "thm51": _Suite(
+        "Thm 5.1: companion modules realize the stated minimal"
+        " polynomials; irreducible f gives an irreducible module;"
+        " f = (X - gamma^p)^m gives a uniserial module with m factors",
+        [2, 3], [1], [2, 3], _build_thm51,
+    ),
+    "note52": _Suite(
+        "Note 5.2: over a splitting field the companion module is a"
+        " direct sum of pairwise distinct V_{alpha,beta,gamma_i}",
+        [2, 3], [1], [1],
+        lambda plist, nlist, mlist, seed: _per_irreducible(
+            _case_note52, plist, random.Random(seed)
+        ),
+    ),
 }
 
 
 def suite_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(_SUITES)
 
 
 def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
@@ -833,12 +749,12 @@ def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
     A case that raises VerificationFailed or TooLarge checked nothing, so
     the error propagates instead of being reported as a failed case.
     """
-    if name not in _BUILDERS:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
-    defaults = _DEFAULTS[name]
-    plist = list(p) if p else list(defaults["p"])
-    nlist = list(n) if n else list(defaults["n"])
-    mlist = list(m) if m else list(defaults["m"])
+    suite = _SUITES[name]
+    plist = list(p or suite.p)
+    nlist = list(n or suite.n)
+    mlist = list(m or suite.m)
     for prime in plist:
         if not is_prime(prime):
             raise ValueError(f"p = {prime} is not prime")
@@ -846,7 +762,9 @@ def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
         raise ValueError("n and m ranges must be positive")
     if jobs < 1:
         raise ValueError(f"jobs = {jobs} must be at least 1")
-    cases = _BUILDERS[name](plist, nlist, mlist, seed)
+    cases = suite.build(plist, nlist, mlist, seed)
+    if not cases:
+        raise ValueError("requested ranges are above desk scale")
     workers = min(jobs, len(cases), os.cpu_count() or 1)
     start = time.perf_counter()
     if workers > 1:
@@ -861,7 +779,7 @@ def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
     failures = [o for o in outcomes if not o.ok]
     return Report(
         suite=name,
-        anchor=_ANCHORS[name],
+        anchor=suite.anchor,
         cases_run=len(outcomes),
         cases_passed=len(outcomes) - len(failures),
         failures=failures,

@@ -7,7 +7,10 @@ parallel dispatch must agree with serial, and bad ranges must be rejected
 before any case runs.
 """
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -149,9 +152,19 @@ def test_range_validation():
         run_suite("thm22", n=[0])
     with pytest.raises(ValueError):
         run_suite("cor23", m=[-1])
-    with pytest.raises(ValueError):
-        # every (p, m) combination is past desk scale
-        run_suite("cor23", p=[5], m=[5])
+    refusals = [
+        # every combination is past the suite's size limit
+        ("cor23", dict(p=[5], m=[5]), "requested ranges are above desk scale"),
+        ("cor24", dict(p=[3], n=[2]), "requested ranges are above desk scale"),
+        ("sec4-restriction", dict(p=[5], m=[5]),
+         "requested ranges are above desk scale"),
+        ("prop21", dict(p=[5], n=[3]), "requested ranges are above desk scale"),
+        ("thm22", dict(p=[7], n=[3]),
+         "p=7, n=3 gives 705894 parameter tuples, above desk scale"),
+    ]
+    for name, kwargs, text in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            run_suite(name, **kwargs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -178,3 +191,70 @@ def test_combos_past_desk_scale_are_dropped_quietly_when_others_remain():
     report = run_suite("prop21", p=[5], n=[1, 3])
     assert report.ok
     assert {o.inputs["n"] for o in report.outcomes} == {1}
+
+
+# SHA-256 of the JSON list of (case, inputs) over run_suite(name, seed=s)
+# at the default ranges, for s = 0 and s = 7: any change to a case key, an
+# input, the order of the seeded draws or the default ranges shows here
+BUILT_CASE_DIGESTS = {
+    "cor23": (
+        "422a74c4fbabd6a13531403977147d1c63d9ca772197841dc9faddf4730e70a6",
+        "14d78ef7d9ac10a487e414b71abe9f96855cdcc3c4ce57b6e4309c6408c6717d",
+    ),
+    "cor24": (
+        "00f9d6bf4288d2a12384a55b96752278b9395f49f63c0a016fd5e6888395d497",
+        "ccb39b086ca594fff5caaaa65b1b572c885116e12cf15a6fab4d385a2319062e",
+    ),
+    "cor25": (
+        "dfe23a50d8fbd26595009d2717d95cc6a365390e72979863bf270d3e6581d697",
+        "f219dea29ae446c75dd89a77043f3e6461d9c57ff05999f32e74b018c084a5f2",
+    ),
+    "cor26": (
+        "ce21d11195318fa687e4b8c69ee7a89c66a87f1a238eed7374f399954880f310",
+        "7a6f7270d1bd13e3f110758c1b94130942a4b1ff54293b277179458cfadbe7bb",
+    ),
+    "ex27": (
+        "7327ebcf4f7607319e40ce5a4061c7970e3093df148f83f11571a7bd95d3c8a2",
+        "7327ebcf4f7607319e40ce5a4061c7970e3093df148f83f11571a7bd95d3c8a2",
+    ),
+    "note52": (
+        "ed8627ab0476bfa8b47b4a4774b52c1988e079db03502e7a4210a2c9f0865254",
+        "f9cab8caf4f677360204481337c35be4d790fc190984ed976d4ecfafb6a1871a",
+    ),
+    "prop21": (
+        "4733db77ad87ab2a7560047811f56960ab1d0a80f58419790c84c4f12d7e8dcb",
+        "8a569771a3eeb985b013e8c099cc1bbe1e54bc09444a1bddaf3a95a10e892eee",
+    ),
+    "sec3-min-dim": (
+        "ce73657656adc5175a6e7a4d30d1f709b1c195e51351ee88733d916ee9d52560",
+        "ce73657656adc5175a6e7a4d30d1f709b1c195e51351ee88733d916ee9d52560",
+    ),
+    "sec4-restriction": (
+        "422a74c4fbabd6a13531403977147d1c63d9ca772197841dc9faddf4730e70a6",
+        "14d78ef7d9ac10a487e414b71abe9f96855cdcc3c4ce57b6e4309c6408c6717d",
+    ),
+    "thm22": (
+        "43f547d7f95dcc20cc91c2bc420c4bd82e30506f29ad2537fac5aef30b58f212",
+        "cb0c0048ac12b1f52fdbf669500a3c2b7c55a3ed2b193a3f42a65cc6bdafaef9",
+    ),
+    "thm51": (
+        "db0a45da6dd38fc1090259c84f8e88315ef1bb7b3c73f6162af01fbe06f47b1a",
+        "be961ebf4da0d4d24e4729f5fa1306cf8d1bc11b0bc529f38457714a956e7dbc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_CASE_DIGESTS))
+def test_built_cases_are_pinned(name):
+    for seed, want in zip((0, 7), BUILT_CASE_DIGESTS[name]):
+        outcomes = run_suite(name, seed=seed).outcomes
+        doc = json.dumps([[o.case, o.inputs] for o in outcomes])
+        assert hashlib.sha256(doc.encode()).hexdigest() == want, (name, seed)
+
+
+def test_readme_suite_table_lists_exactly_the_suites():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("| name | checks |", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    assert sorted(names) == suite_names()
