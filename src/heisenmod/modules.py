@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DoesNotSplit,
@@ -249,70 +249,70 @@ def _holt_rees(rep: Representation, max_samples: int, seed: int,
 
 def _combination(field: Field, rows: int, cols: int, mats: Sequence[Matrix],
                  coeffs: Sequence[int]) -> Matrix:
-    """sum c_i mats[i] as one matrix-vector product over the stacked mats."""
-    if not mats:
-        return Matrix.zeros(field, rows, cols)
-    stacked = [x for entries in zip(*(m.data for m in mats)) for x in entries]
-    return Matrix(field, rows, cols,
-                  Matrix(field, rows * cols, len(mats), stacked).apply(coeffs))
+    """sum c_i mats[i] as one packed sum of whole entry lists, zero c_i
+    skipped, unpacked once."""
+    codec = field.row_codec[len(mats)]
+    elem, pack = codec.elem, codec.pack
+    total = sum(elem[c] * pack(m.data) for m, c in zip(mats, coeffs, strict=True) if c)
+    return Matrix(field, rows, cols, codec.unpack(total, rows * cols))
 
 
 # -- subquotients -----------------------------------------------------------------
 
 
 def _subquotients(rep: Representation, basis: SubspaceBasis, extra: Sequence[Matrix] = ()
-                  ) -> tuple[Matrix, Representation, Representation, list]:
-    """(B, sub, quotient, blocks) for an invariant subspace W, by one
-    conjugation; blocks has the two diagonal blocks of B^-1 m B per m in extra.
+                  ) -> tuple[Representation, Representation, list, Callable]:
+    """(sub, quotient, blocks, lift) for an invariant subspace W; blocks has
+    the (sub, quotient) block pair of each m in extra, and lift(t_w, t_q) is
+    B direct_sum([t_w, t_q]) for the adapted basis B = [W^T | e_F].
 
-    B's columns are W's echelon rows in pivot order, then the unit vectors
-    at W's non-pivot positions in ascending order (Holt, Eick, O'Brien,
-    Handbook of Computational Group Theory, 7.5).  B^-1 rep B is block
-    upper triangular: the top-left block is the action on W in its echelon
-    basis, the bottom-right block the action on the quotient in the
-    complement coordinates.  A nonzero lower-left block means W is not
-    invariant.
+    B is never formed.  Its blocks are read off W's reduced echelon rows,
+    with pivots P in row order and free positions F ascending (Holt, Eick,
+    O'Brien, Handbook of Computational Group Theory, 7.5).  As W^T[P, :] =
+    I, B gives v the coordinates v[P], then v[F] - W^T[F, :] v[P], so
+    B^-1 m B has the sub block S = m[P, :] W^T, the quotient block Q =
+    m[F, F] - W^T[F, :] m[P, F], and a lower-left block that is zero
+    exactly when m W^T = W^T S; else W is not invariant.  lift's first
+    dim W columns are W^T t_w, and the others hold t_q's rows at F.
     """
-    d, k = rep.dim, basis.dim
-    pivots = set(basis.pivots())
-    units = [[int(i == f) for i in range(d)] for f in range(d) if f not in pivots]
-    b = Matrix.from_columns(rep.field, [*basis.vectors, *units])
-    bi = b.inv()
-    moved = rep._map(lambda m: bi * m * b)
-    if not all(_block_triangular(m, [0, k, d]) for m in moved.gen_matrices()):
-        raise ShapeMismatch("subspace is not invariant")
-    return (b, moved._map(lambda m: _block(m, 0, k)),
-            moved._map(lambda m: _block(m, k, d)),
-            [(_block(e, 0, k), _block(e, k, d)) for e in (bi * m * b for m in extra)])
+    d, pivots = rep.dim, basis.pivots()
+    free, k = sorted(set(range(d)).difference(pivots)), range(basis.dim)
+    wt = Matrix(rep.field, d, basis.dim, [x for row in zip(*basis.vectors) for x in row])
+    w_free = _block(wt, free, k)
+
+    def quotient(m: Matrix) -> Matrix:
+        return _block(m, free, free) - w_free * _block(m, pivots, free)
+
+    def sub(m: Matrix) -> Matrix:
+        image = m * wt
+        if _block(image, free, k) != w_free * (s := _block(image, pivots, k)):
+            raise ShapeMismatch("subspace is not invariant")
+        return s
+
+    def lift(t_w: Matrix, t_q: Matrix) -> Matrix:
+        right, zero = dict(zip(free, t_q.row_lists())), [0] * len(free)
+        rows = enumerate((wt * t_w).row_lists())
+        return Matrix(rep.field, d, d, [x for i, l in rows for x in l + right.get(i, zero)])
+
+    return (rep._map(sub), rep._map(quotient),
+            [(_block(m, pivots, range(d)) * wt, quotient(m)) for m in extra], lift)
 
 
-def _block(m: Matrix, lo: int, hi: int) -> Matrix:
-    """The diagonal block of rows and columns lo..hi-1."""
-    c = m.cols
-    return Matrix(m.field, hi - lo, hi - lo,
-                  [x for r in range(lo, hi) for x in m.data[r * c + lo : r * c + hi]])
+def _block(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
+    """The submatrix m[rows, cols]."""
+    c, data = m.cols, m.data
+    return Matrix(m.field, len(rows), len(cols), [data[r * c + j] for r in rows for j in cols])
 
 
-def _block_triangular(m: Matrix, dims: Sequence[int]) -> bool:
-    """True when m is zero below its diagonal blocks dims[i]..dims[i+1]-1."""
-    c = m.cols
-    return not any(any(m.data[r * c : r * c + lo])
-                   for lo, hi in zip(dims, dims[1:]) for r in range(lo, hi))
-
-
-def sub_representation(
-    rep: Representation, basis: SubspaceBasis
-) -> Representation:
+def sub_representation(rep: Representation, basis: SubspaceBasis) -> Representation:
     """The action restricted to an invariant subspace, in its echelon basis."""
-    return _subquotients(rep, basis)[1]
+    return _subquotients(rep, basis)[0]
 
 
-def quotient_representation(
-    rep: Representation, basis: SubspaceBasis
-) -> Representation:
+def quotient_representation(rep: Representation, basis: SubspaceBasis) -> Representation:
     """The action on the quotient by an invariant subspace, in the
     coordinates at the subspace's non-pivot positions."""
-    return _subquotients(rep, basis)[2]
+    return _subquotients(rep, basis)[1]
 
 
 class CompositionFactor(NamedTuple):
@@ -342,11 +342,8 @@ def _factor_info(rep: Representation) -> CompositionFactor:
     return CompositionFactor(rep.dim, faithful, inv, rep)
 
 
-def composition_series(
-    rep: Representation,
-    max_samples: int = 64,
-    seed: int = 0,
-) -> CompositionSeries:
+def composition_series(rep: Representation, max_samples: int = 64, seed: int = 0
+                       ) -> CompositionSeries:
     """A full chain of invariant subspaces with irreducible quotients.
 
     One basis T carries the whole series: the chain terms are the spans of
@@ -361,9 +358,11 @@ def composition_series(
         moved = conjugate_rep(rep, t)
     except Singular:
         raise VerificationFailed("composition series basis is singular") from None
-    verify(all(_block_triangular(m, dims) for m in moved.gen_matrices())
-           and all(moved._map(lambda m: _block(m, lo, hi)) == f
-                   for lo, hi, f in zip(dims, dims[1:], factors)),
+    spans = [range(lo, hi) for lo, hi in zip(dims, dims[1:])]
+    verify(all(_block(m, range(span.stop, rep.dim), span).is_zero()
+               for m in moved.gen_matrices() for span in spans)
+           and all(moved._map(lambda m: _block(m, span, span)) == f
+                   for span, f in zip(spans, factors)),
            "composition series basis does not triangularize onto its factors")
     ech = Echelon(rep.field, rep.dim)
     chain = [SubspaceBasis._from_echelon(ech)]
@@ -380,18 +379,19 @@ def _series_basis(rep: Representation, max_samples: int, seed: int,
     """(T, dims, factors): T^-1 rep T is block upper triangular with the
     irreducible factors on its diagonal, block i spanning dims[i]..dims[i+1]-1.
     A proper submodule W splits rep by the adapted basis B, and the series
-    of W and of rep/W join as T = B direct_sum([T_W, T_V/W]).  The Holt-Rees
-    pair (A, f) that found W is tried first on W and rep/W as (block, f): the
-    diagonal blocks of B^-1 A B are the same word in the generators' blocks,
-    so they lie in the image algebras of W and rep/W (is_irreducible)."""
+    of W and of rep/W join as T = B direct_sum([T_W, T_V/W]), which
+    _subquotients' lift assembles without B.  The Holt-Rees pair (A, f)
+    that found W is tried first on W and rep/W as (block, f): the diagonal
+    blocks of B^-1 A B are the same word in the generators' blocks, so they
+    lie in the image algebras of W and rep/W (is_irreducible)."""
     res, a, f = _holt_rees(rep, max_samples, seed, first)
     if res.irreducible:
         return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]
-    b, sub, quot, [(a_sub, a_quot)] = _subquotients(rep, res.submodule, [a])
+    sub, quot, [(a_sub, a_quot)], lift = _subquotients(rep, res.submodule, [a])
     t_sub, dims_sub, lower = _series_basis(sub, max_samples, seed, (a_sub, f))
     t_quot, dims_quot, upper = _series_basis(quot, max_samples, seed, (a_quot, f))
     dims = dims_sub + [sub.dim + k for k in dims_quot[1:]]
-    return b * direct_sum([t_sub, t_quot]), dims, lower + upper
+    return lift(t_sub, t_quot), dims, lower + upper
 
 
 def is_uniserial(rep: Representation) -> bool:
@@ -680,8 +680,9 @@ def _rank1_partner(a: Matrix) -> Optional[Matrix]:
 def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     """Look for a faithful h(n)-representation of dimension d over GF(p).
 
-    d = n + 2 returns the strictly upper triangular witness directly.  Any
-    other d runs an exhaustive search for rank 1 over all pairs (A, B) of
+    d = n + 2 returns the strictly upper triangular witness directly, and
+    d > n + 2 the same witness padded with a zero block.  Any smaller d
+    runs an exhaustive search for rank 1 over all pairs (A, B) of
     d x d matrices.  A pair with C = [A, B] nonzero and commuting with A
     and B is a witness, and so is (T^-1 A T, T^-1 B T) for every invertible
     T.  So A ranges over one rational canonical form per similarity class:
@@ -709,24 +710,23 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
 
     The guard counts classes before any is enumerated: at most 2^12, which
     admits GF(61) at d = 2 (3,782 classes, about 6 ms on a 2-vCPU Xeon);
-    GF(67) and up at d = 2 raise TooLarge at once.  d >= 4 raises TooLarge
-    as well, since the lines of im ad_A & ker ad_A cannot be bounded before
-    enumerating them.
+    GF(67) and up at d = 2 raise TooLarge at once.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     field = GF(p)
-    if d == n + 2:
+    if d >= n + 2:
         rep = build_standard(HeisenbergAlgebra(n, field))
+        if d > n + 2:
+            zero = Matrix.zeros(field, d - n - 2, d - n - 2)
+            rep = rep._map(lambda m: direct_sum([m, zero]))
         verify(validate_rep(rep).ok and rep.is_faithful(),
                "standard witness fails validation")
         return SearchResult(True, rep, 0, "witness")
     if n != 1:
         raise TooLarge("exhaustive search supports rank 1 only")
-    if d >= 4:
-        raise TooLarge(f"d = {d}: the lines of im ad_A & ker ad_A are unbounded")
     classes = sum(p**k for k in range(1, d + 1))
     if classes > _SEARCH_CLASS_LIMIT:
         raise TooLarge(

@@ -110,6 +110,15 @@ def oracle_ext_mul(field, a: int, b: int) -> int:
     return field.code_from_coeffs(list(rem.coeffs))
 
 
+def oracle_combination(field, rows: int, cols: int, mats, coeffs) -> Matrix:
+    """sum c_i mats[i], entry by entry over the field's add and mul."""
+    add, mul = field.add, field.mul
+    out = [0] * (rows * cols)
+    for m, c in zip(mats, coeffs):
+        out = [add(x, mul(c, y)) for x, y in zip(out, m.data)]
+    return Matrix(field, rows, cols, out)
+
+
 def oracle_rref(field, rows, cols: int):
     """Reduced row echelon form by the textbook loop over the field's sub,
     mul and inv, one entry at a time: (rows, pivot columns)."""
@@ -321,7 +330,8 @@ def oracle_sub_quotient(rep, basis):
     g w from them; a failed rebuild means W is not invariant (ShapeMismatch).
     Quotient coordinates of g e_f, f a non-pivot position, are the last
     coordinates of the solution of [W rows, unit vectors at the non-pivot
-    positions | g e_f], read off its reduced echelon form by oracle_rref.
+    positions | g e_f], read off the reduced echelon form, by oracle_rref,
+    of that basis beside all the g e_f at once.
     """
     field, d = rep.field, rep.dim
     rows = [list(v) for v in basis.vectors]
@@ -345,14 +355,11 @@ def oracle_sub_quotient(rep, basis):
         return square(cols)
 
     def quotient_cols(g):
-        cols = []
-        for u in units:
-            img = oracle_apply(g, u)
-            aug = [[c[i] for c in rows + units] + [img[i]] for i in range(d)]
-            solved, found = oracle_rref(field, aug, d + 1)
-            assert found == tuple(range(d)), "the adapted basis must be invertible"
-            cols.append([solved[i][d] for i in range(k, d)])
-        return square(cols)
+        images = [oracle_apply(g, u) for u in units]
+        aug = [[c[i] for c in rows + units + images] for i in range(d)]
+        solved, found = oracle_rref(field, aug, 2 * d - k)
+        assert found == tuple(range(d)), "the adapted basis must be invertible"
+        return square([[solved[i][d + j] for i in range(k, d)] for j in range(d - k)])
 
     def restrict(act):
         return Representation(rep.algebra, [act(m) for m in rep.x],

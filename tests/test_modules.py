@@ -6,14 +6,18 @@ subspaces of GF(2)^4 and GF(3)^3 fit comfortably).  Larger cases only check
 internal certificates.
 """
 
+import hashlib
 import itertools
 import pickle
 import random
+import subprocess
 import sys
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_sqf_p
 
@@ -66,6 +70,7 @@ from oracles import (
     all_subspaces,
     invariant_subspaces,
     oracle_ad,
+    oracle_combination,
     oracle_composition_length,
     oracle_hom_dim,
     oracle_hom_space,
@@ -361,6 +366,75 @@ def test_subquotients_match_the_oracle():
                     fn(rep, w)
 
 
+@st.composite
+def generated_splits(draw):
+    """(module, seeds, loose vectors): a conjugated sum of one to three
+    companion modules of (X - c)^k and modules V over GF(5), GF(9) or
+    GF(7^2), of dimension up to 25; seeds moved from vectors that live on
+    some of the summands, so that their spins are proper submodules or all
+    of V; loose vectors that are random."""
+    p, m = draw(st.sampled_from([(5, 1), (3, 2), (7, 2)]))
+    field = GF(p) if m == 1 else ext(p, m)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    element = lambda: rng.randrange(field.order)  # noqa: E731
+    pieces, room = [], 25
+    for _ in range(draw(st.integers(1, 3))):
+        if room < p:
+            break
+        k = draw(st.integers(0, room // p))
+        pieces.append(companion_power(p, k, element(), beta=element(), field=field) if k
+                      else v_rep(field, rng.randrange(1, field.order), [element()], [element()]))
+        room -= pieces[-1].dim
+    t = rand_invertible(field, 25 - room, rng)
+    t_inv = t.inv()
+
+    def seed():
+        on = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+        return t_inv.apply([element() if keep else 0
+                            for keep, piece in zip(on, pieces) for _ in range(piece.dim)])
+
+    loose = [[element() for _ in range(t.rows)] for _ in range(draw(st.integers(1, 3)))]
+    rep = conjugate_rep(direct_sum_reps(pieces), t)
+    return rep, [seed() for _ in range(draw(st.integers(1, 2)))], loose
+
+
+@settings(max_examples=60)
+@given(generated_splits())
+def test_subquotients_match_the_oracle_on_generated_modules(case):
+    rep, seeds, loose = case
+    field, d = rep.field, rep.dim
+    spun = SubspaceBasis(field, d, [v for s in seeds for v in spin(rep, s).vectors])
+    for w in (spun, SubspaceBasis(field, d, []),
+              SubspaceBasis(field, d, Matrix.identity(field, d).row_lists())):
+        sub, quot = oracle_sub_quotient(rep, w)
+        assert sub_representation(rep, w) == sub
+        assert quotient_representation(rep, w) == quot
+    w = SubspaceBasis(field, d, loose)
+    if not w.is_invariant(rep):
+        for fn in (oracle_sub_quotient, sub_representation, quotient_representation):
+            with pytest.raises(ShapeMismatch, match="not invariant"):
+                fn(rep, w)
+
+
+NOT_INVARIANT = """
+from heisenmod import GF, HeisenbergAlgebra, SubspaceBasis, build_standard
+from heisenmod import quotient_representation, sub_representation
+rep = build_standard(HeisenbergAlgebra(1, GF(2)))
+for fn in (sub_representation, quotient_representation):
+    try:
+        fn(rep, SubspaceBasis(GF(2), 3, [[0, 0, 1]]))
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_invariance_check_survives_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", NOT_INVARIANT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ShapeMismatch subspace is not invariant"] * 2
+
+
 def test_quotient_plus_sub_recover_composition_factors():
     field = GF(3)
     r1 = v_rep(field, 1, [0], [0])
@@ -582,6 +656,36 @@ def test_inherited_elements_match_subspace_enumeration(monkeypatch):
     assert any(d.startswith("inherited element") for d in details)
 
 
+# (q, pool sizes): 36 L < 256 up to L = 7 over GF(7), 24 L < 256 up to
+# L = 10 over GF(9), so the last two sizes of each straddle a slot step
+COMBINATION_POOLS = [(2, [0, 1, 5]), (7, [0, 1, 7, 8]), (4, [0, 3]), (9, [10, 11]),
+                     (49, [2, 5])]
+
+
+@pytest.mark.parametrize("q, sizes", COMBINATION_POOLS)
+def test_combination_matches_the_entrywise_sum(q, sizes):
+    p, m = {2: (2, 1), 7: (7, 1), 4: (2, 2), 9: (3, 2), 49: (7, 2)}[q]
+    field = GF(p) if m == 1 else ext(p, m)
+    if q in (7, 9):
+        codec = field.row_codec
+        assert codec[sizes[-2]].bits < codec[sizes[-1]].bits
+    rng = random.Random(q)
+    for size in sizes:
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        # q - 1 has every digit p - 1, so the all-(q - 1) pool and
+        # coefficients fill the slots to their bound
+        pool = [Matrix(field, rows, cols, [rng.randrange(q) for _ in range(rows * cols)])
+                for _ in range(size)]
+        full = [Matrix(field, rows, cols, [q - 1] * (rows * cols))] * size
+        draws = [(pool, [0] * size), (full, [q - 1] * size),
+                 (pool, [rng.randrange(q) for _ in range(size)]),
+                 (pool, [rng.choice([0, rng.randrange(q)]) for _ in range(size)])]
+        for mats, coeffs in draws:
+            got = modules._combination(field, rows, cols, mats, coeffs)
+            assert got == oracle_combination(field, rows, cols, mats, coeffs)
+    assert modules._combination(field, 2, 3, [], []) == Matrix.zeros(field, 2, 3)
+
+
 def pinned_corpus():
     """Seeded modules whose is_irreducible verdicts and details are pinned:
     conjugated V, conjugated V + V' and companion modules."""
@@ -641,6 +745,29 @@ def test_is_irreducible_verdicts_and_details_are_pinned():
     got = [(res.irreducible, res.detail) for rep in pinned_corpus()
            for res in (is_irreducible(rep, seed=seed) for seed in range(3))]
     assert got == [(irr, f"{head}: {tail}") for irr, head, tail in PINNED_VERDICTS]
+
+
+def _images(rep):
+    return [(m.rows, m.cols, m.data) for m in rep.gen_matrices()]
+
+
+# SHA-256 of the chains, factors and subquotients below: how the blocks are
+# computed may change, the blocks themselves may not
+SERIES_DIGEST = "8eeda7cf3078299862720159e97718672d4230d22b338badaa8620e133505d20"
+
+
+def test_composition_series_and_subquotients_are_pinned():
+    reps = pinned_corpus() + [companion_power(2, 10, 1, beta=b) for b in (0, 1)]
+    reps.append(conjugated_sum(11, random.Random(71))[0])
+    out = []
+    for rep in reps:
+        series = composition_series(rep)
+        out.append((series.chain_dims, [s.vectors for s in series.chain],
+                    [(f.dim, f.faithful, repr(f.invariants), _images(f.rep))
+                     for f in series.factors]))
+        out.append([(_images(sub_representation(rep, s)),
+                     _images(quotient_representation(rep, s))) for s in series.chain])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == SERIES_DIGEST
 
 
 def an_algebra_pair(rep, nullity_is_degree):
@@ -1010,17 +1137,27 @@ def test_search_input_guards():
     with pytest.raises(TooLarge):
         search_min_faithful(2, 3, 2)  # exhaustive mode is rank 1 only
     with pytest.raises(TooLarge):
-        search_min_faithful(1, 3, 4)  # d >= 4: the lines of U are unbounded
+        search_min_faithful(1, 67, 2)  # 67^2 + 67 classes exceed 2^12
+
+
+@pytest.mark.parametrize("n, p, d", [(1, 2, 4), (1, 3, 6), (2, 3, 5), (3, 2, 7)])
+def test_search_pads_the_witness_past_n_plus_2(n, p, d):
+    res = search_min_faithful(n, p, d)
+    assert (res.found, res.pairs_tested, res.mode) == (True, 0, "witness")
+    assert res.rep.dim == d and validate_rep(res.rep).ok and res.rep.is_faithful()
+    standard = build_standard(HeisenbergAlgebra(n, GF(p)))
+    zero = Matrix.zeros(GF(p), d - n - 2, d - n - 2)
+    assert res.rep == standard._map(lambda m: direct_sum([m, zero]))
 
 
 @pytest.mark.parametrize(
     "p, d",
     [
-        # GF(11) and GF(13) run at d = 2, 3 (at most 2,379 classes); at
-        # d = 4 the lines of U are unbounded
-        pytest.param(11, 4, id="11"),
-        pytest.param(13, 4, id="13"),
+        # d >= 3 is the witness, so the bound is on p: GF(61) runs at
+        # d = 2 (3,782 classes)
+        pytest.param(4099, 1, id="4099"),  # 4099 > 2^12 classes
         pytest.param(67, 2, id="67"),  # 67^2 + 67 > 2^12 classes
+        pytest.param(89, 2, id="89"),
     ],
 )
 def test_search_refuses_past_its_bound_before_enumerating(p, d, monkeypatch):
