@@ -198,12 +198,6 @@ class Representation:
     def n(self) -> int:
         return self.algebra.n
 
-    def generators(self) -> list[tuple[str, Matrix]]:
-        out = [(f"x{i + 1}", m) for i, m in enumerate(self.x)]
-        out += [(f"y{i + 1}", m) for i, m in enumerate(self.y)]
-        out.append(("z", self.z))
-        return out
-
     def gen_matrices(self) -> list[Matrix]:
         return list(self.x) + list(self.y) + [self.z]
 
@@ -529,15 +523,12 @@ def invariants(rep: Representation) -> InvariantTuple:
     return InvariantTuple(alpha, deltas, epsilons)
 
 
-def _common_eigenvector(
-    xs: Sequence[Matrix], betas: Sequence[FieldElem]
-) -> list[int]:
-    """The product of the (x_k - beta_k)^(p-1) applied to the basis vectors,
-    the last first, until one gives v != 0; v scaled so that its last
-    nonzero coordinate is 1.  On V in its model basis only the last basis
-    vector gives v != 0."""
-    field, d = xs[0].field, xs[0].rows
-    nils = [x.shift(beta) for x, beta in zip(xs, betas)]
+def _common_eigenvector(nils: Sequence[Matrix]) -> list[int]:
+    """The product of the N_k^(p-1), N_k = x_k - beta_k, applied to the
+    basis vectors, the last first, until one gives v != 0; v scaled so that
+    its last nonzero coordinate is 1.  On V in its model basis only the last
+    basis vector gives v != 0."""
+    field, d = nils[0].field, nils[0].rows
     for j in reversed(range(d)):
         v = [0] * d
         v[j] = 1
@@ -566,18 +557,17 @@ def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
     beta_k is the p-th root of entry 0 of x_k^p e_0 and gamma_k that of
     y_k^p e_0 (_pth_root_at_e0); no matrix power is formed.  The basis
     behind t is the common eigenvector v of all x images followed by its
-    shifts under the y images, in mixed radix order.  v is the product of
-    the N_k^(p-1), N_k = x_k - beta_k, applied to a basis vector that it
-    does not kill, scaled so that its last nonzero coordinate is 1
-    (_common_eigenvector); on V that product has rank 1 and v spans the
-    common eigenline.
+    shifts under the y images, in mixed radix order; on V the product of
+    the N_k^(p-1), N_k = x_k - beta_k, has rank 1, and v spans its image
+    (_common_eigenvector).
 
-    The final check alone is the proof: t is invertible and m t == t model
-    for every generator, so rep is V(params).  Then x_k^p = beta_k^p is a
-    scalar, so the parameters are the ones invariants reads off.  On any
-    other input the check fails; invariants(rep) then raises MinPolyShape
-    where a minimal polynomial has the wrong shape, and otherwise the
-    VerificationFailed propagates.
+    The final check alone is the proof that rep is V(params): z = alpha
+    (_central_scalar), det t != 0, and (g - c) t is t's own columns moved
+    and scaled for every x_k and y_k (_checked_transform).  Then x_k^p =
+    beta_k^p is a scalar, so the parameters are the ones invariants reads
+    off.  On any other input the check fails; invariants(rep) then raises
+    MinPolyShape where a minimal polynomial has the wrong shape, and
+    otherwise the VerificationFailed propagates.
     """
     alpha = _central_scalar(rep)
     betas = [_pth_root_at_e0(m) for m in rep.x]
@@ -592,28 +582,38 @@ def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
 
 
 def _checked_transform(rep: Representation, params: ModuleParams) -> Matrix:
-    """t from the common eigenvector and its y shifts, checked invertible
-    and intertwining rep with build_V(params) generator by generator."""
-    field = rep.field
-    p = field.p
-    n = rep.n
-    v = _common_eigenvector(rep.x, params.betas)
+    """t from the common eigenvector and its y shifts, checked invertible and
+    intertwining rep with build_V(params) without building it: with c_i
+    column i of t, step = p^(n-1-k) and dig digit k of i, column i of
+    t (model(y_k) - gamma_k) is c_(i+step) (0 at dig = p - 1) and that of
+    t (model(x_k) - beta_k) is dig*alpha c_(i-step) (0 at dig = 0).  z t ==
+    t alpha holds by _central_scalar."""
+    field, p, n, d = rep.field, rep.field.p, rep.n, rep.dim
+    nils = [x.shift(beta) for x, beta in zip(rep.x, params.betas)]
     shifts = [y.shift(gamma) for y, gamma in zip(rep.y, params.gammas)]
-    # column idx is prod_k shifts[k]^digit_k v, y_1 with the most significant
-    # digit: shifts[k] applied to column idx - p^(n-1-k), k the least
-    # significant nonzero digit of idx
-    cols = [list(v)]
-    for idx in range(1, p**n):
+    # column idx is prod_k shifts[k]^digit_k v (y_1 the most significant digit):
+    # shifts[k] times column idx - p^(n-1-k), k the lowest nonzero digit of idx
+    cols = [_common_eigenvector(nils)]
+    for idx in range(1, d):
         k, step = n - 1, 1
         while idx // step % p == 0:
             k, step = k - 1, step * p
         cols.append(shifts[k].apply(cols[idx - step]))
     t = Matrix.from_columns(field, cols)
-    model = build_V(rep.algebra, params)
     verify(not t.det().is_zero(), "classification basis must be invertible")
-    for (_, m), (_, want) in zip(rep.generators(), model.generators()):
-        # m t == t model is conjugacy since t is invertible
-        verify(m * t == t * want, "classification transform failed to verify")
+    # t times dig*alpha, one packed product per digit; entry i of t.data lies
+    # in a column with digit k equal to i // step % p
+    scaled = [None] + [(t * (params.alpha * dig)).data for dig in range(1, p)]
+    for k in range(n):
+        step, block, size = p ** (n - 1 - k), p ** (n - k), d * d
+        raised, lowered = t.data[step:] + [0] * step, [0] * size
+        for lo in range(step):
+            raised[block - step + lo :: block] = [0] * (size // block)
+            for at in range(step + lo, block, step):
+                lowered[at::block] = scaled[at // step][at - step :: block]
+        # (g - c) t == t (model(g) - c) is conjugacy since t is invertible
+        verify((shifts[k] * t).data == raised and (nils[k] * t).data == lowered,
+               "classification transform failed to verify")
     return t
 
 

@@ -260,11 +260,12 @@ def _combination(field: Field, rows: int, cols: int, mats: Sequence[Matrix],
 # -- subquotients -----------------------------------------------------------------
 
 
-def _subquotients(rep: Representation, basis: SubspaceBasis, extra: Sequence[Matrix] = ()
-                  ) -> tuple[Representation, Representation, list, Callable]:
-    """(sub, quotient, blocks, lift) for an invariant subspace W; blocks has
-    the (sub, quotient) block pair of each m in extra, and lift(t_w, t_q) is
-    B direct_sum([t_w, t_q]) for the adapted basis B = [W^T | e_F].
+def _subquotients(rep: Representation, basis: SubspaceBasis
+                  ) -> tuple[Callable, Callable, Callable]:
+    """(sub, quotient, lift) for an invariant subspace W: the two block maps
+    of one matrix m, sub(m) raising ShapeMismatch unless m keeps W, and
+    lift(t_w, t_q) = B direct_sum([t_w, t_q]) for the adapted basis
+    B = [W^T | e_F].
 
     B is never formed.  Its blocks are read off W's reduced echelon rows,
     with pivots P in row order and free positions F ascending (Holt, Eick,
@@ -294,8 +295,7 @@ def _subquotients(rep: Representation, basis: SubspaceBasis, extra: Sequence[Mat
         rows = enumerate((wt * t_w).row_lists())
         return Matrix(rep.field, d, d, [x for i, l in rows for x in l + right.get(i, zero)])
 
-    return (rep._map(sub), rep._map(quotient),
-            [(_block(m, pivots, range(d)) * wt, quotient(m)) for m in extra], lift)
+    return sub, quotient, lift
 
 
 def _block(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
@@ -306,13 +306,15 @@ def _block(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
 
 def sub_representation(rep: Representation, basis: SubspaceBasis) -> Representation:
     """The action restricted to an invariant subspace, in its echelon basis."""
-    return _subquotients(rep, basis)[0]
+    return rep._map(_subquotients(rep, basis)[0])
 
 
 def quotient_representation(rep: Representation, basis: SubspaceBasis) -> Representation:
     """The action on the quotient by an invariant subspace, in the
     coordinates at the subspace's non-pivot positions."""
-    return _subquotients(rep, basis)[1]
+    sub, quotient, _ = _subquotients(rep, basis)
+    rep._map(sub)  # the invariance check
+    return rep._map(quotient)
 
 
 class CompositionFactor(NamedTuple):
@@ -387,9 +389,10 @@ def _series_basis(rep: Representation, max_samples: int, seed: int,
     res, a, f = _holt_rees(rep, max_samples, seed, first)
     if res.irreducible:
         return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]
-    sub, quot, [(a_sub, a_quot)], lift = _subquotients(rep, res.submodule, [a])
-    t_sub, dims_sub, lower = _series_basis(sub, max_samples, seed, (a_sub, f))
-    t_quot, dims_quot, upper = _series_basis(quot, max_samples, seed, (a_quot, f))
+    sub_of, quot_of, lift = _subquotients(rep, res.submodule)
+    sub, quot = rep._map(sub_of), rep._map(quot_of)
+    t_sub, dims_sub, lower = _series_basis(sub, max_samples, seed, (sub_of(a), f))
+    t_quot, dims_quot, upper = _series_basis(quot, max_samples, seed, (quot_of(a), f))
     dims = dims_sub + [sub.dim + k for k in dims_quot[1:]]
     return lift(t_sub, t_quot), dims, lower + upper
 
@@ -550,7 +553,7 @@ def split_by_central(
     d = rep.dim
     if central is None:
         central = rep.y[0] ** field.p
-    for _, g in rep.generators():
+    for g in rep.gen_matrices():
         if not commutator(central, g).is_zero():
             raise ShapeMismatch("splitting operator must be central")
     roots, rest = min_poly(central)._split_roots()

@@ -502,13 +502,12 @@ def oracle_u_dim(a: Matrix) -> int:
     ).rank()
 
 
-def oracle_common_eigenvector(xs, betas) -> list[int]:
-    """The first vector of the right kernel of all x_k - beta_k stacked
-    vertically, by one elimination of the stacked n*d x d matrix."""
-    field, d = xs[0].field, xs[0].rows
-    rows = []
-    for x, beta in zip(xs, betas):
-        rows.extend((x - Matrix.scalar(field, d, beta)).row_lists())
+def oracle_common_eigenvector(nils) -> list[int]:
+    """The first vector of the right kernel of all nilpotent parts
+    x_k - beta_k stacked vertically, by one elimination of the stacked
+    n*d x d matrix."""
+    field, d = nils[0].field, nils[0].rows
+    rows = [row for nil in nils for row in nil.row_lists()]
     kernel = Matrix(field, len(rows), d, [e for row in rows for e in row]).kernel_basis()
     assert kernel, "commuting nilpotent images must share an eigenvector"
     return kernel[0]
@@ -524,7 +523,8 @@ def oracle_classify(rep):
     inv = invariants(rep)
     betas = [d.pth_root() for d in inv.deltas]
     gammas = [e.pth_root() for e in inv.epsilons]
-    v = _common_eigenvector(rep.x, betas)
+    v = _common_eigenvector(
+        [x - Matrix.scalar(field, x.rows, b) for x, b in zip(rep.x, betas)])
     shifts = [rep.y[k].shift(gammas[k]) for k in range(n)]
     cols = []
     for idx in range(p**n):

@@ -424,7 +424,7 @@ def test_bare_package_import_loads_no_submodule():
 
 
 # Runs the CLI with the first product of classify's final check corrupted:
-# build_V makes the model just before that check.
+# the first product of two matrices inside _checked_transform is part of it.
 CORRUPTED_CLASSIFY = """
 import sys
 import heisenmod.heisenberg as hb
@@ -433,12 +433,12 @@ from heisenmod.cli import main
 
 if not sys.flags.optimize:
     sys.exit(4)
-plain_mul, plain_build = Matrix.__mul__, hb.build_V
+plain_mul, plain_check = Matrix.__mul__, hb._checked_transform
 armed = []
 
-def build_V(*args):
+def checked_transform(*args):
     armed.append(True)
-    return plain_build(*args)
+    return plain_check(*args)
 
 def mul(self, other):
     out = plain_mul(self, other)
@@ -449,7 +449,7 @@ def mul(self, other):
         out = Matrix(out.field, out.rows, out.cols, data)
     return out
 
-hb.build_V = build_V
+hb._checked_transform = checked_transform
 Matrix.__mul__ = mul
 sys.exit(main(sys.argv[1:]))
 """

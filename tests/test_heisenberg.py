@@ -427,6 +427,82 @@ def test_classify_refuses_non_v_like_the_oracle():
     assert seen == {MinPolyShape, VerificationFailed, NotScalarCenter, WrongDimension}
 
 
+def random_scrambled_v(field, n, rng):
+    """(params, V(params) moved by a random invertible matrix)."""
+    params = params_of(
+        field,
+        rng.randrange(1, field.order),
+        [rng.randrange(field.order) for _ in range(n)],
+        [rng.randrange(field.order) for _ in range(n)],
+    )
+    alg = HeisenbergAlgebra(n, field)
+    return params, conjugate_rep(build_V(alg, params), rand_invertible(field, field.p**n, rng))
+
+
+@pytest.mark.parametrize("spec,n", [((2, 1), 2), ((3, 1), 1)], ids=str)
+def test_classify_refuses_every_single_entry_change(spec, n):
+    # the check compares (g - c) t with t's columns moved and scaled and
+    # leaves z to _central_scalar; every single-entry change of every
+    # generator, z included, breaks a relation or the scalar centre, so no
+    # such input is a V and classify must raise, never return a transform
+    field = field_of(spec)
+    _, rep = random_scrambled_v(field, n, random.Random(f"single-{spec}-{n}"))
+    gens, d = rep.gen_matrices(), rep.dim
+    refused = (VerificationFailed, MinPolyShape, NotScalarCenter, WrongDimension)
+    for which, pos, delta in itertools.product(
+            range(2 * n + 1), range(d * d), range(1, field.order)):
+        data = list(gens[which].data)
+        data[pos] = field.add(data[pos], delta)
+        moved = list(gens)
+        moved[which] = Matrix(field, d, d, data)
+        changed = Representation(rep.algebra, moved[:n], moved[n : 2 * n], moved[-1])
+        report = validate_rep(changed)
+        assert report.violations or report.z_scalar is None
+        with pytest.raises(refused):
+            classify(changed)
+
+
+AGREEMENT_CASES = ([((p, 1), n) for p in (2, 3, 5, 7) for n in (1, 2)]
+                   + [((p, 2), n) for p in (2, 3) for n in (1, 2)] + [((3, 6), 1)])
+
+
+@pytest.mark.parametrize("spec,n", AGREEMENT_CASES, ids=str)
+def test_classify_agrees_with_the_model_building_oracle(spec, n):
+    # oracle_classify still builds build_V(params) and checks m t == t model
+    # for every generator; the digit scale dig*alpha != alpha of the x check
+    # needs p >= 3
+    field = field_of(spec)
+    alg = HeisenbergAlgebra(n, field)
+    rng = random.Random(f"agree-{spec}-{n}")
+    for _ in range(3):
+        params, scrambled = random_scrambled_v(field, n, rng)
+        got, t = classify(scrambled)
+        want, want_t = oracle_classify(scrambled)
+        assert got == want == params
+        assert t.data == want_t.data
+        ti = t.inv()
+        for m, g in zip(scrambled.gen_matrices(), build_V(alg, params).gen_matrices()):
+            assert ti * m * t == g
+
+
+def test_classify_builds_no_model_and_multiplies_no_z(monkeypatch):
+    # z is settled by _central_scalar and the model by t's own columns
+    field = GF(3)
+    params, rep = random_scrambled_v(field, 2, random.Random("no-model"))
+    plain_mul = Matrix.__mul__
+
+    def mul(self, other):
+        assert self is not rep.z and other is not rep.z
+        return plain_mul(self, other)
+
+    def no_model(*args):
+        raise AssertionError("build_V called")
+
+    monkeypatch.setattr(Matrix, "__mul__", mul)
+    monkeypatch.setattr(heisenberg, "build_V", no_model)
+    assert classify(rep)[0] == params
+
+
 def test_classify_refuses_a_vanishing_nilpotent_product():
     # x_1 = x_2 = N with N^2 = 0 passes invariants, but N * N = 0 has no
     # rank 1 as on V; the check must raise, not assert
