@@ -149,12 +149,12 @@ class RowCodec:
         # slot k of every entry at once: one repunit of slot masks per length
         masks = _Memo(lambda n: smask * (((1 << n * es) - 1) // emask))
 
-        def slots(R, n):
+        def folded(R, n):
             if folds:
                 mask = masks[n]
                 for shift, fold in folds:
                     R += (R >> shift & mask) * fold
-            return to_slots(R, n)
+            return R
 
         def read(R, j):
             v = R >> es * j & emask
@@ -165,25 +165,46 @@ class RowCodec:
                 code = code * p + (v >> shift & smask) % p
             return code
 
-        if size == 1:
-            # byte slots: q - 1 <= bound < 256, so a code fits the slot of
-            # its lowest digit
-            residues = bytes(x % p for x in range(256))
-            reduced = lambda R, n: slots(R, n).translate(residues)
-            steps = [(s * k, p**k) for k in range(1, m)]
+        if size * (p - 1) < 256:
+            # each slot reduced to one byte: its bytes b_k through a table
+            # of b_k * 256^k % p each, summed (below 256) and reduced again
+            tables = [bytes((x << 8 * k) % p for x in range(256)) for k in range(size)]
+
+            def reduced(R, n):
+                b = folded(R, n).to_bytes(n * ebytes, "little")
+                if size > 1:
+                    total = 0
+                    for k, table in enumerate(tables):
+                        total += int.from_bytes(b[k::size].translate(table), "little")
+                    b = total.to_bytes(n * w, "little")
+                return b.translate(tables[0])
+
+            def canon(R, n):
+                spread = bytearray(n * ebytes)
+                spread[::size] = reduced(R, n)
+                return int.from_bytes(spread, "little")
+
+            # the digits of each element are joined into its code, in its own
+            # w bytes, by m - 1 shift/mask/multiply steps on the whole row
+            lows = _Memo(lambda n: 255 * (((1 << 8 * n * w) - 1) // ((1 << 8 * w) - 1)))
+            steps = [(8 * k, p**k) for k in range(1, m)]
+            width = next(k for k in (1, 2, 4) if p**m <= 1 << 8 * k)
+            codes_of = _Memo(lambda n: struct.Struct(
+                "<" + f"{' BH I'[width]}{w - width}x" * n).unpack)
 
             def unpack(R, n):
                 digits = int.from_bytes(reduced(R, n), "little")
-                low = masks[n]
+                low = lows[n]
                 codes = digits & low
                 for shift, weight in steps:
                     codes += (digits >> shift & low) * weight
-                return list(codes.to_bytes(n * ebytes, "little")[::w])
+                return list(codes_of[n](codes.to_bytes(n * w, "little")))
         else:
-            reduced = lambda R, n: [x % p for x in slots(R, n)]
+            reduced = lambda R, n: [x % p for x in to_slots(folded(R, n), n)]
+            canon = lambda R, n: from_slots(reduced(R, n))
 
             def unpack(R, n):
-                values = slots(R, n)
+                values = to_slots(folded(R, n), n)
                 codes = [x % p for x in values[m - 1 :: w]]
                 for i in range(m - 2, -1, -1):
                     codes = [c * p + x % p for c, x in zip(codes, values[i::w])]
@@ -201,7 +222,7 @@ class RowCodec:
             self.minus = range(p, 0, -1)  # for c != 0
             self.read = lambda R, j: (R >> s * j & smask) % p
             self.pack = from_slots
-            self.unpack = (lambda R, n: list(reduced(R, n))) if size == 1 else reduced
+            self.unpack = lambda R, n: list(reduced(R, n))
             self.scalars = lambda codes: codes
         else:
             elem = self.elem = _Memo(packed_element)
@@ -211,7 +232,7 @@ class RowCodec:
             self.pack = lambda codes: int.from_bytes(
                 b"".join(map(blocks.__getitem__, codes)), "little")
             self.scalars = lambda codes: list(map(elem.__getitem__, codes))
-        self.canon = lambda R, n: from_slots(reduced(R, n))
+        self.canon = canon
         self.join = lambda sums, n: sum(
             map(operator.lshift, sums, itertools.count(0, es * n)))
 
@@ -541,6 +562,49 @@ class FieldElem:
         return " + ".join(terms) if terms else "0"
 
 
+def _divide(field: Field, codec: RowCodec, R: int, length: int, divisor: int,
+            n: int, lead: int) -> tuple[list[int], int]:
+    """Divide R, a packed row of length entries, by the packed divisor of
+    degree n with leading code lead: (the quotient's codes, the remainder as
+    a packed row of n entries, not canonical).  Each quotient coefficient is
+    one read and one multiply-add of the divisor, so codec must hold sums of
+    n + 2 products; the cleared entries from n up hold multiples of p and
+    are masked off."""
+    bits, read, minus = codec.bits, codec.read, codec.minus
+    ilc = field.inv(lead)
+    quo = [0] * max(length - n, 0)
+    for k in range(length - n - 1, -1, -1):
+        c = read(R, k + n)
+        if c:
+            c = quo[k] = c if ilc == 1 else field.mul(c, ilc)
+            R += minus[c] * divisor << k * bits
+    return quo, R & (1 << n * bits) - 1
+
+
+def _frobenius(f: "Poly", r: "Poly"):
+    """h -> h^q mod f for monic f of degree n, given r = X^q mod f: one
+    packed product by the Frobenius matrix Q (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 14.8).  h^q = sum h_i X^(qi) as h_i^q = h_i,
+    so column i of Q is X^(qi) mod f = r^i mod f; the columns come from
+    n - 1 products by the matrix of multiplication by r, whose column j is
+    X^j r mod f: the previous column shifted up one entry, divided by f."""
+    field, n = f.field, f.degree
+    codec = field.row_codec[n + 2]
+    times_r, top = [codec.pack(r.coeffs)], codec.pack(f.coeffs)
+    for _ in range(n - 1):
+        shifted = times_r[-1] << codec.bits
+        times_r.append(codec.canon(_divide(field, codec, shifted, n + 1, top, n, 1)[1], n))
+
+    def apply(cols, codes):
+        return codec.unpack(sum(map(operator.mul, codec.scalars(codes), cols)), n)
+
+    codes, q_cols = [1], [codec.pack([1])]
+    for _ in range(n - 1):
+        codes = apply(times_r, codes)
+        q_cols.append(codec.pack(codes))
+    return lambda h: Poly._raw(field, apply(q_cols, h.coeffs))
+
+
 class Poly:
     """Univariate polynomial over a Field; coefficients ascend by degree."""
 
@@ -585,25 +649,19 @@ class Poly:
             raise MixedFields(f"{self.field} vs {other.field}")
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = self.field.add
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly._raw(self.field, out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        # digit by digit, -1 is p - 1
+        return self._plus(other, self.field.p - 1)
+
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other as one packed sum."""
         self._check(other)
-        sub = self.field.sub
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i in range(n):
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            a[i] = sub(a[i], b)
-        return Poly._raw(self.field, a)
+        codec = self.field.row_codec[2]
+        return Poly._raw(self.field, codec.unpack(
+            codec.pack(self.coeffs) + sign * codec.pack(other.coeffs),
+            max(len(self.coeffs), len(other.coeffs))))
 
     def __neg__(self) -> "Poly":
         neg = self.field.neg
@@ -615,16 +673,14 @@ class Poly:
             mul = self.field.mul
             return Poly._raw(self.field, [mul(x, c) for x in self.coeffs])
         self._check(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Poly._raw(self.field, [])
-        add, mul = self.field.add, self.field.mul
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
-        return Poly._raw(self.field, out)
+        # Kronecker substitution: entry k of the product of the packed rows
+        # sums the at most min(len a, len b) products a_i b_(k-i)
+        codec = self.field.row_codec[min(len(a), len(b))]
+        return Poly._raw(self.field, codec.unpack(codec.pack(a) * codec.pack(b),
+                                                  len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -632,20 +688,12 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        f = self.field
-        sub, mul, inv = f.sub, f.mul, f.inv
-        rem = list(self.coeffs)
-        dB = other.degree
-        ilc = inv(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - dB)
-        for k in range(len(rem) - dB - 1, -1, -1):
-            c = rem[k + dB]
-            if c:
-                q = mul(c, ilc)
-                quo[k] = q
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] = sub(rem[k + i], mul(q, b))
-        return Poly._raw(f, quo), Poly._raw(f, rem[:dB])
+        a, b = self.coeffs, other.coeffs
+        codec = self.field.row_codec[len(b) + 1]
+        quo, rem = _divide(self.field, codec, codec.pack(a), len(a), codec.pack(b),
+                           len(b) - 1, b[-1])
+        return (Poly._raw(self.field, quo),
+                Poly._raw(self.field, codec.unpack(rem, len(b) - 1)))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -682,12 +730,25 @@ class Poly:
         return self * FieldElem(self.field, self.field.inv(self.coeffs[-1]))
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor; gcd(0, 0) = 0."""
+        """Monic greatest common divisor; gcd(0, 0) = 0.  Euclid's loop runs
+        on packed rows: each remainder is made canonical, its degree and
+        leading code read off its top entries, and only the last divisor is
+        unpacked."""
         self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        if not b:
+            return Poly._raw(self.field, list(a)).monic()
+        codec = self.field.row_codec[len(b) + 1]
+        A, la, B, n, lead = codec.pack(a), len(a), codec.pack(b), len(b) - 1, b[-1]
+        while n:
+            R = codec.canon(_divide(self.field, codec, A, la, B, n, lead)[1], n)
+            k = n
+            while k and not (top := codec.read(R, k - 1)):
+                k -= 1
+            if not k:
+                break
+            A, la, B, n, lead = B, n + 1, R, k - 1, top
+        return Poly._raw(self.field, codec.unpack(B, n + 1)).monic()
 
     def lcm(self, other: "Poly") -> "Poly":
         """Monic least common multiple; lcm with 0 is 0."""
@@ -745,16 +806,18 @@ class Poly:
         has been divided out with its whole multiplicity, gcd(f, X^(q^k) - X)
         is the product of the distinct factors of degree k, so the input
         need not be squarefree.  Each such product is split by
-        Cantor-Zassenhaus.  Lazy: a factor is split off only when the caller
-        asks for it.
+        Cantor-Zassenhaus.  From k = 2 on, every q-th power is one product
+        by the Frobenius matrix of the monic input, which the shrinking f
+        and its factors divide.  Lazy: a factor is split off only when the
+        caller asks for it.
         """
         if self.degree < 1:
             raise ValueError("only a nonconstant polynomial has factors")
         field = self.field
-        q = field.order
         x = Poly.x(field)
-        f = self.monic()
-        h = x  # X^(q^k) mod f
+        f0 = f = self.monic()
+        h = x  # X^(q^k) mod f0
+        frob = None  # h -> h^q mod f0, built at k = 2
         rng = random.Random(0)  # splitting is randomized, its result is not
         k = 0
         while f.degree >= 1:
@@ -763,7 +826,9 @@ class Poly:
                 # every factor left has degree >= k: f is one of them
                 yield f
                 return
-            h = h.pow_mod(q, f)
+            if k == 2:
+                frob = _frobenius(f0, h)
+            h = x.pow_mod(field.order, f0) if k == 1 else frob(h)
             g = f.gcd(h - x)
             if g.degree < 1:
                 continue
@@ -771,35 +836,44 @@ class Poly:
             while c.degree >= 1:
                 f = f // c
                 c = f.gcd(c)
-            h = h % f
-            yield from g._equal_degree_split(k, rng)
+            yield from g._equal_degree_split(k, rng, frob)
 
-    def _equal_degree_split(self, k: int, rng: random.Random) -> Iterator["Poly"]:
+    def _equal_degree_split(self, k: int, rng: random.Random, frob) -> Iterator["Poly"]:
         """Cantor-Zassenhaus on a monic squarefree product of irreducibles
-        of degree k: gcd with a^((q^k - 1)/2) - 1 for odd q, and with the
-        trace a + a^2 + ... + a^(2^(mk - 1)) of GF(2^(mk)) over GF(2) in
-        characteristic 2, for random a.  Lazy like irreducible_factors: the
-        first factor costs about log2 of their number splits."""
+        of degree k, for random a: for odd q, gcd with a^((q^k - 1)/2) - 1,
+        the norm a * a^q * ... * a^(q^(k-1)) to the power (q - 1)/2; in
+        characteristic 2, gcd with the trace a + a^2 + ... + a^(2^(mk - 1))
+        of GF(2^(mk)) over GF(2), the sum over i < k of (a + a^2 + ... +
+        a^(2^(m-1)))^(q^i).  frob is h -> h^q modulo a multiple of self
+        (None when k = 1).  Lazy like irreducible_factors: the first factor
+        costs about log2 of their number splits."""
         n = self.degree
         if n == k:
             yield self
             return
         field = self.field
         q = field.order
-        one = Poly._raw(field, [1])
         while True:
             a = Poly._raw(field, [rng.randrange(q) for _ in range(n)])
             if field.p == 2:
-                t = s = a
-                for _ in range(field.degree * k - 1):
+                t = u = a
+                for _ in range(field.degree - 1):
                     t = (t * t) % self
-                    s = s + t
+                    u = u + t
+                s = u
+                for _ in range(k - 1):
+                    u = frob(u)
+                    s = s + u
             else:
-                s = a.pow_mod((q**k - 1) // 2, self) - one
+                u = s = a
+                for _ in range(k - 1):
+                    u = frob(u)
+                    s = (s * u) % self
+                s = s.pow_mod((q - 1) // 2, self) - Poly._raw(field, [1])
             g = self.gcd(s)
             if 0 < g.degree < n:
-                yield from g._equal_degree_split(k, rng)
-                yield from (self // g)._equal_degree_split(k, rng)
+                yield from g._equal_degree_split(k, rng, frob)
+                yield from (self // g)._equal_degree_split(k, rng, frob)
                 return
 
     def __repr__(self):

@@ -429,7 +429,10 @@ class Echelon:
 
     def insert(self, v: Sequence[int]) -> Optional[int]:
         """Add v to the span; returns its pivot, or None if dependent."""
-        w = self._reduced(v)
+        return self._append(self._reduced(v))
+
+    def _append(self, w: int) -> Optional[int]:
+        """Store the packed w, reduced and canonical, unless it is zero."""
         if not w:
             return None
         codec = self.codec
@@ -628,20 +631,31 @@ def poly_apply(f: Poly, a: Matrix, v: Sequence[int]) -> list[int]:
 
 
 def _local_min_poly(a: Matrix, v: Sequence[int], base: Optional[Echelon] = None
-                    ) -> tuple[Poly, Echelon]:
+                    ) -> tuple[Poly, list[list[int]]]:
     """Least monic g with g(a) v inside the base subspace (default 0), and
-    the echelon of the base plus the Krylov chain v, a v, ...
+    the Krylov chain v, a v, ..., a^(deg g - 1) v.
 
-    g's lower coefficients solve a^k v = sum c_i a^i v + (base part)."""
-    field = a.field
-    ech, chain, _ = _standard_basis([a], [v], base)
-    if not chain:
-        return Poly._raw(field, [1]), ech
-    cols = chain + (base.sorted_rows() if base is not None else [])
-    coords = Matrix.from_columns(field, cols).solve(a.apply(chain[-1]))
-    verify(coords is not None, "a^k v must lie in the Krylov chain and base")
-    neg = field.neg
-    return Poly._raw(field, [neg(c) for c in coords[: len(chain)]] + [1]), ech
+    Each a^i v is reduced with X^i carried in n + 1 extra entries, where the
+    base rows carry zeros: every row u | p(X) then has u - p(a) v in the
+    base, so the first a^k v whose own n entries clear holds g in the
+    extra ones."""
+    field, n = a.field, a.rows
+    ech = Echelon(field, 2 * n + 1)
+    codec = ech.codec
+    if base is not None and base.dim:
+        flat = base.codec.unpack(base.codec.join(base.rows, n), base.dim * n)
+        ech.rows = [codec.pack(flat[i * n : (i + 1) * n]) for i in range(base.dim)]
+        ech.pivots = list(base.pivots)
+    shift = n * codec.bits
+    chain, u = [], list(v)
+    while True:
+        w = ech._clear(codec.pack(u) | 1 << shift + len(chain) * codec.bits,
+                       ech.rows, ech.pivots)
+        if not w & (1 << shift) - 1:
+            return Poly._raw(field, codec.unpack(w >> shift, len(chain) + 1)), chain
+        ech._append(w)
+        chain.append(u)
+        u = a.apply(u)
 
 
 def min_poly(a: Matrix) -> Poly:
@@ -650,18 +664,18 @@ def min_poly(a: Matrix) -> Poly:
         raise ShapeMismatch("minimal polynomial of a non-square matrix")
     field = a.field
     n = a.rows
-    if n == 0:
-        return Poly._raw(field, [1])
-    seeds = Matrix.identity(field, n).row_lists()
-    # the first Krylov echelon is the covered span; a later seed outside it
-    # is spun again modulo that span to fold its Krylov subspace in
-    m, covered = _local_min_poly(a, seeds[0])
-    for e in seeds[1:]:
+    # a seed outside the span of the Krylov chains so far adds its own
+    m, covered = Poly._raw(field, [1]), Echelon(field, n)
+    for e in Matrix.identity(field, n).row_lists():
         if covered.dim == n:
             break
         if not covered.contains(e):
-            m = m.lcm(_local_min_poly(a, e)[0])
-            covered = _standard_basis([a], [e], covered)[0]
+            g, chain = _local_min_poly(a, e)
+            m = m.lcm(g) if covered.dim else g
+            if len(chain) == n:
+                break
+            for u in chain:
+                covered.insert(u)
     return m
 
 

@@ -587,36 +587,50 @@ class SearchResult(NamedTuple):
     classes: int = 0
 
 
-def _similarity_classes(field: Field, d: int) -> Iterator[list[Poly]]:
+def _similarity_classes(field: Field, d: int, trace_zero: bool = False
+                        ) -> Iterator[list[Poly]]:
     """One chain of monic invariant factors f1 | f2 | ... | fk per
-    similarity class of d x d matrices.
+    similarity class of d x d matrices, or with trace_zero only the chains
+    of the classes of trace zero.
 
     The chains are those with degrees summing to d, q^2 + q of them at
     d = 2 and q^3 + q^2 + q at d = 3; the direct sum of the companions of a
     chain is the rational canonical form frobenius_form reports, and fk is
     its minimal polynomial.  The factors after f are the multiples f * g,
-    g monic, taken by degree and then in coefficient-code order.
+    g monic, taken by degree and then in coefficient-code order.  The trace
+    is minus the sum of the factors' coefficients of X^(deg - 1), added in
+    the field, so a last factor whose coefficient misses is dropped before
+    its product is formed.
     """
+    add, neg = field.add, field.neg
     monics = [
         [Poly._raw(field, [*low, 1])
          for low in itertools.product(range(field.order), repeat=k)]
         for k in range(d + 1)
     ]
 
-    def chains(prev: Poly, left: int) -> Iterator[list[Poly]]:
+    def second(f: Poly) -> int:
+        return f.coeffs[-2] if f.degree > 0 else 0
+
+    def chains(prev: Poly, left: int, total: int) -> Iterator[list[Poly]]:
         if not left:
             yield []
             return
         for k in range(max(prev.degree, 1), left + 1):
+            cofactors = monics[k - prev.degree]
+            if trace_zero and k == left:
+                # the last factor: its coefficient must cancel the total
+                want = neg(add(total, second(prev)))
+                cofactors = [g for g in cofactors if second(g) == want]
             # the first factor (prev = 1) is any monic, already in code order
             factors = sorted(
-                (prev * g for g in monics[k - prev.degree]),
-                key=lambda f: f.coeffs) if prev.degree else monics[k]
+                (prev * g for g in cofactors),
+                key=lambda f: f.coeffs) if prev.degree else cofactors
             for f in factors:
-                for rest in chains(f, left - k):
+                for rest in chains(f, left - k, add(total, second(f))):
                     yield [f, *rest]
 
-    yield from chains(monics[0][0], d)
+    yield from chains(monics[0][0], d, 0)
 
 
 def _squarefree(f: Poly) -> bool:
@@ -625,10 +639,7 @@ def _squarefree(f: Poly) -> bool:
     mul, p = f.field.mul, f.field.p
     # f' term by term: the integer i acts as the prime-field code i % p
     df = [mul(i % p, c) for i, c in enumerate(f.coeffs)][1:]
-    a, b = f, Poly._raw(f.field, df)
-    while b.coeffs:
-        a, b = b, a % b
-    return not a.degree
+    return not f.gcd(Poly._raw(f.field, df)).degree
 
 
 def _ad(a: Matrix) -> Matrix:
@@ -704,8 +715,8 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     Adding a scalar changes no bracket: ad_(A - cI) = ad_A, so A and A - cI
     have the same U, and (A, B) is a witness exactly when (A - cI, B) is.
     As tr(A - cI) = tr(A) - dc, when p does not divide d the one trace-zero
-    translate is c = tr(A) / d, and each class is settled through it: a
-    chain whose trace, the sum of -f.coeffs[-2], is nonzero is skipped.
+    translate is c = tr(A) / d, and each class is settled through it: only
+    the chains of trace zero are enumerated.
     When p divides d every translate keeps the trace of A, so every class
     is examined.  Of the classes examined, only those whose fk repeats a
     factor reach _rank1_partner's few small linear systems: at d = 2 the
@@ -738,9 +749,8 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     # every class is settled, so the result accounts for all pairs even
     # when a witness turns up early
     translate = d % p != 0
-    for chain in _similarity_classes(field, d):
-        if translate and sum(f.coeffs[-2] for f in chain) % p:
-            continue  # settled through its trace-zero translate
+    # a class of nonzero trace is settled through its trace-zero translate
+    for chain in _similarity_classes(field, d, translate):
         if _squarefree(chain[-1]):
             continue  # semisimple: U = 0, no partner
         a = direct_sum([companion(f) for f in chain])

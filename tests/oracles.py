@@ -39,6 +39,33 @@ def trial_division_irreducible(f: Poly) -> bool:
     return True
 
 
+def oracle_poly_mul(a: Poly, b: Poly) -> Poly:
+    """Product by the schoolbook loop over the field's add and mul."""
+    assert a.field == b.field
+    add, mul = a.field.add, a.field.mul
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return Poly(a.field, out)
+
+
+def oracle_poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division, one field operation per coefficient product."""
+    assert a.field == b.field and b.coeffs
+    field = a.field
+    sub, mul = field.sub, field.mul
+    ilc = field.inv(b.coeffs[-1])
+    n = len(b.coeffs) - 1
+    rem = list(a.coeffs)
+    quo = [0] * max(len(rem) - n, 0)
+    for k in range(len(rem) - n - 1, -1, -1):
+        q = quo[k] = mul(rem[k + n], ilc)
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] = sub(rem[k + i], mul(q, c))
+    return Poly(field, quo), Poly(field, rem[:n])
+
+
 def brute_pth_root(e: FieldElem) -> FieldElem:
     """The unique b with b^p = e, found by scanning the whole field."""
     p = e.field.p

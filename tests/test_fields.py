@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import random
@@ -24,7 +25,12 @@ from heisenmod import (
 )
 from heisenmod.fields import monic_irreducibles
 from heisenmod.suites import _irreducible_polys
-from oracles import brute_pth_root, trial_division_irreducible
+from oracles import (
+    brute_pth_root,
+    oracle_poly_divmod,
+    oracle_poly_mul,
+    trial_division_irreducible,
+)
 
 
 def ext(p, m):
@@ -219,6 +225,56 @@ def test_poly_divmod_property():
             quot, rem = divmod(f, g)
             assert quot * g + rem == f
             assert rem.degree < g.degree
+
+
+# prime fields (GF(7)'s slots widen from one byte to two at 8 summed
+# products), table-backed extensions and table-free GF(3^6)
+POLY_FIELDS = [(2, 1), (3, 1), (7, 1), (251, 1), (2, 2), (2, 3), (7, 3), (3, 6)]
+
+
+@st.composite
+def poly_pairs(draw):
+    """(a, b) over one field: lengths 0-20 drawn near the slot steps 7 and
+    8 often, coefficients near 0 and q - 1 often, so zero and constant
+    operands, non-monic divisors and the largest codes all turn up."""
+    field = field_of(draw(st.sampled_from(POLY_FIELDS)))
+    q = field.order
+    coefficient = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1]))
+    length = st.one_of(st.integers(0, 20), st.sampled_from([0, 1, 6, 7, 8, 9]))
+    a, b = (Poly(field, draw(st.lists(coefficient, min_size=n, max_size=n)))
+            for n in (draw(length), draw(length)))
+    return a, b
+
+
+@settings(max_examples=300)
+@given(poly_pairs())
+def test_packed_poly_arithmetic_matches_the_oracle(pair):
+    a, b = pair
+    assert a * b == oracle_poly_mul(a, b)
+    assert b * a == a * b
+    if b.is_zero():
+        with pytest.raises(DivisionByZero):
+            divmod(a, b)
+        return
+    quo, rem = divmod(a, b)
+    assert (quo, rem) == oracle_poly_divmod(a, b)
+    assert quo * b + rem == a and rem.degree < b.degree
+    x, y = a, b
+    while not y.is_zero():
+        x, y = y, oracle_poly_divmod(x, y)[1]
+    assert a.gcd(b) == b.gcd(a) == x.monic()
+
+
+@pytest.mark.parametrize("spec", POLY_FIELDS, ids=str)
+def test_packed_poly_arithmetic_at_largest_codes(spec):
+    # every coefficient q - 1 makes every slot sum as large as it gets
+    field = field_of(spec)
+    top = field.order - 1
+    for n in (1, 2, 7, 8, 9, 16, 30):
+        for k in (1, 2, 7, 8, 9, 16, 30):
+            a, b = Poly(field, [top] * n), Poly(field, [top] * k)
+            assert a * b == oracle_poly_mul(a, b)
+            assert divmod(a, b) == oracle_poly_divmod(a, b)
 
 
 def test_poly_gcd_properties():
@@ -428,6 +484,47 @@ def test_factors_come_once_each_by_increasing_degree():
     assert list(octic.irreducible_factors()) == [octic]
     with pytest.raises(ValueError):
         list(Poly(field, [1]).irreducible_factors())
+
+
+def factor_order_corpus():
+    """Seeded polynomials whose factor sequences are pinned: random monics
+    of degree 1-15, products with squared factors, and products of three
+    distinct irreducibles of one degree (with and without a square), over
+    prime fields (odd q and q = 2), table-backed extensions (odd q, and
+    p = 2 with m > 1) and table-free GF(3^6)."""
+    out = []
+    for field in [GF(2), GF(3), GF(7), GF(251), ext(2, 2), ext(2, 3), ext(7, 3),
+                  ext(3, 6)]:
+        rng = random.Random(f"factor order {field}")
+
+        def monic(degree):
+            return Poly(field, [rng.randrange(field.order) for _ in range(degree)] + [1])
+
+        out += [monic(degree) for degree in range(1, 16)]
+        for degree in range(3, 16, 3):
+            g = monic(rng.randrange(1, 4))
+            out.append(g * g * monic(max(degree - 2 * g.degree, 1)))
+        # GF(2) has fewer than three irreducibles of degree below 4
+        for k in (4, 5) if field.order == 2 else (1, 2, 3):
+            factors = []
+            while len(factors) < 3:
+                f = monic(k)
+                if f.is_irreducible() and f not in factors:
+                    factors.append(f)
+            product = factors[0] * factors[1] * factors[2]
+            out += [product, product * factors[rng.randrange(3)]]
+    return out
+
+
+# SHA-256 of the factor sequences of factor_order_corpus(): Holt-Rees tries
+# the factors in the order irreducible_factors yields them, so how they are
+# found may change, their order may not
+FACTOR_ORDER_DIGEST = "6447c99e8af3136d27a091e9b8d5f4a6817a96f34794e97f78da48915c746660"
+
+
+def test_factor_order_is_pinned():
+    got = [[g.coeffs for g in f.irreducible_factors()] for f in factor_order_corpus()]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == FACTOR_ORDER_DIGEST
 
 
 def test_make_extension_rejects_bad_moduli():

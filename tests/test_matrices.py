@@ -884,6 +884,44 @@ def test_min_poly_matches_kernel_oracle_random(field):
         assert not (char_poly(m) % f).coeffs  # divides the char poly
 
 
+def repeated_blocks(field, rng):
+    """Conjugated direct sums of repeated companion blocks, with a square
+    block on top half the time: min_poly needs a seed per block and
+    frobenius_form one extraction per block.  Yields (matrix, its invariant
+    factors)."""
+    for _ in range(4):
+        f = Poly(field, [rng.randrange(field.order) for _ in range(rng.randrange(1, 4))] + [1])
+        factors = [f] * rng.randrange(2, 4)
+        if rng.randrange(2):
+            factors.append(f * f)
+        a = direct_sum([companion(d) for d in factors])
+        t = rand_invertible(field, a.rows, rng)
+        yield t.inv() * a * t, factors
+
+
+@pytest.mark.parametrize("field", FIELDS + [GF(7), ext(7, 3)], ids=str)
+def test_min_poly_and_frobenius_form_of_repeated_blocks(field):
+    rng = random.Random(f"repeated {field}")
+    for a, factors in repeated_blocks(field, rng):
+        assert min_poly(a) == factors[-1] == brute_min_poly(a)
+        assert frobenius_form(a).invariant_factors == factors
+
+
+def test_min_poly_solves_no_system(monkeypatch):
+    # the annihilator of each Krylov chain is read off its own echelon
+    rng = random.Random("no solve")
+    cases = [(a, factors[-1]) for field in (GF(2), GF(5), ext(2, 2))
+             for a, factors in repeated_blocks(field, rng)]
+
+    def refuse(*args):
+        raise AssertionError("min_poly built or solved a linear system")
+
+    monkeypatch.setattr(Matrix, "solve", refuse)
+    monkeypatch.setattr(Matrix, "from_columns", refuse)
+    for a, want in cases:
+        assert min_poly(a) == want
+
+
 def ppow(f, k):
     out = Poly(f.field, [1])
     for _ in range(k):

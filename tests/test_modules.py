@@ -1246,6 +1246,24 @@ def test_similarity_classes_match_divisibility_oracle(spec, d):
 
 
 @pytest.mark.parametrize(
+    "spec, d",
+    [((2, 1), 1), ((3, 1), 2), ((5, 1), 2), ((5, 1), 3), ((2, 2), 2),
+     ((2, 2), 3), ((3, 2), 2), ((2, 3), 2)],
+)
+def test_trace_zero_chains_are_the_classes_of_trace_zero(spec, d):
+    # over GF(p^m) a code is not its residue: the traces are field sums,
+    # here Matrix.trace of each form, and the order is kept
+    p, m = spec
+    field = GF(p) if m == 1 else ext(p, m)
+    chains = list(modules._similarity_classes(field, d))
+    want = [c for c in chains
+            if direct_sum([companion(f) for f in c]).trace().is_zero()]
+    assert list(modules._similarity_classes(field, d, trace_zero=True)) == want
+    if d % p:  # one trace-zero class in each orbit of translates A - cI
+        assert len(want) * field.order == len(chains)
+
+
+@pytest.mark.parametrize(
     "q, d", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)]
 )
 def test_similarity_class_counts(q, d):
