@@ -18,17 +18,22 @@ slots of degree >= m of every element at once modulo the defining
 polynomial, m-1 big-integer shift/multiply steps with no reduction mod p
 between them (the p^(m-1) headroom).  A slot is the least of 1, 2, 4 and 8
 bytes with 2^s above that bound (GF(4) at L = 32 and GF(2) at L = 128 take
-one byte, GF(3^6) at L = 9 two).  One-byte slots, where q <= 256, are
-reduced mod p by one bytes.translate through a 256-entry table, and an
-element's digits are joined into its code by m-1 shift/mask/multiply steps
-on the whole row, which leave each code in its element's lowest byte for
-one to_bytes slice.  Wider slots are read through int.to_bytes and struct
-(shift and mask past 8 bytes), each reduced mod p and the digits joined
-per element.  Over GF(p) a packed element is the code itself.  A
-table-free GF(p^m), and the building of the tables, computes with L = 1.
+one byte, GF(3^6) at L = 9 two).  Where size*(p-1) < 256, every slot of a
+row is reduced mod p to one byte at once: byte k of each slot goes through
+a bytes.translate table of b*256^k mod p, the results are summed as
+integers and translated once more; an element's digits are then joined
+into its code, in its own 2m-1 bytes, by m-1 shift/mask/multiply steps on
+the whole row.  Other slots (large p) are reduced and joined per slot.
+Over GF(p) a packed element is the code itself.  A table-free GF(p^m), and
+the building of the tables, computes with L = 1.
 
 Polynomials are immutable coefficient tuples in ascending degree with no
 trailing zeros.  The zero polynomial has an empty tuple and degree -1.
+Their arithmetic runs on the same packed rows: a product is one product of
+two packed rows (L the shorter length), a division one read and one
+multiply-add of the packed divisor per quotient coefficient, and Euclid's
+loop keeps its remainders packed.  Factoring takes every q-th power past
+X^q as one packed product by the Frobenius matrix.
 """
 
 from __future__ import annotations
@@ -84,10 +89,6 @@ def is_prime(n: int) -> bool:
 ElemLike = Union["FieldElem", int, Sequence[int]]
 
 
-# struct formats of the slot widths above one byte that it reads and writes
-_SLOT_FORMATS = {2: "H", 4: "I", 8: "Q"}
-
-
 class _Memo(dict):
     """A dict that fills a missing key from a function of the key."""
 
@@ -125,20 +126,9 @@ class RowCodec:
         self.bits = es
         smask, emask = (1 << s) - 1, (1 << es) - 1
         # slot values <-> integers, lowest slot first
-        if size == 1:
-            to_slots = lambda R, n: R.to_bytes(n * ebytes, "little")
-            from_slots = lambda values: int.from_bytes(values, "little")
-        elif size in _SLOT_FORMATS:
-            # one little-endian struct per number of slots
-            structs = _Memo(lambda k: struct.Struct(f"<{k}{_SLOT_FORMATS[size]}"))
-            to_slots = lambda R, n: structs[n * w].unpack(
-                R.to_bytes(n * ebytes, "little"))
-            from_slots = lambda values: int.from_bytes(
-                structs[len(values)].pack(*values), "little")
-        else:
-            to_slots = lambda R, n: [R >> k & smask for k in range(0, n * es, s)]
-            from_slots = lambda values: int.from_bytes(
-                b"".join([x.to_bytes(size, "little") for x in values]), "little")
+        to_slots = lambda R, n: [R >> k & smask for k in range(0, n * es, s)]
+        from_slots = lambda values: int.from_bytes(
+            b"".join([x.to_bytes(size, "little") for x in values]), "little")
         # X^m modulo the defining polynomial, packed; folding slot k adds its
         # value times X^(k-m) * X^m and removes it from slot k
         top = 0
@@ -179,10 +169,11 @@ class RowCodec:
                     b = total.to_bytes(n * w, "little")
                 return b.translate(tables[0])
 
-            def canon(R, n):
-                spread = bytearray(n * ebytes)
-                spread[::size] = reduced(R, n)
-                return int.from_bytes(spread, "little")
+            def from_slots(values):  # values below 256 only
+                if size > 1:
+                    values, wide = bytearray(len(values) * size), values
+                    values[::size] = wide
+                return int.from_bytes(values, "little")
 
             # the digits of each element are joined into its code, in its own
             # w bytes, by m - 1 shift/mask/multiply steps on the whole row
@@ -201,7 +192,6 @@ class RowCodec:
                 return list(codes_of[n](codes.to_bytes(n * w, "little")))
         else:
             reduced = lambda R, n: [x % p for x in to_slots(folded(R, n), n)]
-            canon = lambda R, n: from_slots(reduced(R, n))
 
             def unpack(R, n):
                 values = to_slots(folded(R, n), n)
@@ -232,7 +222,7 @@ class RowCodec:
             self.pack = lambda codes: int.from_bytes(
                 b"".join(map(blocks.__getitem__, codes)), "little")
             self.scalars = lambda codes: list(map(elem.__getitem__, codes))
-        self.canon = canon
+        self.canon = lambda R, n: from_slots(reduced(R, n))
         self.join = lambda sums, n: sum(
             map(operator.lshift, sums, itertools.count(0, es * n)))
 
@@ -564,12 +554,10 @@ class FieldElem:
 
 def _divide(field: Field, codec: RowCodec, R: int, length: int, divisor: int,
             n: int, lead: int) -> tuple[list[int], int]:
-    """Divide R, a packed row of length entries, by the packed divisor of
-    degree n with leading code lead: (the quotient's codes, the remainder as
-    a packed row of n entries, not canonical).  Each quotient coefficient is
-    one read and one multiply-add of the divisor, so codec must hold sums of
-    n + 2 products; the cleared entries from n up hold multiples of p and
-    are masked off."""
+    """R, packed of length entries, divided by the packed divisor of degree
+    n and leading code lead: (quotient codes, packed remainder of n entries,
+    not canonical).  A quotient coefficient is one read and one multiply-add,
+    so codec must hold n + 2 products; the entries cleared are masked off."""
     bits, read, minus = codec.bits, codec.read, codec.minus
     ilc = field.inv(lead)
     quo = [0] * max(length - n, 0)
@@ -584,21 +572,17 @@ def _divide(field: Field, codec: RowCodec, R: int, length: int, divisor: int,
 def _frobenius(f: "Poly", r: "Poly"):
     """h -> h^q mod f for monic f of degree n, given r = X^q mod f: one
     packed product by the Frobenius matrix Q (von zur Gathen and Gerhard,
-    Modern Computer Algebra, 14.8).  h^q = sum h_i X^(qi) as h_i^q = h_i,
-    so column i of Q is X^(qi) mod f = r^i mod f; the columns come from
-    n - 1 products by the matrix of multiplication by r, whose column j is
-    X^j r mod f: the previous column shifted up one entry, divided by f."""
+    Modern Computer Algebra, 14.8), as h^q = sum h_i X^(qi).  Column i of Q
+    is r times column i - 1, by the matrix whose column j is X^j r mod f."""
     field, n = f.field, f.degree
     codec = field.row_codec[n + 2]
     times_r, top = [codec.pack(r.coeffs)], codec.pack(f.coeffs)
-    for _ in range(n - 1):
-        shifted = times_r[-1] << codec.bits
-        times_r.append(codec.canon(_divide(field, codec, shifted, n + 1, top, n, 1)[1], n))
-
-    def apply(cols, codes):
-        return codec.unpack(sum(map(operator.mul, codec.scalars(codes), cols)), n)
-
-    codes, q_cols = [1], [codec.pack([1])]
+    for _ in range(n - 1):  # shifted up one entry, then divided by f
+        _, rem = _divide(field, codec, times_r[-1] << codec.bits, n + 1, top, n, 1)
+        times_r.append(codec.canon(rem, n))
+    apply = lambda cols, codes: codec.unpack(
+        sum(map(operator.mul, codec.scalars(codes), cols)), n)
+    codes, q_cols = [1], [1]  # 1 packs as itself in every codec
     for _ in range(n - 1):
         codes = apply(times_r, codes)
         q_cols.append(codec.pack(codes))
@@ -664,8 +648,7 @@ class Poly:
             max(len(self.coeffs), len(other.coeffs))))
 
     def __neg__(self) -> "Poly":
-        neg = self.field.neg
-        return Poly._raw(self.field, [neg(c) for c in self.coeffs])
+        return self * (self.field.p - 1)
 
     def __mul__(self, other):
         if isinstance(other, (FieldElem, int)):
@@ -688,12 +671,10 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        a, b = self.coeffs, other.coeffs
-        codec = self.field.row_codec[len(b) + 1]
-        quo, rem = _divide(self.field, codec, codec.pack(a), len(a), codec.pack(b),
-                           len(b) - 1, b[-1])
-        return (Poly._raw(self.field, quo),
-                Poly._raw(self.field, codec.unpack(rem, len(b) - 1)))
+        field, a, b, n = self.field, self.coeffs, other.coeffs, other.degree
+        codec = field.row_codec[n + 2]
+        quo, rem = _divide(field, codec, codec.pack(a), len(a), codec.pack(b), n, b[-1])
+        return Poly._raw(field, quo), Poly._raw(field, codec.unpack(rem, n))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -730,10 +711,9 @@ class Poly:
         return self * FieldElem(self.field, self.field.inv(self.coeffs[-1]))
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor; gcd(0, 0) = 0.  Euclid's loop runs
-        on packed rows: each remainder is made canonical, its degree and
-        leading code read off its top entries, and only the last divisor is
-        unpacked."""
+        """Monic greatest common divisor; gcd(0, 0) = 0.  Euclid's loop on
+        packed rows: each remainder is made canonical and its degree read
+        off its top entries; only the last divisor is unpacked."""
         self._check(other)
         a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
         if not b:
@@ -806,10 +786,9 @@ class Poly:
         has been divided out with its whole multiplicity, gcd(f, X^(q^k) - X)
         is the product of the distinct factors of degree k, so the input
         need not be squarefree.  Each such product is split by
-        Cantor-Zassenhaus.  From k = 2 on, every q-th power is one product
-        by the Frobenius matrix of the monic input, which the shrinking f
-        and its factors divide.  Lazy: a factor is split off only when the
-        caller asks for it.
+        Cantor-Zassenhaus.  Past X^q, each q-th power modulo the input is
+        one product by its Frobenius matrix.  Lazy: a factor is split off
+        only when the caller asks for it.
         """
         if self.degree < 1:
             raise ValueError("only a nonconstant polynomial has factors")
@@ -840,35 +819,27 @@ class Poly:
 
     def _equal_degree_split(self, k: int, rng: random.Random, frob) -> Iterator["Poly"]:
         """Cantor-Zassenhaus on a monic squarefree product of irreducibles
-        of degree k, for random a: for odd q, gcd with a^((q^k - 1)/2) - 1,
-        the norm a * a^q * ... * a^(q^(k-1)) to the power (q - 1)/2; in
-        characteristic 2, gcd with the trace a + a^2 + ... + a^(2^(mk - 1))
-        of GF(2^(mk)) over GF(2), the sum over i < k of (a + a^2 + ... +
-        a^(2^(m-1)))^(q^i).  frob is h -> h^q modulo a multiple of self
-        (None when k = 1).  Lazy like irreducible_factors: the first factor
-        costs about log2 of their number splits."""
+        of degree k: gcd with a^((q^k - 1)/2) - 1, the norm of random a to
+        the power (q - 1)/2, for odd q, and for q = 2^m with the trace, the
+        sum over i < k of (a + a^2 + ... + a^(2^(m-1)))^(q^i); frob is
+        h -> h^q modulo a multiple of self.  Lazy like irreducible_factors:
+        the first factor costs about log2 of their number splits."""
         n = self.degree
         if n == k:
             yield self
             return
         field = self.field
-        q = field.order
+        q, two = field.order, field.p == 2
         while True:
-            a = Poly._raw(field, [rng.randrange(q) for _ in range(n)])
-            if field.p == 2:
-                t = u = a
-                for _ in range(field.degree - 1):
-                    t = (t * t) % self
-                    u = u + t
-                s = u
-                for _ in range(k - 1):
-                    u = frob(u)
-                    s = s + u
-            else:
-                u = s = a
-                for _ in range(k - 1):
-                    u = frob(u)
-                    s = (s * u) % self
+            a = s = Poly._raw(field, [rng.randrange(q) for _ in range(n)])
+            for _ in range(field.degree - 1 if two else 0):
+                a = (a * a) % self
+                s = s + a
+            u = s
+            for _ in range(k - 1):
+                u = frob(u)
+                s = s + u if two else (s * u) % self
+            if not two:
                 s = s.pow_mod((q - 1) // 2, self) - Poly._raw(field, [1])
             g = self.gcd(s)
             if 0 < g.degree < n:

@@ -387,21 +387,22 @@ def _rref_rows(
 
 class Echelon:
     """Growing semi-echelon basis of a subspace of code vectors (Holt, Eick,
-    O'Brien, 7.5): rows[i] is packed by codec, with pivot pivots[i].
-    reduce(v) is the unique vector of the coset of v that is zero at every
-    pivot.  The fully reduced rows, vectors or sorted_rows() in pivot order,
-    are built only when read.
+    O'Brien, 7.5) of at most rank (default width) rows: rows[i] is packed by
+    codec, with pivot pivots[i].  reduce(v) is the unique vector of the coset
+    of v that is zero at every pivot.  The fully reduced rows, vectors or
+    sorted_rows() in pivot order, are built only when read.
     """
 
-    __slots__ = ("field", "width", "rows", "pivots")
+    __slots__ = ("field", "width", "rank", "rows", "pivots")
 
-    def __init__(self, field: Field, width: int):
+    def __init__(self, field: Field, width: int, rank: Optional[int] = None):
         self.field, self.width = field, width
+        self.rank = width if rank is None else rank
         self.rows, self.pivots = [], []
 
     @property
     def codec(self):
-        return self.field.row_codec[self.width + 1]
+        return self.field.row_codec[self.rank + 1]
 
     @property
     def dim(self) -> int:
@@ -446,7 +447,7 @@ class Echelon:
         return piv
 
     def copy(self) -> "Echelon":
-        e = Echelon(self.field, self.width)
+        e = Echelon(self.field, self.width, self.rank)
         e.rows, e.pivots = list(self.rows), list(self.pivots)
         return e
 
@@ -633,21 +634,16 @@ def poly_apply(f: Poly, a: Matrix, v: Sequence[int]) -> list[int]:
 def _local_min_poly(a: Matrix, v: Sequence[int], base: Optional[Echelon] = None
                     ) -> tuple[Poly, list[list[int]]]:
     """Least monic g with g(a) v inside the base subspace (default 0), and
-    the Krylov chain v, a v, ..., a^(deg g - 1) v.
-
-    Each a^i v is reduced with X^i carried in n + 1 extra entries, where the
-    base rows carry zeros: every row u | p(X) then has u - p(a) v in the
-    base, so the first a^k v whose own n entries clear holds g in the
-    extra ones."""
+    the Krylov chain v, a v, ..., a^(deg g - 1) v.  Each a^i v is reduced
+    with X^i in n + 1 extra entries, zero in the base rows: every row u | p
+    has u - p(a) v in the base, so the first a^k v whose own n entries clear
+    holds g.  At most n rows: the base rows serve as they are."""
     field, n = a.field, a.rows
-    ech = Echelon(field, 2 * n + 1)
-    codec = ech.codec
-    if base is not None and base.dim:
-        flat = base.codec.unpack(base.codec.join(base.rows, n), base.dim * n)
-        ech.rows = [codec.pack(flat[i * n : (i + 1) * n]) for i in range(base.dim)]
-        ech.pivots = list(base.pivots)
+    ech = Echelon(field, 2 * n + 1, n)
+    if base is not None:
+        ech.rows, ech.pivots = list(base.rows), list(base.pivots)
+    codec, chain, u = ech.codec, [], list(v)
     shift = n * codec.bits
-    chain, u = [], list(v)
     while True:
         w = ech._clear(codec.pack(u) | 1 << shift + len(chain) * codec.bits,
                        ech.rows, ech.pivots)
@@ -662,8 +658,7 @@ def min_poly(a: Matrix) -> Poly:
     """Minimal polynomial: lcm of cyclic annihilators over standard seeds."""
     if a.rows != a.cols:
         raise ShapeMismatch("minimal polynomial of a non-square matrix")
-    field = a.field
-    n = a.rows
+    field, n = a.field, a.rows
     # a seed outside the span of the Krylov chains so far adds its own
     m, covered = Poly._raw(field, [1]), Echelon(field, n)
     for e in Matrix.identity(field, n).row_lists():

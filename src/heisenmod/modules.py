@@ -597,20 +597,16 @@ def _similarity_classes(field: Field, d: int, trace_zero: bool = False
     d = 2 and q^3 + q^2 + q at d = 3; the direct sum of the companions of a
     chain is the rational canonical form frobenius_form reports, and fk is
     its minimal polynomial.  The factors after f are the multiples f * g,
-    g monic, taken by degree and then in coefficient-code order.  The trace
-    is minus the sum of the factors' coefficients of X^(deg - 1), added in
-    the field, so a last factor whose coefficient misses is dropped before
-    its product is formed.
+    g monic, taken by degree and then in coefficient-code order.  Traces add
+    in the field, and a last factor of the wrong trace is never formed.
     """
     add, neg = field.add, field.neg
+    second = lambda f: f.coeffs[-2] if f.degree > 0 else 0
     monics = [
         [Poly._raw(field, [*low, 1])
          for low in itertools.product(range(field.order), repeat=k)]
         for k in range(d + 1)
     ]
-
-    def second(f: Poly) -> int:
-        return f.coeffs[-2] if f.degree > 0 else 0
 
     def chains(prev: Poly, left: int, total: int) -> Iterator[list[Poly]]:
         if not left:
@@ -618,8 +614,7 @@ def _similarity_classes(field: Field, d: int, trace_zero: bool = False
             return
         for k in range(max(prev.degree, 1), left + 1):
             cofactors = monics[k - prev.degree]
-            if trace_zero and k == left:
-                # the last factor: its coefficient must cancel the total
+            if trace_zero and k == left:  # the last factor cancels the total
                 want = neg(add(total, second(prev)))
                 cofactors = [g for g in cofactors if second(g) == want]
             # the first factor (prev = 1) is any monic, already in code order
