@@ -146,12 +146,14 @@ class RowCodec:
                     R += (R >> shift & mask) * fold
             return R
 
+        digit_shifts = range(s * (m - 1), -1, -s)  # highest first
+
         def read(R, j):
             v = R >> es * j & emask
             for shift, fold in folds:
                 v += (v >> shift & smask) * fold
             code = 0
-            for shift in range(s * (m - 1), -1, -s):
+            for shift in digit_shifts:
                 code = code * p + (v >> shift & smask) % p
             return code
 
@@ -805,8 +807,7 @@ class Poly:
                 # every factor left has degree >= k: f is one of them
                 yield f
                 return
-            if k == 2:
-                frob = _frobenius(f0, h)
+            frob = _frobenius(f0, h) if k == 2 else frob
             h = x.pow_mod(field.order, f0) if k == 1 else frob(h)
             g = f.gcd(h - x)
             if g.degree < 1:
