@@ -125,10 +125,18 @@ class RowCodec:
         ebytes, es = size * w, s * w
         self.bits = es
         smask, emask = (1 << s) - 1, (1 << es) - 1
-        # slot values <-> integers, lowest slot first
-        to_slots = lambda R, n: [R >> k & smask for k in range(0, n * es, s)]
-        from_slots = lambda values: int.from_bytes(
-            b"".join([x.to_bytes(size, "little") for x in values]), "little")
+        # slot values <-> integers, lowest slot first: one little-endian
+        # struct per number of slots, shift and mask past 8 bytes
+        fmt = {2: "H", 4: "I", 8: "Q"}.get(size)
+        if fmt:
+            structs = _Memo(lambda k: struct.Struct(f"<{k}{fmt}"))
+            to_slots = lambda R, n: structs[n * w].unpack(R.to_bytes(n * ebytes, "little"))
+            from_slots = lambda values: int.from_bytes(
+                structs[len(values)].pack(*values), "little")
+        else:
+            to_slots = lambda R, n: [R >> k & smask for k in range(0, n * es, s)]
+            from_slots = lambda values: int.from_bytes(
+                b"".join([x.to_bytes(size, "little") for x in values]), "little")
         # X^m modulo the defining polynomial, packed; folding slot k adds its
         # value times X^(k-m) * X^m and removes it from slot k
         top = 0
@@ -560,8 +568,7 @@ def _divide(field: Field, codec: RowCodec, R: int, length: int, divisor: int,
     n and leading code lead: (quotient codes, packed remainder of n entries,
     not canonical).  A quotient coefficient is one read and one multiply-add,
     so codec must hold n + 2 products; the entries cleared are masked off."""
-    bits, read, minus = codec.bits, codec.read, codec.minus
-    ilc = field.inv(lead)
+    bits, read, minus, ilc = codec.bits, codec.read, codec.minus, field.inv(lead)
     quo = [0] * max(length - n, 0)
     for k in range(length - n - 1, -1, -1):
         c = read(R, k + n)
@@ -642,7 +649,6 @@ class Poly:
         return self._plus(other, self.field.p - 1)
 
     def _plus(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other as one packed sum."""
         self._check(other)
         codec = self.field.row_codec[2]
         return Poly._raw(self.field, codec.unpack(
@@ -714,8 +720,8 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor; gcd(0, 0) = 0.  Euclid's loop on
-        packed rows: each remainder is made canonical and its degree read
-        off its top entries; only the last divisor is unpacked."""
+        packed rows: each remainder is made canonical, so its degree is that
+        of its highest set bit; only the last divisor is unpacked."""
         self._check(other)
         a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
         if not b:
@@ -724,12 +730,10 @@ class Poly:
         A, la, B, n, lead = codec.pack(a), len(a), codec.pack(b), len(b) - 1, b[-1]
         while n:
             R = codec.canon(_divide(self.field, codec, A, la, B, n, lead)[1], n)
-            k = n
-            while k and not (top := codec.read(R, k - 1)):
-                k -= 1
-            if not k:
+            if not R:
                 break
-            A, la, B, n, lead = B, n + 1, R, k - 1, top
+            k = (R.bit_length() - 1) // codec.bits  # canonical: its degree
+            A, la, B, n, lead = B, n + 1, R, k, codec.read(R, k)
         return Poly._raw(self.field, codec.unpack(B, n + 1)).monic()
 
     def lcm(self, other: "Poly") -> "Poly":
@@ -748,13 +752,11 @@ class Poly:
         return Poly._raw(self.field, out)
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        result = Poly._raw(self.field, [1]) % mod
-        base = self % mod
+        result, base = Poly._raw(self.field, [1]) % mod, self % mod
         while e:
             if e & 1:
                 result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
+            base, e = (base * base) % mod, e >> 1
         return result
 
     def is_irreducible(self) -> bool:
@@ -797,8 +799,7 @@ class Poly:
         field = self.field
         x = Poly.x(field)
         f0 = f = self.monic()
-        h = x  # X^(q^k) mod f0
-        frob = None  # h -> h^q mod f0, built at k = 2
+        h, frob = x, None  # X^(q^k) mod f0, and h -> h^q mod f0 from k = 2
         rng = random.Random(0)  # splitting is randomized, its result is not
         k = 0
         while f.degree >= 1:

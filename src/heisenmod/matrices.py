@@ -642,8 +642,7 @@ def _local_min_poly(a: Matrix, v: Sequence[int], base: Optional[Echelon] = None
     ech = Echelon(field, 2 * n + 1, n)
     if base is not None:
         ech.rows, ech.pivots = list(base.rows), list(base.pivots)
-    codec, chain, u = ech.codec, [], list(v)
-    shift = n * codec.bits
+    codec, chain, u, shift = ech.codec, [], list(v), n * ech.codec.bits
     while True:
         w = ech._clear(codec.pack(u) | 1 << shift + len(chain) * codec.bits,
                        ech.rows, ech.pivots)
