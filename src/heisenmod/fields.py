@@ -724,8 +724,8 @@ class Poly:
         of its highest set bit; only the last divisor is unpacked."""
         self._check(other)
         a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
-        if not b:
-            return Poly._raw(self.field, list(a)).monic()
+        if len(b) < 2:  # a nonzero constant leaves 1, zero the monic other
+            return Poly._raw(self.field, [1] if b else list(a)).monic()
         codec = self.field.row_codec[len(b) + 1]
         A, la, B, n, lead = codec.pack(a), len(a), codec.pack(b), len(b) - 1, b[-1]
         while n:
