@@ -23,7 +23,10 @@ row is reduced mod p to one byte at once: byte k of each slot goes through
 a bytes.translate table of b*256^k mod p, the results are summed as
 integers and translated once more; an element's digits are then joined
 into its code, in its own 2m-1 bytes, by m-1 shift/mask/multiply steps on
-the whole row.  Other slots (large p) are reduced and joined per slot.
+the whole row.  In characteristic 2 a slot's residue is its lowest bit, so
+the folded row masked with one bit per slot is canonical, and, in one-byte
+slots, holds the digits to join.  Other slots (large p) are reduced and
+joined per slot.
 Over GF(p) a packed element is the code itself.  A table-free GF(p^m), and
 the building of the tables, computes with L = 1.
 
@@ -43,7 +46,7 @@ import itertools
 import operator
 import random
 import struct
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DivisionByZero,
@@ -87,6 +90,12 @@ def is_prime(n: int) -> bool:
 
 
 ElemLike = Union["FieldElem", int, Sequence[int]]
+
+
+def _lazy_randrange(seed) -> Callable[[int], int]:
+    """randrange of a random.Random(seed) that is seeded on the first draw."""
+    rng = functools.cache(lambda: random.Random(seed))
+    return lambda n: rng().randrange(n)
 
 
 class _Memo(dict):
@@ -155,6 +164,7 @@ class RowCodec:
             return R
 
         digit_shifts = range(s * (m - 1), -1, -s)  # highest first
+        digit = 1 if p == 2 else smask  # a slot's residue mod 2 is its lowest bit
 
         def read(R, j):
             v = R >> es * j & emask
@@ -162,9 +172,10 @@ class RowCodec:
                 v += (v >> shift & smask) * fold
             code = 0
             for shift in digit_shifts:
-                code = code * p + (v >> shift & smask) % p
+                code = code * p + (v >> shift & digit) % p
             return code
 
+        canon = lambda R, n: from_slots(reduced(R, n))
         if size * (p - 1) < 256:
             # each slot reduced to one byte: its bytes b_k through a table
             # of b_k * 256^k % p each, summed (below 256) and reduced again
@@ -178,6 +189,15 @@ class RowCodec:
                         total += int.from_bytes(b[k::size].translate(table), "little")
                     b = total.to_bytes(n * w, "little")
                 return b.translate(tables[0])
+
+            residues = lambda R, n: int.from_bytes(reduced(R, n), "little")
+            if p == 2:  # every slot at once: a mask of the lowest bit of each
+                ones = _Memo(lambda n: ((1 << n * es) - 1) // smask)
+                canon = lambda R, n: folded(R, n) & ones[n]
+                if size == 1:  # the masked row holds the residues' bytes
+                    residues = canon
+                else:
+                    reduced = lambda R, n: canon(R, n).to_bytes(n * ebytes, "little")[::size]
 
             def from_slots(values):  # values below 256 only
                 if size > 1:
@@ -194,7 +214,7 @@ class RowCodec:
                 "<" + f"{' BH I'[width]}{w - width}x" * n).unpack)
 
             def unpack(R, n):
-                digits = int.from_bytes(reduced(R, n), "little")
+                digits = residues(R, n)
                 low = lows[n]
                 codes = digits & low
                 for shift, weight in steps:
@@ -220,7 +240,7 @@ class RowCodec:
         if m == 1:
             self.elem = range(p)  # a code is its own packed element
             self.minus = range(p, 0, -1)  # for c != 0
-            self.read = lambda R, j: (R >> s * j & smask) % p
+            self.read = lambda R, j: (R >> s * j & digit) % p
             self.pack = from_slots
             self.unpack = lambda R, n: list(reduced(R, n))
             self.scalars = lambda codes: codes
@@ -232,7 +252,7 @@ class RowCodec:
             self.pack = lambda codes: int.from_bytes(
                 b"".join(map(blocks.__getitem__, codes)), "little")
             self.scalars = lambda codes: list(map(elem.__getitem__, codes))
-        self.canon = lambda R, n: from_slots(reduced(R, n))
+        self.canon = canon
         self.join = lambda sums, n: sum(
             map(operator.lshift, sums, itertools.count(0, es * n)))
 
@@ -800,7 +820,7 @@ class Poly:
         x = Poly.x(field)
         f0 = f = self.monic()
         h, frob = x, None  # X^(q^k) mod f0, and h -> h^q mod f0 from k = 2
-        rng = random.Random(0)  # splitting is randomized, its result is not
+        draw = _lazy_randrange(0)  # splitting is randomized, its result is not
         k = 0
         while f.degree >= 1:
             k += 1
@@ -817,9 +837,9 @@ class Poly:
             while c.degree >= 1:
                 f = f // c
                 c = f.gcd(c)
-            yield from g._equal_degree_split(k, rng, frob)
+            yield from g._equal_degree_split(k, draw, frob)
 
-    def _equal_degree_split(self, k: int, rng: random.Random, frob) -> Iterator["Poly"]:
+    def _equal_degree_split(self, k: int, draw: Callable, frob) -> Iterator["Poly"]:
         """Cantor-Zassenhaus on a monic squarefree product of irreducibles
         of degree k: gcd with a^((q^k - 1)/2) - 1, the norm of random a to
         the power (q - 1)/2, for odd q, and for q = 2^m with the trace, the
@@ -833,7 +853,7 @@ class Poly:
         field = self.field
         q, two = field.order, field.p == 2
         while True:
-            a = s = Poly._raw(field, [rng.randrange(q) for _ in range(n)])
+            a = s = Poly._raw(field, [draw(q) for _ in range(n)])
             for _ in range(field.degree - 1 if two else 0):
                 a = (a * a) % self
                 s = s + a
@@ -845,8 +865,8 @@ class Poly:
                 s = s.pow_mod((q - 1) // 2, self) - Poly._raw(field, [1])
             g = self.gcd(s)
             if 0 < g.degree < n:
-                yield from g._equal_degree_split(k, rng, frob)
-                yield from (self // g)._equal_degree_split(k, rng, frob)
+                yield from g._equal_degree_split(k, draw, frob)
+                yield from (self // g)._equal_degree_split(k, draw, frob)
                 return
 
     def __repr__(self):

@@ -256,8 +256,9 @@ class Matrix:
         return self._packed_cols
 
     def transpose(self) -> "Matrix":
-        c = self.cols
-        out = [x for j in range(c) for x in self.data[j::c]]
+        c, out = self.cols, []
+        for j in range(c):
+            out += self.data[j::c]
         return Matrix(self.field, c, self.rows, out)
 
     def trace(self) -> FieldElem:
@@ -631,46 +632,62 @@ def poly_apply(f: Poly, a: Matrix, v: Sequence[int]) -> list[int]:
 # -- minimal polynomial ------------------------------------------------------------
 
 
-def _local_min_poly(a: Matrix, v: Sequence[int], base: Optional[Echelon] = None
-                    ) -> tuple[Poly, list[list[int]]]:
-    """Least monic g with g(a) v inside the base subspace (default 0), and
-    the Krylov chain v, a v, ..., a^(deg g - 1) v.  Each a^i v is reduced
-    with X^i in n + 1 extra entries, zero in the base rows: every row u | p
-    has u - p(a) v in the base, so the first a^k v whose own n entries clear
-    holds g.  At most n rows: the base rows serve as they are."""
-    field, n = a.field, a.rows
-    ech = Echelon(field, 2 * n + 1, n)
-    if base is not None:
-        ech.rows, ech.pivots = list(base.rows), list(base.pivots)
-    codec, chain, u, shift = ech.codec, [], list(v), n * ech.codec.bits
+def _local_min_poly(a: Matrix, v: Sequence[int], ech: Echelon, start: int = 0
+                    ) -> tuple[list[int], int]:
+    """Least monic h with h(a) v in the span of ech's rows (width 2n + 1,
+    rank n), and the relation that shows it: a^i v is reduced with 1 at
+    coordinate start + i of n + 1 extra entries, and appended while its
+    vector part is nonzero.  Every row u | c has u = sum c_j b_j, b_j =
+    a^(j-start) v from start on and the earlier rows' vectors below (0 for
+    rows with zero extra entries): the first a^k v to clear gives (c, k)."""
+    codec = ech.codec
+    shift, k, u = a.rows * codec.bits, 0, list(v)
     while True:
-        w = ech._clear(codec.pack(u) | 1 << shift + len(chain) * codec.bits,
+        w = ech._clear(codec.pack(u) | 1 << shift + (start + k) * codec.bits,
                        ech.rows, ech.pivots)
         if not w & (1 << shift) - 1:
-            return Poly._raw(field, codec.unpack(w >> shift, len(chain) + 1)), chain
+            return codec.unpack(w >> shift, start + k + 1), k
         ech._append(w)
-        chain.append(u)
-        u = a.apply(u)
+        u, k = a.apply(u), k + 1
 
 
 def min_poly(a: Matrix) -> Poly:
-    """Minimal polynomial: lcm of cyclic annihilators over standard seeds."""
+    """Minimal polynomial by one relative Krylov pass over the standard seeds
+    (Neunhoeffer and Praeger, LMS J. Comput. Math. 11, 2008): a seed e_s
+    outside the earlier chains' span has relative order h_s and relation
+    h_s(a) e_s + sum_(t<s) r_st(a) e_t = 0.  Stops once deg m = n."""
     if a.rows != a.cols:
         raise ShapeMismatch("minimal polynomial of a non-square matrix")
     field, n = a.field, a.rows
-    # a seed outside the span of the Krylov chains so far adds its own
-    m, covered = Poly._raw(field, [1]), Echelon(field, n)
+    m, ech, chains = Poly._raw(field, [1]), Echelon(field, 2 * n + 1, n), []
     for e in Matrix.identity(field, n).row_lists():
-        if covered.dim == n:
+        if ech.dim == n or m.degree == n:
             break
-        if not covered.contains(e):
-            g, chain = _local_min_poly(a, e)
-            m = m.lcm(g) if covered.dim else g
-            if len(chain) == n:
-                break
-            for u in chain:
-                covered.insert(u)
+        c, k = _local_min_poly(a, e, ech, start := ech.dim)
+        if k:
+            h = Poly._raw(field, c[start:])
+            rel = [Poly._raw(field, c[j : j + g.degree]) for j, g, _ in chains]
+            common = m.gcd(h)  # ord(e_s) = h ord(u_s), and ord(u_s) divides m
+            order = _order(rel, chains) if common.degree else common
+            m = m * (h // common) if order.degree == 0 else m.lcm(h * order)
+            chains.append((start, h, rel))
     return m
+
+
+def _order(coords: list[Poly], chains: list[tuple[int, Poly, list[Poly]]]) -> Poly:
+    """Least monic g with g(a) u = 0, u = sum_t coords[t](a) e_t, where
+    chains[t] = (_, h, r) has h(a) e_t + sum_(s<t) r[s](a) e_s = 0.  Top
+    down: modulo the e_s below t, u has order h / gcd(h, coords[t])."""
+    g = Poly._raw(coords[0].field, [1])
+    for t in range(len(coords) - 1, -1, -1):
+        if coords[t].is_zero():
+            continue
+        _, h, rel = chains[t]
+        common = h.gcd(coords[t])  # r coords[t] = q h, so r u lies below t
+        r, q = (h // common, coords[t] // common) if common.degree else (h, coords[t])
+        coords = [r * x - q * y for x, y in zip(coords[:t], rel)]
+        g = g * r
+    return g
 
 
 # -- rational canonical form ----------------------------------------------------
@@ -736,7 +753,9 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
         best_v: Optional[list[int]] = None
         best_g: Optional[Poly] = None
         for e in Matrix.identity(field, n).row_lists():
-            g = _local_min_poly(a, e, W)[0]
+            ech = Echelon(field, 2 * n + 1, n)
+            ech.rows, ech.pivots = list(W.rows), list(W.pivots)
+            g = Poly._raw(field, _local_min_poly(a, e, ech)[0])
             if g.degree == 0:
                 continue
             if best_g is None:

@@ -14,7 +14,7 @@ irreducibility, or raises after the sample budget.
 from __future__ import annotations
 
 import itertools
-import random
+import operator
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     ZeroAlpha,
     verify,
 )
-from .fields import Field, FieldElem, GF, Poly, is_prime
+from .fields import Field, FieldElem, GF, Poly, _lazy_randrange, is_prime
 from .heisenberg import (
     HeisenbergAlgebra,
     InvariantTuple,
@@ -168,7 +168,7 @@ def _holt_rees(rep: Representation, max_samples: int, seed: int,
     if d == 0:
         raise ShapeMismatch("irreducibility needs dimension >= 1")
     field = rep.field
-    rng = random.Random(seed)
+    draw = _lazy_randrange(seed)
     # A is a random combination of a growing pool of algebra elements.  Each
     # sample adds the previous A times a random combination, that product
     # times another one, and A itself, so the longest word in the pool grows
@@ -178,8 +178,7 @@ def _holt_rees(rep: Representation, max_samples: int, seed: int,
     pool = [m for m in rep.gen_matrices() if not m.is_zero()]
 
     def combination() -> Matrix:
-        return _combination(field, d, d, pool,
-                            [rng.randrange(field.order) for _ in pool])
+        return _combination(field, d, d, pool, [draw(field.order) for _ in pool])
 
     def elements() -> Iterator[tuple[str, Matrix, Optional[Poly], list[Poly]]]:
         """(label, A, min_poly(A) or None, factors to try), first included."""
@@ -263,9 +262,8 @@ def _combination(field: Field, rows: int, cols: int, mats: Sequence[Matrix],
 def _subquotients(rep: Representation, basis: SubspaceBasis
                   ) -> tuple[Callable, Callable, Callable]:
     """(sub, quotient, lift) for an invariant subspace W: the two block maps
-    of one matrix m, sub(m) raising ShapeMismatch unless m keeps W, and
-    lift(t_w, t_q) = B direct_sum([t_w, t_q]) for the adapted basis
-    B = [W^T | e_F].
+    of one matrix m that keeps W (the caller proves that), and lift(t_w,
+    t_q) = B direct_sum([t_w, t_q]) for the adapted basis B = [W^T | e_F].
 
     B is never formed.  Its blocks are read off W's reduced echelon rows,
     with pivots P in row order and free positions F ascending (Holt, Eick,
@@ -273,22 +271,19 @@ def _subquotients(rep: Representation, basis: SubspaceBasis
     I, B gives v the coordinates v[P], then v[F] - W^T[F, :] v[P], so
     B^-1 m B has the sub block S = m[P, :] W^T, the quotient block Q =
     m[F, F] - W^T[F, :] m[P, F], and a lower-left block that is zero
-    exactly when m W^T = W^T S; else W is not invariant.  lift's first
-    dim W columns are W^T t_w, and the others hold t_q's rows at F.
+    exactly when m keeps W.  lift's first dim W columns are W^T t_w, and
+    the others hold t_q's rows at F.
     """
     d, pivots = rep.dim, basis.pivots()
-    free, k = sorted(set(range(d)).difference(pivots)), range(basis.dim)
+    free = sorted(set(range(d)).difference(pivots))
     wt = Matrix(rep.field, d, basis.dim, [x for row in zip(*basis.vectors) for x in row])
-    w_free = _block(wt, free, k)
+    w_free = _block(wt, free, range(basis.dim))
 
     def quotient(m: Matrix) -> Matrix:
         return _block(m, free, free) - w_free * _block(m, pivots, free)
 
     def sub(m: Matrix) -> Matrix:
-        image = m * wt
-        if _block(image, free, k) != w_free * (s := _block(image, pivots, k)):
-            raise ShapeMismatch("subspace is not invariant")
-        return s
+        return _block(m, pivots, range(d)) * wt
 
     def lift(t_w: Matrix, t_q: Matrix) -> Matrix:
         right, zero = dict(zip(free, t_q.row_lists())), [0] * len(free)
@@ -299,22 +294,28 @@ def _subquotients(rep: Representation, basis: SubspaceBasis
 
 
 def _block(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
-    """The submatrix m[rows, cols]."""
-    c, data = m.cols, m.data
-    return Matrix(m.field, len(rows), len(cols), [data[r * c + j] for r in rows for j in cols])
+    """The submatrix m[rows, cols], cols ascending, a row at a time."""
+    c, k, out, lo = m.cols, len(cols), [], cols[0] if cols else 0
+    pick = (operator.itemgetter(*cols) if k > 1 and cols[-1] - lo >= k
+            else lambda row: row[lo : lo + k])
+    for r in rows:
+        out += pick(m.data[r * c : (r + 1) * c])
+    return Matrix(m.field, len(rows), k, out)
 
 
 def sub_representation(rep: Representation, basis: SubspaceBasis) -> Representation:
     """The action restricted to an invariant subspace, in its echelon basis."""
+    if not basis.is_invariant(rep):
+        raise ShapeMismatch("subspace is not invariant")
     return rep._map(_subquotients(rep, basis)[0])
 
 
 def quotient_representation(rep: Representation, basis: SubspaceBasis) -> Representation:
     """The action on the quotient by an invariant subspace, in the
     coordinates at the subspace's non-pivot positions."""
-    sub, quotient, _ = _subquotients(rep, basis)
-    rep._map(sub)  # the invariance check
-    return rep._map(quotient)
+    if not basis.is_invariant(rep):
+        raise ShapeMismatch("subspace is not invariant")
+    return rep._map(_subquotients(rep, basis)[1])
 
 
 class CompositionFactor(NamedTuple):

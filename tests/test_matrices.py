@@ -7,6 +7,7 @@ of basis they return.  Products and apply are property-tested against the
 schoolbook loops in oracles.py.
 """
 
+import functools
 import itertools
 import pickle
 import random
@@ -29,6 +30,7 @@ from heisenmod import (
     Singular,
     VerificationFailed,
     assemble_grid,
+    build_companion_rep,
     char_poly,
     commutator,
     companion,
@@ -291,6 +293,60 @@ def test_product_at_largest_codes_has_no_slot_carry(spec, inner):
     b = Matrix(field, inner, 2, [top] * (inner * 2))
     assert a * b == oracle_matmul(a, b)
     assert a.apply([top] * inner) == oracle_apply(a, [top] * inner)
+
+
+def slot_digit_codes(field, R, n, size):
+    """The n codes of a packed sum read digit by digit: each slot of size
+    bytes taken mod p on its own, then each element's 2m - 1 digits reduced
+    modulo the defining polynomial from the top digit down."""
+    p, m, s = field.p, field.degree, 8 * size
+    out = []
+    for j in range(n):
+        digits = [(R >> s * ((2 * m - 1) * j + k) & (1 << s) - 1) % p
+                  for k in range(2 * m - 1)]
+        for k in range(2 * m - 2, m - 1, -1):  # X^k = X^(k-m) X^m
+            top, digits[k] = digits[k], 0
+            for i, c in enumerate(field.modulus[:m]):
+                digits[k - m + i] = (digits[k - m + i] - top * c) % p
+        out.append(sum(d * p**i for i, d in enumerate(digits[:m])))
+    return out
+
+
+@st.composite
+def char2_sums(draw):
+    """(field, inner, slot bytes, R, its codes): R sums exactly inner
+    products elem[c] * pack(row) of rows of n <= 5 entries, as k copies of
+    a few distinct products, over GF(2), GF(4), GF(8) and GF(2^9), at
+    inner lengths up to the largest of one- and two-byte slots; codes are
+    drawn at the largest code often."""
+    field = field_of(draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 9)])))
+    size = draw(st.sampled_from([s for s in (1, 2) if widest_inner(field, s)]))
+    lo, hi = widest_inner(field, size - 1) + 1, widest_inner(field, size)
+    inner = draw(st.one_of(st.just(hi), st.integers(lo, hi)))
+    codec, n, top = field.row_codec[inner], draw(st.integers(1, 5)), field.order - 1
+    code = st.one_of(st.just(top), st.integers(0, top))
+    cuts = sorted(draw(st.lists(st.integers(0, inner), max_size=3)))
+    R, want = 0, [0] * n
+    for k in (b - a for a, b in zip([0, *cuts], [*cuts, inner])):
+        c, row = draw(code), draw(st.lists(code, min_size=n, max_size=n))
+        R += k * codec.elem[c] * codec.pack(row)
+        for j, x in enumerate(row):  # k copies: k mod 2 of them
+            want[j] = field.add(want[j], field.mul(c, x) if k % 2 else 0)
+    return field, inner, size, R, want
+
+
+@settings(max_examples=200)
+@given(char2_sums())
+def test_characteristic_2_codec_matches_digit_by_digit_reduction(case):
+    # in characteristic 2 canon, unpack and read mask a bit per slot
+    field, inner, size, R, want = case
+    codec, n = field.row_codec[inner], len(want)
+    assert slot_bytes(field, inner) == size
+    assert slot_digit_codes(field, R, n, size) == want
+    assert codec.unpack(R, n) == want
+    assert [codec.read(R, j) for j in range(n)] == want
+    assert codec.canon(R, n) == codec.pack(want)
+    assert codec.unpack(codec.canon(R, n), n) == want
 
 
 def check_elimination_at_largest_codes(field, k):
@@ -920,6 +976,77 @@ def test_min_poly_solves_no_system(monkeypatch):
     monkeypatch.setattr(Matrix, "from_columns", refuse)
     for a, want in cases:
         assert min_poly(a) == want
+
+
+def rand_monic(field, degree, rng):
+    return Poly(field, [rng.randrange(field.order) for _ in range(degree)] + [1])
+
+
+def related_seeds(field, rng):
+    """Matrices whose standard seeds meet nontrivial relations: a later
+    seed's chain ends in the span of the earlier ones, or its relative
+    order shares factors with theirs.  Conjugated J3(c) + J1(c) and
+    C(f) + C(f g) + C(g); random elements of the image algebra of the
+    companion module of (X - c)^2 (sums of generators and of products of
+    two); and the 0 x 0 and 1 x 1 matrices."""
+    for _ in range(3):
+        c = rng.randrange(field.order)
+        f, g = rand_monic(field, rng.randrange(1, 3), rng), rand_monic(field, 1, rng)
+        for blocks in ([jordan_block(field, c, 3), jordan_block(field, c, 1)],
+                       [companion(f), companion(f * g), companion(g)]):
+            a = direct_sum(blocks)
+            t = rand_invertible(field, a.rows, rng)
+            yield t.inv() * a * t
+    c, beta = (field.element(rng.randrange(field.order)) for _ in range(2))
+    linear = Poly(field, [-c, 1])
+    gens = build_companion_rep(field.one(), beta, linear * linear).gen_matrices()
+    gens += [g * h for g in gens for h in gens]
+    for _ in range(3):
+        coeffs = [rng.randrange(field.order) for _ in gens]
+        yield functools.reduce(Matrix.__add__, (g * x for g, x in zip(gens, coeffs)))
+    yield Matrix(field, 0, 0, [])
+    yield Matrix(field, 1, 1, [rng.randrange(field.order)])
+
+
+# GF(3^6) is above the table limit
+RELATION_FIELDS = [GF(2), GF(3), ext(2, 2), ext(7, 3), ext(3, 6)]
+
+
+@pytest.mark.parametrize("field", RELATION_FIELDS, ids=str)
+def test_min_poly_of_related_seeds_matches_the_oracle(field):
+    rng = random.Random(f"related {field}")
+    for a in related_seeds(field, rng):
+        f = min_poly(a)
+        assert f == brute_min_poly(a) and f.is_monic() and poly_at(f, a).is_zero()
+        assert a.rows or f == Poly(field, [1])
+
+
+@pytest.mark.parametrize("field", RELATION_FIELDS[:3], ids=str)
+def test_min_poly_forms_each_krylov_vector_once(field, monkeypatch):
+    # one relative pass: every a^i e_s is applied once, so min_poly calls
+    # apply at most n + (number of seeds outside the earlier chains' span)
+    # times; spinning each such seed from scratch takes up to n apiece
+    rng = random.Random(f"apply count {field}")
+    cases = list(related_seeds(field, rng))
+    cases += [a for a, _ in repeated_blocks(field, rng)]
+    calls = 0
+    real = Matrix.apply
+
+    def counted(self, v):
+        nonlocal calls
+        calls += 1
+        return real(self, v)
+
+    for a in cases:
+        n, eye = a.rows, Matrix.identity(field, a.rows).row_lists()
+        dims = [len(oracle_closure(field, [a], eye[: s + 1], n)) for s in range(n)]
+        seeds = sum(1 for lo, hi in zip([0] + dims, dims) if hi > lo)
+        monkeypatch.setattr(Matrix, "apply", counted)
+        calls = 0
+        got = min_poly(a)
+        monkeypatch.setattr(Matrix, "apply", real)
+        assert got == brute_min_poly(a)
+        assert calls <= n + seeds, (n, seeds, calls)
 
 
 def ppow(f, k):

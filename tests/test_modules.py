@@ -550,6 +550,35 @@ def test_composition_series_checks_the_lifted_chain(monkeypatch):
             composition_series(rep)
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_composition_series_catches_a_wrong_sub_block(monkeypatch, level):
+    # the levels of the series check nothing themselves: one sub block
+    # corrupted at the top level or one below must break the certificate
+    field = GF(3)
+    rep = direct_sum_reps([build_standard(HeisenbergAlgebra(1, field)),
+                           v_rep(field, 1, [0], [1])])
+    assert composition_series(rep).chain_dims == [0, 1, 2, 3, 6]
+    real, splits, blocks = modules._subquotients, [], []
+
+    def corrupted(r, basis):
+        sub, quotient, lift = real(r, basis)
+        splits.append(r)
+
+        def wrong(m):  # the first sub block read at this level is off by one
+            s = sub(m)
+            blocks.append(m)
+            if len(blocks) > 1:
+                return s
+            return Matrix(field, s.rows, s.cols, [field.add(s.data[0], 1), *s.data[1:]])
+
+        return (wrong if len(splits) == level + 1 else sub), quotient, lift
+
+    monkeypatch.setattr(modules, "_subquotients", corrupted)
+    with pytest.raises(VerificationFailed, match="does not triangularize onto its factors"):
+        composition_series(rep)
+    assert len(splits) > level and blocks
+
+
 def companion_power(p, m, c, alpha=1, beta=0, field=None):
     """The companion module of (X - c)^m over GF(p) (or over the given
     field of characteristic p), of dimension p * m."""
