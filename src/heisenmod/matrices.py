@@ -579,6 +579,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def assemble_grid(grid: Sequence[Sequence[Matrix]]) -> Matrix:
     """Assemble a block matrix from a rectangular grid of equal blocks."""
+    if not grid or not grid[0]:
+        raise ShapeMismatch("grid of nothing")
     field = grid[0][0].field
     br, bc = grid[0][0].rows, grid[0][0].cols
     for row in grid:

@@ -8,7 +8,8 @@ the Holt-Rees test: for a random algebra element A and an irreducible
 factor f of its minimal polynomial with nullity(f(A)) = deg f, one spin in
 ker f(A) and one transposed spin in ker f(A)^T settle the question.  The
 test is randomized but never guesses: it exhibits a submodule, proves
-irreducibility, or raises after the sample budget.
+irreducibility, or raises after the sample budget.  A composition series
+node first tries its parent's pair, on every line of ker f(A) if need be.
 """
 
 from __future__ import annotations
@@ -163,7 +164,12 @@ def _holt_rees(rep: Representation, max_samples: int, seed: int,
                ) -> tuple[IrreducibilityResult, Matrix, Poly]:
     """(verdict, A, f) of is_irreducible, A and f the pair that settled it.
     first = (A, f), A in the image algebra and f irreducible, is tried
-    before any sample; f need not divide, or be, A's minimal polynomial."""
+    before any sample; f need not divide, or be, A's minimal polynomial.
+    When first has nullity k > deg f and N = ker f(A) has at most d lines,
+    (q^k - 1)/(q - 1) <= d, a vector on each line of N is spun: a proper
+    spin is a submodule.  If all spin to V, no proper submodule U meets N,
+    so f(A) is bijective on U and ker f(A)^T lies in U's annihilator: the
+    transposed spin decides as when k = deg f.  Samples never do this."""
     d = rep.dim
     if d == 0:
         raise ShapeMismatch("irreducibility needs dimension >= 1")
@@ -210,16 +216,21 @@ def _holt_rees(rep: Representation, max_samples: int, seed: int,
             kernel = theta.kernel_basis()
             if not kernel:  # an inherited f(A) may be invertible
                 continue
-            head = f"{label}, deg f = {f.degree}, nullity {len(kernel)}"
-            s = spin(rep, kernel[0])
-            if s.dim < d:
-                return IrreducibilityResult(
-                    False, "norton",
-                    f"{head}: a kernel vector generates a dim {s.dim} submodule",
-                    s,
-                ), a, f
-            if len(kernel) != f.degree:
+            k, q = len(kernel), field.order
+            head, lines = f"{label}, deg f = {f.degree}, nullity {k}", (q**k - 1) // (q - 1)
+            by_lines = m is None and k > f.degree and lines <= d
+            for i, v in enumerate(_line_vectors(field, kernel) if by_lines else kernel[:1]):
+                s = spin(rep, v)
+                if s.dim < d:
+                    what = f"kernel line {i + 1} of {lines}" if i else "a kernel vector"
+                    return IrreducibilityResult(
+                        False, "norton",
+                        f"{head}: {what} generates a dim {s.dim} submodule",
+                        s,
+                    ), a, f
+            if k != f.degree and not by_lines:
                 continue
+            spun = f"every one of the {lines} kernel lines" if by_lines else "a kernel vector"
             if transposed is None:
                 transposed = rep._map(Matrix.transpose)
             s = spin(transposed, theta.transpose().kernel_basis()[0])
@@ -231,19 +242,28 @@ def _holt_rees(rep: Representation, max_samples: int, seed: int,
                        "annihilator of a transposed submodule is not a submodule")
                 return IrreducibilityResult(
                     False, "norton",
-                    f"{head}: a transposed kernel vector exposes a dim "
-                    f"{sub.dim} submodule",
+                    f"{head}: {spun + ' spins to the full space; ' if by_lines else ''}"
+                    f"a transposed kernel vector exposes a dim {sub.dim} submodule",
                     sub,
                 ), a, f
             return IrreducibilityResult(
                 True, "norton",
-                f"{head}: a kernel vector and a transposed kernel vector "
-                "both spin to the full space",
+                f"{head}: {spun} and a transposed kernel vector "
+                f"{'spin' if by_lines else 'both spin'} to the full space",
                 None,
             ), a, f
     raise UndecidedIrreducibility(
         f"no sample in {max_samples} had a factor f with nullity deg f"
     )
+
+
+def _line_vectors(field: Field, kernel: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """One vector on each line of span(kernel), kernel[0] first: the
+    combinations whose first nonzero coefficient is 1."""
+    k, rows = len(kernel), [Matrix(field, 1, len(v), v) for v in kernel]
+    for lead in range(k):
+        for rest in itertools.product(range(field.order), repeat=k - lead - 1):
+            yield _combination(field, 1, rows[0].cols, rows, [0] * lead + [1, *rest]).data
 
 
 def _combination(field: Field, rows: int, cols: int, mats: Sequence[Matrix],
@@ -386,7 +406,8 @@ def _series_basis(rep: Representation, max_samples: int, seed: int,
     _subquotients' lift assembles without B.  The Holt-Rees pair (A, f)
     that found W is tried first on W and rep/W as (block, f): the diagonal
     blocks of B^-1 A B are the same word in the generators' blocks, so they
-    lie in the image algebras of W and rep/W (is_irreducible)."""
+    lie in the image algebras of W and rep/W (is_irreducible).  A block with
+    nullity > deg f spins the lines of its kernel (_holt_rees) first."""
     res, a, f = _holt_rees(rep, max_samples, seed, first)
     if res.irreducible:
         return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]

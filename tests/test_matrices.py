@@ -1198,6 +1198,15 @@ def test_assemble_grid_matches_block_layout():
         assemble_grid([[Matrix.identity(field, 2), Matrix.identity(field, 1)]])
 
 
+@pytest.mark.parametrize("grid", [[], [[]], [[], []]])
+def test_assemble_grid_of_nothing_is_a_shape_mismatch(grid):
+    # as direct_sum([]) is; the first block used to be read unchecked
+    with pytest.raises(ShapeMismatch, match="grid of nothing"):
+        assemble_grid(grid)
+    with pytest.raises(ShapeMismatch, match="direct sum of nothing"):
+        direct_sum([])
+
+
 def test_commutator_identities():
     field = GF(5)
     rng = random.Random(16)

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -836,6 +837,124 @@ def test_inherited_pair_reaches_each_branch():
             res, a2, _ = holt_rees(rep, 64, seed, pair)
             assert res == is_irreducible(rep, seed=seed)
             assert res.detail.startswith("sample ") and a2 is not pair[0]
+
+
+def top_over(field, low, top, rng):
+    """A module with a submodule of dimension low below a top factor that no
+    factor below is isomorphic to, moved by a random invertible matrix.  The
+    three images are block upper triangular: random low x low blocks and
+    off-diagonal blocks, and on top the cyclic shift, E_11 and a random
+    matrix, which generate all top x top matrices.  They need not satisfy
+    the Heisenberg relations: the Holt-Rees test uses only their algebra."""
+    d, q = low + top, field.order
+    shift = [int(j == (i + 1) % top) for i in range(top) for j in range(top)]
+    e11 = [int(i == j == 0) for i in range(top) for j in range(top)]
+    images = []
+    for block in (shift, e11, [rng.randrange(q) for _ in range(top * top)]):
+        rows = [[rng.randrange(q) for _ in range(d)] for _ in range(low)]
+        rows += [[0] * low + block[i * top : (i + 1) * top] for i in range(top)]
+        images.append(Matrix(field, d, d, [x for row in rows for x in row]))
+    rep = Representation(HeisenbergAlgebra(1, field), images[:1], images[1:2], images[2])
+    return conjugate_rep(rep, rand_invertible(field, d, rng))
+
+
+def repeated_factor_pairs(rep, rng, count):
+    """(A, f) for A = B, B^2, ..., B^(q+1), B random in the image algebra,
+    count times, and each irreducible factor f of A's minimal polynomial with
+    deg f < nullity f(A) = k and at most dim V lines in ker f(A):
+    (q^k - 1) / (q - 1) <= dim V.  The powers make f(A) = 0 on a
+    2-dimensional factor often: B^(q+1) is scalar there when B's
+    characteristic polynomial on it is irreducible."""
+    field, d, q = rep.field, rep.dim, rep.field.order
+    basis = EnvelopingAlgebra(rep).basis
+    for _ in range(count):
+        b = modules._combination(field, d, d, basis, [rng.randrange(q) for _ in basis])
+        for a in itertools.accumulate(range(q), lambda power, _: power * b, initial=b):
+            for f in min_poly(a).irreducible_factors():
+                k = len(poly_at(f, a).kernel_basis())
+                if k > f.degree and (q**k - 1) // (q - 1) <= d:
+                    yield a, f
+
+
+LINE_PROPER = re.compile(r"kernel line \d+ of \d+ generates a dim \d+ submodule$")
+LINES_FULL = re.compile(r"every one of the \d+ kernel lines and a transposed kernel vector "
+                        r"spin to the full space$")
+LINES_ANNIHILATOR = re.compile(r"every one of the \d+ kernel lines spins to the full space; "
+                               r"a transposed kernel vector exposes a dim \d+ submodule$")
+
+
+def test_inherited_kernel_lines_match_the_oracle():
+    # the inherited pair with nullity > deg f and at most d lines settles the
+    # node: a line other than the first is proper on the companion powers
+    # with beta = 1, every line and the transposed spin are full on the
+    # restriction modules, whose linear f has nullity 2, and a proper
+    # transposed spin exposes the annihilator on the generated modules
+    rng = random.Random(83)
+    F2, gf4 = GF(2), ext(2, 2)
+    restricted = [build_restriction_rep(2, Poly(F2, [1, 1, 1]), [Poly(F2, f)], [Poly(F2, g)])
+                  for f, g in (([0, 1], [1]), ([1, 1], [0, 1]))]
+    corpus = [(LINE_PROPER, [companion_power(2, 2, 1, beta=1),
+                             companion_power(3, 2, 2, beta=1)]),
+              (LINES_FULL, restricted),
+              (LINES_ANNIHILATOR, [top_over(field, low, top, rng)
+                                   for field, low, top in ((F2, 1, 2), (F2, 2, 2), (GF(3), 1, 3),
+                                                           (GF(3), 2, 2), (gf4, 3, 2))
+                                   for _ in range(2)])]
+    seen = {}
+    for want, reps in corpus:
+        for rep in reps:
+            spaces = invariant_subspaces(rep)
+            irreducible = oracle_irreducible(rep)
+            for a, f in repeated_factor_pairs(rep, rng, 4):
+                res, a2, f2 = modules._holt_rees(rep, 64, 0, (a, f))
+                assert res.detail.startswith("inherited element") and (a2, f2) == (a, f)
+                assert res.irreducible == irreducible, res.detail
+                if not irreducible:
+                    assert res.submodule in spaces and 0 < res.submodule.dim < rep.dim
+                if want.match(res.detail.split(": ", 1)[1]):
+                    seen.setdefault(want, set()).add(rep.field.order)
+    # each outcome is reached by the modules named for it, over every field
+    # they are drawn over
+    assert seen == {LINE_PROPER: {2, 3}, LINES_FULL: {2}, LINES_ANNIHILATOR: {2, 3, 4}}
+
+
+def a_pair_over_the_line_bound(rep):
+    """(A, f) from the image algebra's basis with deg f < nullity f(A) = k,
+    more than dim V lines in ker f(A), and a first kernel vector that spins
+    to V."""
+    q, d = rep.field.order, rep.dim
+    for a in EnvelopingAlgebra(rep).basis:
+        for f in min_poly(a).irreducible_factors():
+            kernel = poly_at(f, a).kernel_basis()
+            k = len(kernel)
+            if k > f.degree and (q**k - 1) // (q - 1) > d and spin(rep, kernel[0]).dim == d:
+                return a, f
+
+
+def test_inherited_kernel_lines_keep_the_gain(monkeypatch):
+    # every node of the beta = 1 companion power is settled by the pair it
+    # inherits, so min_poly runs once, at the root
+    calls = []
+    monkeypatch.setattr(modules, "min_poly", lambda a: calls.append(a) or min_poly(a))
+    series = composition_series(companion_power(2, 10, 1, beta=1))
+    assert series.chain_dims == list(range(0, 21, 2)) and len(calls) == 1
+
+    # over the line bound the pair spins its first kernel vector only, then
+    # falls back to the samples of is_irreducible under the same seed
+    field = GF(3)
+    v = conjugate_rep(v_rep(field, 1, [1], [2]), rand_invertible(field, 3, random.Random(59)))
+    spins = []
+    monkeypatch.setattr(modules, "spin", lambda *args: spins.append(args) or spin(*args))
+    for rep in (v, companion_power(2, 2, 1, beta=1, field=ext(2, 2))):
+        pair = a_pair_over_the_line_bound(rep)
+        for seed in range(3):
+            spins.clear()
+            want = is_irreducible(rep, seed=seed)
+            alone = len(spins)
+            spins.clear()
+            res, _, _ = modules._holt_rees(rep, 64, seed, pair)
+            assert res == want and res.detail.startswith("sample ")
+            assert len(spins) == alone + 1
 
 
 # -- uniseriality ------------------------------------------------------------------
