@@ -193,7 +193,8 @@ class RowCodec:
             residues = lambda R, n: int.from_bytes(reduced(R, n), "little")
             if p == 2:  # every slot at once: a mask of the lowest bit of each
                 ones = _Memo(lambda n: ((1 << n * es) - 1) // smask)
-                canon = lambda R, n: folded(R, n) & ones[n]
+                canon = (lambda R, n: folded(R, n) & ones[n]) if folds else (
+                    lambda R, n: R & ones[n])
                 if size == 1:  # the masked row holds the residues' bytes
                     residues = canon
                 else:

@@ -17,14 +17,14 @@ is one sum(map(operator.mul, packed entries of row i of A, packed rows of
 B)); apply(v), and column j of a product with fewer columns than rows or
 with at most one nonzero entry of B in eight, is the same sum over A's
 packed columns, B's zeros skipped; each product is unpacked once.
-Elimination keeps every row packed, its slots wide enough for one row
-operation per pivot: finding a pivot reads one element per row, the pivot
-row is reduced and scaled once, and each other row takes one big-integer
-multiply-add.  The determinant is the product of the pivots of the same
-elimination times the sign of its swaps.  Echelon is a semi-echelon basis:
-each stored row is canonical, 1 at its pivot and 0 at the pivot of every
-earlier row, and never changes after insertion, so reducing a vector is one
-multiply-add per row and one canon.
+Echelon is a semi-echelon basis: each stored row is canonical, 1 at its
+pivot (its first nonzero entry, at the lowest set bit) and 0 at the pivot of
+every earlier row, and never changes after insertion, so reducing a vector
+is one multiply-add per row and one canon.  rref, rank, det, inv, solve and
+kernel_basis insert their rows in order into one Echelon until it is full;
+the determinant is the product of the pivot entries before scaling times
+the sign of row -> pivot.  One back-substitution, with no canon, gives the
+reduced echelon rows.
 """
 
 from __future__ import annotations
@@ -271,27 +271,37 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        flat, pivots, _ = _rref_rows(self.field, self.row_lists(), self.cols)
+        flat, pivots = _eliminate(self.field, self.row_lists(), self.cols)[0]._reduced_rows()
         flat += [0] * ((self.rows - len(pivots)) * self.cols)
-        return Matrix(self.field, self.rows, self.cols, flat), pivots
+        return Matrix(self.field, self.rows, self.cols, flat), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return _eliminate(self.field, self.row_lists(), self.cols)[0].dim
 
     def det(self) -> FieldElem:
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        _, pivots, unit = _rref_rows(self.field, self.row_lists(), self.cols, True)
-        return FieldElem(self.field, unit if len(pivots) == self.rows else 0)
+        ech, unit = _eliminate(self.field, self.row_lists(), self.cols, True)
+        if unit:
+            # the sign of row -> pivot: one swap per entry put in its place
+            perm = ech.pivots
+            for i in range(self.rows):
+                while perm[i] != i:
+                    j = perm[i]
+                    perm[i], perm[j] = perm[j], j
+                    unit = self.field.neg(unit)
+        return FieldElem(self.field, unit)
 
     def inv(self) -> "Matrix":
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of a non-square matrix")
         n = self.rows
         aug = [self.row(i) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        flat, pivots, _ = _rref_rows(self.field, aug, 2 * n)
-        if pivots[:n] != tuple(range(n)):
+        ech = _eliminate(self.field, aug, 2 * n)[0]
+        # [A | I] has rank n, so A is singular when a pivot falls in I
+        if any(c >= n for c in ech.pivots):
             raise Singular("matrix is singular")
+        flat = ech._reduced_rows()[0]
         # the right half of each row of [A | I]
         return Matrix(self.field, n, n, [
             x for i in range(n) for x in flat[2 * n * i + n : 2 * n * (i + 1)]])
@@ -304,9 +314,10 @@ class Matrix:
         if len(b) != self.rows:
             raise ShapeMismatch("right-hand side length mismatch")
         aug = [self.row(i) + [b[i]] for i in range(self.rows)]
-        flat, pivots, _ = _rref_rows(self.field, aug, self.cols + 1)
-        if pivots and pivots[-1] == self.cols:
+        ech = _eliminate(self.field, aug, self.cols + 1)[0]
+        if self.cols in ech.pivots:
             return None
+        flat, pivots = ech._reduced_rows()
         x, width = [0] * self.cols, self.cols + 1
         for r, c in enumerate(pivots):
             x[c] = flat[r * width + self.cols]
@@ -317,7 +328,7 @@ class Matrix:
 
         One vector per free column, ascending; entry 1 at the free column.
         """
-        flat, pivots, _ = _rref_rows(self.field, self.row_lists(), self.cols)
+        flat, pivots = _eliminate(self.field, self.row_lists(), self.cols)[0]._reduced_rows()
         neg, n = self.field.neg, self.cols
         basis = []
         for free in sorted(set(range(n)).difference(pivots)):
@@ -337,55 +348,6 @@ class Matrix:
         return f"Matrix({f}, [{body}])"
 
 
-def _rref_rows(
-    field: Field, M: list[list[int]], cols: int, det: bool = False
-) -> tuple[Optional[list[int]], tuple[int, ...], Optional[int]]:
-    """Reduced row echelon form of a list of code rows, on packed rows:
-    (its nonzero rows as one flat code list, the pivot columns, None).
-
-    With det, only the rows below each pivot are cleared, which fixes the
-    pivots, and the result is (None, pivot columns, code of the product of
-    the pivots times the sign of the row swaps): the determinant when M is
-    square and invertible.
-    """
-    nrows = len(M)
-    codec = field.row_codec[min(nrows, cols) + 1]
-    read, canon, elem, minus = codec.read, codec.canon, codec.elem, codec.minus
-    P = list(map(codec.pack, M))
-    pivots = []
-    unit = 1
-    r = 0
-    clean = True  # every row still has its packed codes
-    for c in range(cols):
-        if r == nrows:
-            break
-        for pr in range(r, nrows):
-            piv = read(P[pr], c)
-            if piv:
-                break
-        else:
-            continue
-        if pr != r:
-            P[r], P[pr] = P[pr], P[r]
-        if det:
-            unit = field.mul(unit if pr == r else field.neg(unit), piv)
-        top = P[r] if clean else canon(P[r], cols)
-        if piv != 1:
-            top = canon(top * elem[field.inv(piv)], cols)
-        P[r] = top
-        for i in range(r + 1 if det else 0, nrows):
-            if i != r:
-                x = read(P[i], c)
-                if x:
-                    P[i] += minus[x] * top
-                    clean = False
-        pivots.append(c)
-        r += 1
-    if det:
-        return None, tuple(pivots), unit
-    return codec.unpack(codec.join(P[:r], cols), r * cols), tuple(pivots), None
-
-
 class Echelon:
     """Growing semi-echelon basis of a subspace of code vectors (Holt, Eick,
     O'Brien, 7.5) of at most rank (default width) rows: rows[i] is packed by
@@ -394,16 +356,18 @@ class Echelon:
     sorted_rows() in pivot order, are built only when read.
     """
 
-    __slots__ = ("field", "width", "rank", "rows", "pivots")
+    __slots__ = ("field", "width", "rank", "codec", "rows", "pivots")
 
     def __init__(self, field: Field, width: int, rank: Optional[int] = None):
         self.field, self.width = field, width
         self.rank = width if rank is None else rank
+        self.codec = field.row_codec[self.rank + 1]
         self.rows, self.pivots = [], []
 
-    @property
-    def codec(self):
-        return self.field.row_codec[self.rank + 1]
+    def __reduce__(self):
+        # the codec is rebuilt from the field
+        state = {"rows": self.rows, "pivots": self.pivots}
+        return Echelon, (self.field, self.width, self.rank), (None, state)
 
     @property
     def dim(self) -> int:
@@ -415,13 +379,15 @@ class Echelon:
         return self._clear(self.codec.pack(v), self.rows, self.pivots)
 
     def _clear(self, w: int, rows: list[int], pivots: list[int]) -> int:
-        """w minus its entry at each pivot times that pivot's row, in order."""
-        read, minus = self.codec.read, self.codec.minus
+        """The canonical packed w minus its entry at each pivot times that
+        pivot's row, in order, made canonical again."""
+        codec, start = self.codec, w
+        read, minus = codec.read, codec.minus
         for row, piv in zip(rows, pivots):
             x = read(w, piv)
             if x:
                 w += minus[x] * row
-        return self.codec.canon(w, self.width)
+        return codec.canon(w, self.width) if w != start else w
 
     def reduce(self, v: Sequence[int]) -> list[int]:
         return self.codec.unpack(self._reduced(v), self.width)
@@ -431,12 +397,12 @@ class Echelon:
 
     def insert(self, v: Sequence[int]) -> Optional[int]:
         """Add v to the span; returns its pivot, or None if dependent."""
-        return self._append(self._reduced(v))
+        w = self._reduced(v)  # _append returns a nonzero entry
+        return self.pivots[-1] if w and self._append(w) else None
 
-    def _append(self, w: int) -> Optional[int]:
-        """Store the packed w, reduced and canonical, unless it is zero."""
-        if not w:
-            return None
+    def _append(self, w: int) -> int:
+        """Store the nonzero packed w, reduced and canonical, scaled to 1 at
+        its pivot; returns the entry it had there."""
         codec = self.codec
         # the lowest set bit lies in the first nonzero entry
         piv = ((w & -w).bit_length() - 1) // codec.bits
@@ -445,28 +411,61 @@ class Echelon:
             w = codec.canon(w * codec.elem[self.field.inv(x)], self.width)
         self.rows.append(w)
         self.pivots.append(piv)
-        return piv
+        return x
 
     def copy(self) -> "Echelon":
         e = Echelon(self.field, self.width, self.rank)
         e.rows, e.pivots = list(self.rows), list(self.pivots)
         return e
 
+    def _reduced_rows(self) -> tuple[list[int], list[int]]:
+        """The reduced echelon rows in pivot order, one flat code list, and
+        their pivots.  Row i, 0 at the earlier rows' pivots, is cleared by
+        the stored rows j > i in order, each changing only later pivots: at
+        most rank multiply-adds on a canonical row, unpacked with no canon."""
+        n, k, codec = self.width, len(self.rows), self.codec
+        if k == n:
+            return Matrix.identity(self.field, n).data, list(range(n))
+        read, minus, rows, pivots = codec.read, codec.minus, self.rows, self.pivots
+        cleared = list(rows)
+        for j in range(1, k):
+            row, piv = rows[j], pivots[j]
+            for i in range(j):
+                x = read(cleared[i], piv)
+                if x:
+                    cleared[i] += minus[x] * row
+        cleared = sorted(zip(pivots, cleared))
+        flat = codec.unpack(codec.join([w for _, w in cleared], n), k * n)
+        return flat, [c for c, _ in cleared]
+
     def sorted_rows(self) -> list[list[int]]:
         """The reduced echelon rows, in pivot order."""
-        n, k, codec = self.width, self.dim, self.codec
-        if k == n:
-            return Matrix.identity(self.field, n).row_lists()
-        # the later rows, cleared first, clear each row at their pivots
-        rows, pivots = [], []
-        for row, piv in zip(self.rows[::-1], self.pivots[::-1]):
-            rows.append(self._clear(row, rows, pivots))
-            pivots.append(piv)
-        rows = [row for _, row in sorted(zip(pivots, rows))]
-        flat = codec.unpack(codec.join(rows, n), k * n)
-        return [flat[i * n : (i + 1) * n] for i in range(k)]
+        flat, n = self._reduced_rows()[0], self.width
+        return [flat[i * n : (i + 1) * n] for i in range(self.dim)]
 
     vectors = property(sorted_rows)
+
+
+def _eliminate(field: Field, rows: Sequence[Sequence[int]], width: int,
+               det: bool = False) -> tuple[Echelon, int]:
+    """An Echelon of rank bound min(len(rows), width) of the code rows,
+    inserted in order until it is full.  With det, also the product of the
+    pivot entries before scaling, or 0 at a row that reduces to zero: the
+    reduced rows with their columns in pivot order are upper triangular."""
+    ech = Echelon(field, width, min(len(rows), width))
+    pack, unit = ech.codec.pack, 1
+    clear, append, stored, pivots = ech._clear, ech._append, ech.rows, ech.pivots
+    for v in rows:
+        if len(stored) == width:
+            break
+        w = clear(pack(v), stored, pivots)
+        if det:
+            if not w:
+                return ech, 0
+            unit = field.mul(unit, append(w))
+        elif w:
+            append(w)
+    return ech, unit
 
 
 def _standard_basis(
@@ -811,10 +810,8 @@ def char_poly(a: Matrix) -> Poly:
     """Characteristic polynomial as the product of the invariant factors."""
     if a.rows != a.cols:
         raise ShapeMismatch("characteristic polynomial of a non-square matrix")
-    if a.rows == 0:
-        return Poly._raw(a.field, [1])
     out = Poly._raw(a.field, [1])
-    for d in frobenius_form(a).invariant_factors:
+    for d in frobenius_form(a).invariant_factors if a.rows else []:
         out = out * d
     return out
 

@@ -259,11 +259,15 @@ def _holt_rees(rep: Representation, max_samples: int, seed: int,
 
 def _line_vectors(field: Field, kernel: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """One vector on each line of span(kernel), kernel[0] first: the
-    combinations whose first nonzero coefficient is 1."""
-    k, rows = len(kernel), [Matrix(field, 1, len(v), v) for v in kernel]
-    for lead in range(k):
-        for rest in itertools.product(range(field.order), repeat=k - lead - 1):
-            yield _combination(field, 1, rows[0].cols, rows, [0] * lead + [1, *rest]).data
+    combinations whose first nonzero coefficient is 1, each one packed sum
+    of the rows, packed once."""
+    codec = field.row_codec[len(kernel)]
+    rows, elem = list(map(codec.pack, kernel)), codec.elem
+    for lead, top in enumerate(rows):
+        tail = rows[lead + 1 :]
+        for rest in itertools.product(range(field.order), repeat=len(tail)):
+            total = top + sum(elem[c] * row for c, row in zip(rest, tail) if c)
+            yield codec.unpack(total, len(kernel[0]))
 
 
 def _combination(field: Field, rows: int, cols: int, mats: Sequence[Matrix],
@@ -691,20 +695,16 @@ def _rank1_partner(a: Matrix) -> Optional[Matrix]:
     images, pivots = Matrix(
         field, len(ker2), d * d, [x for v in ker2 for x in ad.apply(v)]
     ).rref()
-    k = len(pivots)
-    if not k:
+    if not pivots:
         return None
-    basis = Matrix(field, k, d * d, images.data[: k * d * d])
     centralizer = Matrix.from_columns(field, ad.kernel_basis())
-    for lead in range(k):
-        for tail in itertools.product(range(field.order), repeat=k - lead - 1):
-            z = (Matrix(field, 1, k, [0] * lead + [1, *tail]) * basis).data
-            b0 = ad.solve(z)
-            verify(b0 is not None, "U must lie in the image of ad_A")
-            zm, b0m = Matrix(field, d, d, z), Matrix(field, d, d, b0)
-            t = (_ad(zm) * centralizer).solve(commutator(b0m, zm).data)
-            if t is not None:
-                return b0m + Matrix(field, d, d, centralizer.apply(t))
+    for z in _line_vectors(field, images.row_lists()[: len(pivots)]):
+        b0 = ad.solve(z)
+        verify(b0 is not None, "U must lie in the image of ad_A")
+        zm, b0m = Matrix(field, d, d, z), Matrix(field, d, d, b0)
+        t = (_ad(zm) * centralizer).solve(commutator(b0m, zm).data)
+        if t is not None:
+            return b0m + Matrix(field, d, d, centralizer.apply(t))
     return None
 
 

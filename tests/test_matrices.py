@@ -720,6 +720,82 @@ def test_det_inv_and_solve_match_oracles(case):
         assert oracle_apply(m, x) == list(b)
 
 
+@pytest.mark.parametrize(
+    "spec,rows,cols",
+    [((2, 1), 64, 16), ((3, 1), 64, 16), ((3, 1), 18, 9), ((2, 2), 2, 2), ((3, 2), 3, 3)],
+    ids=str,
+)
+def test_stacked_and_tiny_systems_match_oracle(spec, rows, cols):
+    # stacks of rank-deficient blocks, the tall centralizer systems of the
+    # minimum-dimension search, and tiny extension-field systems, at every
+    # rank from 0 to full: rref, rank, kernel and solve against the textbook
+    # loop, with a consistent right-hand side and, below full row rank, an
+    # inconsistent one
+    field = field_of(spec)
+    rng = random.Random(f"stacked-{spec}-{rows}")
+    neg = field.neg
+    for inner in sorted({0, 1, cols // 2, cols - 1, cols}):
+        right = rand_matrix(field, inner, cols, rng)
+        heights = [rows // 4 + (i < rows % 4) for i in range(4)]
+        m = Matrix(field, rows, cols, [
+            x for h in heights for x in (rand_matrix(field, h, inner, rng) * right).data])
+        want, pivots = oracle_rref(field, m.row_lists(), cols)
+        assert m.rref() == (Matrix.from_rows(field, want), pivots)
+        assert m.rank() == len(pivots)
+        kernel = []
+        for free in (c for c in range(cols) if c not in pivots):
+            v = [0] * cols
+            v[free] = 1
+            for r, c in enumerate(pivots):
+                v[c] = neg(want[r][free])
+            kernel.append(v)
+        assert m.kernel_basis() == kernel
+        b = oracle_apply(m, [rng.randrange(field.order) for _ in range(cols)])
+        x = m.solve(b)
+        assert oracle_apply(m, x) == b
+        assert all(not x[c] for c in range(cols) if c not in pivots)
+        if len(pivots) < rows:
+            while True:
+                b = [rng.randrange(field.order) for _ in range(rows)]
+                aug = [row + [y] for row, y in zip(m.row_lists(), b)]
+                if oracle_rref(field, aug, cols + 1)[1][-1] == cols:
+                    break
+            assert m.solve(b) is None
+
+
+def test_elimination_stops_once_the_echelon_is_full(monkeypatch):
+    # rows after the first full-rank block are never reduced
+    reduced, clear = [], Echelon._clear
+
+    def counted(self, *args):
+        reduced.append(args[0])
+        return clear(self, *args)
+
+    monkeypatch.setattr(Echelon, "_clear", counted)
+    field, rng = GF(3), random.Random(4)
+    m = Matrix(field, 40, 4, Matrix.identity(field, 4).data + rand_matrix(field, 36, 4, rng).data)
+    assert m.kernel_basis() == [] and m.rank() == 4
+    assert len(reduced) == 8
+
+
+@pytest.mark.parametrize("spec", [(3, 1), (5, 1), (7, 1), (3, 2)], ids=str)
+def test_det_of_scaled_permutation_matrices(spec):
+    # det = sign(pi) * the product of the scalars, at sizes beyond
+    # brute_det's reach; outside characteristic 2 a wrong parity shows
+    field = field_of(spec)
+    rng = random.Random(f"permutation-{spec}")
+    for n in range(6, 13):
+        for perm in ([1, 0, *range(2, n)], rng.sample(range(n), n), rng.sample(range(n), n)):
+            scalars = [rng.randrange(1, field.order) for _ in range(n)]
+            data = [0] * (n * n)
+            for i, (j, c) in enumerate(zip(perm, scalars)):
+                data[i * n + j] = c
+            product = functools.reduce(field.mul, scalars, 1)
+            odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            want = field.neg(product) if odd else product
+            assert Matrix(field, n, n, data).det() == FieldElem(field, want)
+
+
 @pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
 @pytest.mark.parametrize("width", [31, 64, 65, 127])
 def test_elimination_at_largest_codes_has_no_slot_carry(spec, width):
@@ -856,9 +932,16 @@ def test_echelon_at_largest_codes_has_no_slot_carry(spec, k):
     assert ech.sorted_rows() == eye
     assert [ech.codec.unpack(r, k) for r in ech.rows] == eye[::-1]
     assert not any(ech.reduce([top] * k))
-    # one column more leaves the space unfilled, so the rows are reduced
-    flat = [x for row in upper for x in row + [top]]
-    assert wide.sorted_rows() == Matrix(field, k, k + 1, flat).rref()[0].row_lists()
+    # one column more leaves the space unfilled, so the rows are reduced to
+    # [I | c], and each inserted row u | top is sum u_j (e_j | c_j)
+    reduced = wide.sorted_rows()
+    assert [row[:k] for row in reduced] == eye
+    add, mul = field.add, field.mul
+    for row in upper:
+        assert functools.reduce(add, map(mul, row, [r[k] for r in reduced]), 0) == top
+    if k <= 64:
+        want, _ = oracle_rref(field, [row + [top] for row in upper], k + 1)
+        assert reduced == want
 
 
 def test_echelon_refuses_a_vector_of_another_length():
