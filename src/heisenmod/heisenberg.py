@@ -562,12 +562,14 @@ def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
     (_common_eigenvector).
 
     The final check alone is the proof that rep is V(params): z = alpha
-    (_central_scalar), det t != 0, and (g - c) t is t's own columns moved
-    and scaled for every x_k and y_k (_checked_transform).  Then x_k^p =
-    beta_k^p is a scalar, so the parameters are the ones invariants reads
-    off.  On any other input the check fails; invariants(rep) then raises
-    MinPolyShape where a minimal polynomial has the wrong shape, and
-    otherwise the VerificationFailed propagates.
+    (_central_scalar), v != 0 (_common_eigenvector), and (g - c) t is t's
+    own columns moved and scaled for every x_k and y_k (_checked_transform).
+    The x relations with alpha != 0 and v != 0 already make t invertible,
+    so no determinant is computed.  Then x_k^p = beta_k^p is a scalar, so
+    the parameters are the ones invariants reads off.  On any other input
+    the check fails; invariants(rep) then raises MinPolyShape where a
+    minimal polynomial has the wrong shape, and otherwise the
+    VerificationFailed propagates.
     """
     alpha = _central_scalar(rep)
     betas = [_pth_root_at_e0(m) for m in rep.x]
@@ -582,12 +584,20 @@ def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
 
 
 def _checked_transform(rep: Representation, params: ModuleParams) -> Matrix:
-    """t from the common eigenvector and its y shifts, checked invertible and
-    intertwining rep with build_V(params) without building it: with c_i
-    column i of t, step = p^(n-1-k) and dig digit k of i, column i of
-    t (model(y_k) - gamma_k) is c_(i+step) (0 at dig = p - 1) and that of
-    t (model(x_k) - beta_k) is dig*alpha c_(i-step) (0 at dig = 0).  z t ==
-    t alpha holds by _central_scalar."""
+    """t from the common eigenvector and its y shifts, checked to intertwine
+    rep with build_V(params) without building it: with c_i column i of t,
+    step = p^(n-1-k) and dig digit k of i, column i of t (model(y_k) -
+    gamma_k) is c_(i+step) (0 at dig = p - 1) and that of t (model(x_k) -
+    beta_k) is dig*alpha c_(i-step) (0 at dig = 0).  z t == t alpha holds
+    by _central_scalar.
+
+    The x relations prove t invertible, given alpha != 0 and c_0 = v != 0.
+    Take sum a_i c_i = 0 and i* with a_(i*) != 0 of largest digit sum, and
+    apply prod_k (x_k - beta_k)^(i*_k): c_j goes to a multiple of
+    c_(j-i*) when j >= i* digitwise and to 0 otherwise, every other such j
+    has a larger digit sum, so a_(i*) prod_k i*_k! alpha^(i*_k) v = 0 with
+    each i*_k < p, and a_(i*) = 0.  t.det() runs only when a relation
+    fails, to name the failure: a singular t always fails one."""
     field, p, n, d = rep.field, rep.field.p, rep.n, rep.dim
     nils = [x.shift(beta) for x, beta in zip(rep.x, params.betas)]
     shifts = [y.shift(gamma) for y, gamma in zip(rep.y, params.gammas)]
@@ -600,7 +610,6 @@ def _checked_transform(rep: Representation, params: ModuleParams) -> Matrix:
             k, step = k - 1, step * p
         cols.append(shifts[k].apply(cols[idx - step]))
     t = Matrix.from_columns(field, cols)
-    verify(not t.det().is_zero(), "classification basis must be invertible")
     # t times dig*alpha, one packed product per digit; entry i of t.data lies
     # in a column with digit k equal to i // step % p
     scaled = [None] + [(t * (params.alpha * dig)).data for dig in range(1, p)]
@@ -611,9 +620,11 @@ def _checked_transform(rep: Representation, params: ModuleParams) -> Matrix:
             raised[block - step + lo :: block] = [0] * (size // block)
             for at in range(step + lo, block, step):
                 lowered[at::block] = scaled[at // step][at - step :: block]
-        # (g - c) t == t (model(g) - c) is conjugacy since t is invertible
-        verify((shifts[k] * t).data == raised and (nils[k] * t).data == lowered,
-               "classification transform failed to verify")
+        # (g - c) t == t (model(g) - c) is conjugacy: once every x relation
+        # holds, t is invertible by the lemma above
+        if (shifts[k] * t).data != raised or (nils[k] * t).data != lowered:
+            verify(not t.det().is_zero(), "classification basis must be invertible")
+            raise VerificationFailed("classification transform failed to verify")
     return t
 
 

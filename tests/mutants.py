@@ -1,0 +1,144 @@
+"""Mutants of heisenmod that the tests must kill.
+
+Each mutant replaces one exact piece of text in one file under src/ and
+names the tests expected to fail on it.  Run
+
+    python tests/mutants.py
+
+to apply each mutant in turn to a temporary copy of src/ (with tests/ and
+pyproject.toml beside it), run its tests there in a subprocess, and report
+the mutants no test killed.  The exit status is 1 when any survives.
+pytest does not collect this file; test_mutants.py checks that every
+mutant's text still occurs exactly once, so the table cannot go stale.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "classify checks only the y relations",
+        "heisenmod/heisenberg.py",
+        "(shifts[k] * t).data != raised or (nils[k] * t).data != lowered",
+        "(shifts[k] * t).data != raised",
+        ("tests/test_heisenberg.py::test_classify_refuses_non_v_like_the_oracle",
+         "tests/test_heisenberg.py::test_classify_agrees_with_the_oracle_on_arbitrary_images",
+         "tests/test_heisenberg.py::test_classify_refuses_every_single_entry_change"),
+    ),
+    Mutant(
+        "classify names every failure a failed relation",
+        "heisenmod/heisenberg.py",
+        '            verify(not t.det().is_zero(), "classification basis must be invertible")\n',
+        "",
+        ("tests/test_heisenberg.py::test_classify_refuses_non_v_like_the_oracle",
+         "tests/test_heisenberg.py::test_classify_agrees_with_the_oracle_on_arbitrary_images"),
+    ),
+    Mutant(
+        "the common eigenvector may be zero",
+        "heisenmod/heisenberg.py",
+        "verify(any(v), ",
+        "verify(True, ",
+        ("tests/test_heisenberg.py::test_classify_refuses_a_vanishing_nilpotent_product",
+         "tests/test_heisenberg.py::test_classify_agrees_with_the_oracle_on_arbitrary_images"),
+    ),
+    Mutant(
+        "det goes on past a row that reduces to zero",
+        "heisenmod/matrices.py",
+        "            if not w:\n                return ech, 0\n",
+        "            if not w:\n                continue\n",
+        ("tests/test_matrices.py::test_det_matches_permutation_expansion_exhaustive_gf2",
+         "tests/test_matrices.py::test_det_inv_and_solve_match_oracles"),
+    ),
+    Mutant(
+        "Echelon._clear returns a non-canonical pack",
+        "heisenmod/matrices.py",
+        "        return codec.canon(w, self.width) if w != start else w\n",
+        "        return w\n",
+        ("tests/test_matrices.py::test_echelon_matches_per_entry_oracle",
+         "tests/test_matrices.py::test_rref_and_kernel_match_oracle"),
+    ),
+    Mutant(
+        "the back-substitution skips the last stored row",
+        "heisenmod/matrices.py",
+        "        for j in range(1, k):\n",
+        "        for j in range(1, k - 1):\n",
+        ("tests/test_matrices.py::test_rref_and_kernel_match_oracle",
+         "tests/test_matrices.py::test_echelon_matches_per_entry_oracle"),
+    ),
+    Mutant(
+        "inv misses a pivot in the first identity column",
+        "heisenmod/matrices.py",
+        "if any(c >= n for c in ech.pivots):",
+        "if any(c > n for c in ech.pivots):",
+        ("tests/test_matrices.py::test_det_inv_and_solve_match_oracles",),
+    ),
+    Mutant(
+        "solve ignores an inconsistent system",
+        "heisenmod/matrices.py",
+        "        if self.cols in ech.pivots:\n            return None\n",
+        "",
+        ("tests/test_matrices.py::test_solve_finds_a_solution_and_detects_inconsistency",
+         "tests/test_matrices.py::test_stacked_and_tiny_systems_match_oracle"),
+    ),
+    Mutant(
+        "elimination does not stop once the echelon is full",
+        "heisenmod/matrices.py",
+        "        if len(stored) == width:\n            break\n",
+        "",
+        ("tests/test_matrices.py::test_elimination_stops_once_the_echelon_is_full",),
+    ),
+)
+
+
+def killed(mutant: Mutant) -> bool:
+    """Whether any of the mutant's tests fails on a mutated copy of src/."""
+    with tempfile.TemporaryDirectory() as tmp:
+        top = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, top / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", top)
+        target = top / "src" / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: text does not occur exactly once")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=top, capture_output=True, text=True,
+        )
+        if proc.returncode not in (0, 1):  # not a plain pass or fail
+            raise RuntimeError(f"{mutant.name}: pytest exited {proc.returncode}\n"
+                               + proc.stdout + proc.stderr)
+        return proc.returncode == 1
+
+
+def main() -> int:
+    survivors = []
+    for mutant in MUTANTS:
+        ok = killed(mutant)
+        print(f"{'killed ' if ok else 'SURVIVED'}  {mutant.name}")
+        if not ok:
+            survivors.append(mutant.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from heisenmod import heisenberg
+from heisenmod import heisenberg, matrices
 from heisenmod import (
     GF,
     AlgebraError,
@@ -56,7 +56,7 @@ from heisenmod import (
     triple_similarity,
     validate_rep,
 )
-from oracles import oracle_classify, oracle_common_eigenvector
+from oracles import oracle_classify, oracle_common_eigenvector, oracle_rref
 
 
 def ext(p, m):
@@ -415,7 +415,7 @@ def non_v_inputs():
 def test_classify_refuses_non_v_like_the_oracle():
     # the same exception as the invariants-first classify: the min-poly
     # shape error where invariants raises it, else the same failed check
-    seen = set()
+    seen, messages = set(), set()
     for label, rep in non_v_inputs():
         with pytest.raises((AlgebraError, VerificationFailed)) as want:
             oracle_classify(rep)
@@ -424,7 +424,47 @@ def test_classify_refuses_non_v_like_the_oracle():
         assert got.type is want.type, label
         assert str(got.value) == str(want.value), label
         seen.add(want.type)
+        if want.type is VerificationFailed:
+            messages.add(str(want.value))
     assert seen == {MinPolyShape, VerificationFailed, NotScalarCenter, WrongDimension}
+    # classify computes det t only after a relation fails, to pick the message
+    assert {"classification basis must be invertible",
+            "classification transform failed to verify"} <= messages
+
+
+def outcome(run, rep):
+    """(params, t.data) of a classification, or its exception's type and text."""
+    try:
+        params, t = run(rep)
+    except (AlgebraError, VerificationFailed) as err:
+        return type(err), str(err)
+    return params, t.data
+
+
+def test_classify_agrees_with_the_oracle_on_arbitrary_images():
+    # every (x, y) over GF(2) with z = I, and seeded x, y over GF(3) with
+    # z = alpha I: most fail, some on a singular basis, some on a relation
+    # with t invertible; classify skips det t unless a relation fails, yet
+    # gives the oracle's parameters and t or its exception and message
+    f2, f3 = GF(2), GF(3)
+    squares = [Matrix(f2, 2, 2, list(e)) for e in itertools.product(range(2), repeat=4)]
+    inputs = [Representation(HeisenbergAlgebra(1, f2), [x], [y], Matrix.identity(f2, 2))
+              for x in squares for y in squares]
+    rng = random.Random("arbitrary-gf3")
+    h1 = HeisenbergAlgebra(1, f3)
+    for _ in range(3000):
+        x, y = (Matrix(f3, 3, 3, [rng.randrange(3) for _ in range(9)]) for _ in "xy")
+        inputs.append(Representation(h1, [x], [y], Matrix.scalar(f3, 3, f3.element(rng.randrange(1, 3)))))
+    kinds = set()
+    for rep in inputs:
+        want = outcome(oracle_classify, rep)
+        assert outcome(classify, rep) == want, rep.gen_matrices()
+        if isinstance(want[0], ModuleParams):
+            kinds.add("classified")
+        elif want[0] is VerificationFailed:
+            kinds.add(want[1])
+    assert kinds == {"classified", "classification basis must be invertible",
+                     "classification transform failed to verify"}
 
 
 def random_scrambled_v(field, n, rng):
@@ -437,6 +477,26 @@ def random_scrambled_v(field, n, rng):
     )
     alg = HeisenbergAlgebra(n, field)
     return params, conjugate_rep(build_V(alg, params), rand_invertible(field, field.p**n, rng))
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_computes_no_determinant_on_success(spec, n, monkeypatch):
+    # the x relations prove t invertible, so no elimination runs when
+    # classification succeeds; the oracle's rref confirms full rank
+    field = field_of(spec)
+    params, rep = random_scrambled_v(field, n, random.Random(f"no-det-{spec}-{n}"))
+    want, want_t = oracle_classify(rep)
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("elimination on classify's success path")
+
+    monkeypatch.setattr(Matrix, "det", no_elimination)
+    monkeypatch.setattr(matrices, "_eliminate", no_elimination)
+    got, t = classify(rep)
+    assert got == want == params
+    assert t.data == want_t.data
+    assert len(oracle_rref(field, t.row_lists(), t.cols)[1]) == rep.dim
 
 
 @pytest.mark.parametrize("spec,n", [((2, 1), 2), ((3, 1), 1)], ids=str)
