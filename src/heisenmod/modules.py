@@ -684,27 +684,25 @@ def _rank1_partner(a: Matrix) -> Optional[Matrix]:
     None if there is none.
 
     Z ranges over U = im ad_A & ker ad_A, one Z per line of U, since with
-    (B, Z) also (cB, cZ) is a witness.  The B with [A, B] = Z are B0 + C
-    for one solution B0 and C in the centralizer ker ad_A, and [B0 + C, Z]
-    = 0 is the linear system ad_Z(C) = [B0, Z] on the centralizer basis.
+    (B, Z) also (cB, cZ) is a witness.  U = ad(ker ad^2): in the reduced
+    rows (ad^2 e_i | ad e_i | e_i), those of zero first block span the
+    (0 | ad c | c) with c in ker ad^2, so the rows pivoted in the middle
+    block are U's echelon basis, each beside a preimage.  [A, B] = Z and
+    [Z, B] = 0 are then one stacked system.
     """
     field, d = a.field, a.rows
-    ad = _ad(a)
-    # U = ad(ker ad^2): the images under ad that ad kills
-    ker2 = (ad * ad).kernel_basis()
-    images, pivots = Matrix(
-        field, len(ker2), d * d, [x for v in ker2 for x in ad.apply(v)]
-    ).rref()
-    if not pivots:
-        return None
-    centralizer = Matrix.from_columns(field, ad.kernel_basis())
-    for z in _line_vectors(field, images.row_lists()[: len(pivots)]):
-        b0 = ad.solve(z)
-        verify(b0 is not None, "U must lie in the image of ad_A")
-        zm, b0m = Matrix(field, d, d, z), Matrix(field, d, d, b0)
-        t = (_ad(zm) * centralizer).solve(commutator(b0m, zm).data)
-        if t is not None:
-            return b0m + Matrix(field, d, d, centralizer.apply(t))
+    n, ad = d * d, _ad(a)
+    reduced, pivots = Matrix(field, 3 * n, n, (ad * ad).data + ad.data
+                             + Matrix.identity(field, n).data).transpose().rref()
+    u = [row[n:] for row, c in zip(reduced.row_lists(), pivots) if n <= c < 2 * n]
+    for v in _line_vectors(field, u):
+        z, b0 = v[:n], v[n:]
+        verify(ad.apply(b0) == z, "U must lie in the image of ad_A")
+        # [ad_A ; ad_Z] B = [Z ; 0]
+        b = Matrix(field, 2 * n, n, ad.data + _ad(Matrix(field, d, d, z)).data
+                   ).solve(z + [0] * n)
+        if b is not None:
+            return Matrix(field, d, d, b)
     return None
 
 
@@ -736,8 +734,9 @@ def search_min_faithful(n: int, p: int, d: int) -> SearchResult:
     the chains of trace zero are enumerated.
     When p divides d every translate keeps the trace of A, so every class
     is examined.  Of the classes examined, only those whose fk repeats a
-    factor reach _rank1_partner's few small linear systems: at d = 2 the
-    one class X^2 for odd q, and X^2 and (X + 1)^2 for q = 2.
+    factor reach _rank1_partner, one elimination and a solve per line of
+    U: at d = 2 the one class X^2 for odd q, and X^2 and (X + 1)^2 for
+    q = 2.
 
     The guard counts classes before any is enumerated: at most 2^12, which
     admits GF(61) at d = 2 (3,782 classes, about 6 ms on a 2-vCPU Xeon);

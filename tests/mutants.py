@@ -57,6 +57,45 @@ MUTANTS = (
          "tests/test_heisenberg.py::test_classify_agrees_with_the_oracle_on_arbitrary_images"),
     ),
     Mutant(
+        "the partner's stacked system drops the ad_Z rows",
+        "heisenmod/modules.py",
+        "_ad(Matrix(field, d, d, z)).data",
+        "[0] * (n * n)",
+        ("tests/test_modules.py::test_rank1_partner_agrees_with_brute_force",
+         "tests/test_modules.py::test_rank1_partners_are_pinned"),
+    ),
+    Mutant(
+        "the partner search tries only U's first line",
+        "heisenmod/modules.py",
+        "for v in _line_vectors(field, u):",
+        "for v in u[:1]:",
+        ("tests/test_modules.py::test_rank1_partner_agrees_with_brute_force",
+         "tests/test_modules.py::test_rank1_partners_are_pinned"),
+    ),
+    Mutant(
+        "U's basis keeps the rows pivoted in the first block",
+        "heisenmod/modules.py",
+        "if n <= c < 2 * n]",
+        "if c < 2 * n]",
+        ("tests/test_modules.py::test_rank1_partner_agrees_with_brute_force",
+         "tests/test_modules.py::test_rank1_partners_are_pinned"),
+    ),
+    Mutant(
+        "U's basis drops its last row",
+        "heisenmod/modules.py",
+        "if n <= c < 2 * n]",
+        "if n <= c < 2 * n][:-1]",
+        ("tests/test_modules.py::test_rank1_partner_agrees_with_brute_force",
+         "tests/test_modules.py::test_rank1_partners_are_pinned"),
+    ),
+    Mutant(
+        "the preimage of each line of U goes unchecked",
+        "heisenmod/modules.py",
+        "verify(ad.apply(b0) == z, ",
+        "verify(True, ",
+        ("tests/test_modules.py::test_rank1_partner_checks_each_preimage",),
+    ),
+    Mutant(
         "det goes on past a row that reduces to zero",
         "heisenmod/matrices.py",
         "            if not w:\n                return ech, 0\n",

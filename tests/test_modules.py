@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_sqf_p
 
-from heisenmod import modules
+from heisenmod import matrices, modules
 from heisenmod import (
     GF,
     DoesNotSplit,
@@ -1355,17 +1355,65 @@ def test_search_agrees_with_the_full_scan(p, d):
         assert res.pairs_tested == scanned == p ** (2 * d * d)
 
 
-@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (5, 2)])
-def test_rank1_partner_agrees_with_brute_force(p, d):
+@pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (3, 2), (5, 2), (4, 2)])
+def test_rank1_partner_agrees_with_brute_force(q, d):
     # every similarity class: a partner exists exactly when the scan over
-    # all B finds one, and the partner returned is a witness
-    for a in _forms(GF(p), d):
+    # all B finds one, and the partner returned is a witness; GF(4) at
+    # d = 2 has 20 classes, 4 of them with a partner
+    for a in _forms(ext(2, 2) if q == 4 else GF(q), d):
         b = modules._rank1_partner(a)
         assert (b is None) == (oracle_rank1_partner(a) is None), a
         if b is not None:
             z = a * b - b * a
             assert not z.is_zero()
             assert (a * z - z * a).is_zero() and (b * z - z * b).is_zero()
+
+
+# SHA-256 of (p, d, class index, B) for every class below: how a partner
+# is found may change, the partner itself may not
+PARTNER_DIGEST = "c19fcd9b91d363ae73c9ae0309d75500bdf3cdb8acd4f73a3743098a5d2e82f7"
+
+
+def test_rank1_partners_are_pinned():
+    out = []
+    for p, d in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]:
+        for i, a in enumerate(_forms(GF(p), d)):
+            b = modules._rank1_partner(a)
+            out.append((p, d, i, None if b is None else b.data))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == PARTNER_DIGEST
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rank1_partner_eliminates_twice_for_one_line(p, monkeypatch):
+    # companion(X^2) over odd p: U is one line, so one elimination gives U
+    # with its preimages and one stacked solve settles the line
+    calls = []
+    eliminate = matrices._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_eliminate", counted)
+    assert modules._rank1_partner(companion(Poly(GF(p), [0, 0, 1]))) is None
+    # the widths: (ad^2 | ad | I), then [ad_A ; ad_Z] beside [Z ; 0]
+    assert calls == [3 * 4, 4 + 1]
+
+
+def test_rank1_partner_checks_each_preimage(monkeypatch):
+    # the preimage beside each vector of U is mapped back onto it by verify,
+    # which python -O keeps
+    lines = modules._line_vectors
+
+    def corrupted(field, rows):
+        for v in lines(field, rows):
+            v[-1] = field.add(v[-1], 1)
+            yield v
+
+    monkeypatch.setattr(modules, "_line_vectors", corrupted)
+    for p in (2, 3):
+        with pytest.raises(VerificationFailed, match="U must lie in the image of ad_A"):
+            modules._rank1_partner(companion(Poly(GF(p), [0, 0, 1])))
 
 
 @pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2)])
