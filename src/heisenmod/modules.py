@@ -9,7 +9,9 @@ factor f of its minimal polynomial with nullity(f(A)) = deg f, one spin in
 ker f(A) and one transposed spin in ker f(A)^T settle the question.  The
 test is randomized but never guesses: it exhibits a submodule, proves
 irreducibility, or raises after the sample budget.  A composition series
-node first tries its parent's pair, on every line of ker f(A) if need be.
+node of dimension p on which z is a nonzero scalar bracket [x_k, y_k] is
+simple by a trace argument; any other node first tries its parent's pair,
+on every line of ker f(A) if need be.
 """
 
 from __future__ import annotations
@@ -411,7 +413,14 @@ def _series_basis(rep: Representation, max_samples: int, seed: int,
     that found W is tried first on W and rep/W as (block, f): the diagonal
     blocks of B^-1 A B are the same word in the generators' blocks, so they
     lie in the image algebras of W and rep/W (is_irreducible).  A block with
-    nullity > deg f spins the lines of its kernel (_holt_rees) first."""
+    nullity > deg f spins the lines of its kernel (_holt_rees) first.
+    A node of dimension p with z = alpha != 0 and [x_k, y_k] = z for some k
+    is a leaf without Holt-Rees: a submodule W has alpha dim W = tr z|W =
+    tr [x_k|W, y_k|W] = 0, so p divides dim W, which is 0 or p."""
+    alpha = rep.z.is_scalar() if rep.dim == rep.field.p else None
+    if (alpha is not None and alpha.code != 0
+            and any(commutator(x, y) == rep.z for x, y in zip(rep.x, rep.y))):
+        return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]
     res, a, f = _holt_rees(rep, max_samples, seed, first)
     if res.irreducible:
         return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]

@@ -96,6 +96,28 @@ MUTANTS = (
         ("tests/test_modules.py::test_rank1_partner_checks_each_preimage",),
     ),
     Mutant(
+        "a dimension-p leaf admits z = 0",
+        "heisenmod/modules.py",
+        "alpha is not None and alpha.code != 0",
+        "alpha is not None",
+        ("tests/test_modules.py::test_dimension_p_leaves_match_the_oracle",),
+    ),
+    Mutant(
+        "a dimension-p leaf skips the bracket check",
+        "heisenmod/modules.py",
+        "any(commutator(x, y) == rep.z for x, y in zip(rep.x, rep.y))",
+        "True",
+        ("tests/test_modules.py::test_dimension_p_leaves_match_the_oracle",),
+    ),
+    Mutant(
+        "every node of dimension divisible by p may be a leaf",
+        "heisenmod/modules.py",
+        "if rep.dim == rep.field.p else None",
+        "if rep.dim % rep.field.p == 0 else None",
+        ("tests/test_modules.py::test_dimension_p_leaves_match_the_oracle",
+         "tests/test_modules.py::test_composition_series_of_conjugated_sum_over_gf7"),
+    ),
+    Mutant(
         "det goes on past a row that reduces to zero",
         "heisenmod/matrices.py",
         "            if not w:\n                return ech, 0\n",

@@ -612,6 +612,39 @@ def test_composition_series_of_conjugated_sum_over_gf7():
         assert sorted(repr(f.invariants) for f in series.factors) == want
 
 
+def test_dimension_p_leaves_match_the_oracle(monkeypatch):
+    # a node of dimension p with z = alpha != 0 and [x_k, y_k] = z for some
+    # k is a leaf before any Holt-Rees run; every other module runs Holt-Rees
+    # at its root and still gets a series as long as the oracle's
+    holt_rees, settled = modules._holt_rees, []
+    monkeypatch.setattr(modules, "_holt_rees",
+                        lambda *args: settled.append(args[0]) or holt_rees(*args))
+    rng = random.Random(89)
+    F2, F3, gf4 = GF(2), GF(3), ext(2, 2)
+    accepted = [conjugate_rep(v_rep(field, alpha, [b], [g]), rand_invertible(field, field.p, rng))
+                for field, alpha, b, g in ((F2, 1, 0, 1), (F2, 1, 1, 1), (F3, 2, 1, 0),
+                                           (F3, 1, 2, 2), (gf4, 2, 3, 1), (gf4, 3, 0, 2))]
+    # only the second bracket [x_2, y_2] is z
+    v = v_rep(F3, 1, [1], [2])
+    nil = Matrix.zeros(F3, 3, 3)
+    accepted.append(Representation(HeisenbergAlgebra(2, F3), [nil, *v.x], [nil, *v.y], v.z))
+    refused = [
+        build_standard(HeisenbergAlgebra(1, F3)),  # d = 3, z not scalar
+        Representation(HeisenbergAlgebra(1, F3), [nil], [nil], Matrix.identity(F3, 3)),  # [x, y] != z
+        zero_rep(F3, 1, 3),  # alpha = 0
+        top_over(F3, 1, 2, rng),  # no Heisenberg relations
+    ]
+    # d = 2p with z = 1 and [x, y] = z, but two factors
+    refused += [conjugated_sum(2, random.Random(seed))[0] for seed in range(2)]
+    for rep, leaf in [(r, True) for r in accepted] + [(r, False) for r in refused]:
+        settled.clear()
+        series = composition_series(rep)
+        assert (not settled) == leaf and (leaf or settled[0] is rep), rep
+        assert len(series.factors) == oracle_composition_length(rep), rep
+        assert all(oracle_irreducible(f.rep) for f in series.factors), rep
+        assert all(s.is_invariant(rep) for s in series.chain)
+
+
 # -- the inherited Holt-Rees element ---------------------------------------------
 
 
@@ -933,11 +966,22 @@ def a_pair_over_the_line_bound(rep):
 
 def test_inherited_kernel_lines_keep_the_gain(monkeypatch):
     # every node of the beta = 1 companion power is settled by the pair it
-    # inherits, so min_poly runs once, at the root
-    calls = []
+    # inherits, so min_poly runs once, at the root; its ten 2-dimensional
+    # factors are leaves by the trace argument, so Holt-Rees runs only at the
+    # nine nodes above them
+    calls, settled, holt_rees = [], [], modules._holt_rees
     monkeypatch.setattr(modules, "min_poly", lambda a: calls.append(a) or min_poly(a))
+    monkeypatch.setattr(modules, "_holt_rees",
+                        lambda *args: settled.append(args[0]) or holt_rees(*args))
     series = composition_series(companion_power(2, 10, 1, beta=1))
     assert series.chain_dims == list(range(0, 21, 2)) and len(calls) == 1
+    assert len(settled) == 9
+    # both 11-dimensional factors of a GF(11) sum are leaves: one Holt-Rees
+    # run and one min_poly, at the root
+    calls.clear()
+    settled.clear()
+    series = composition_series(conjugated_sum(11, random.Random(71))[0])
+    assert series.chain_dims == [0, 11, 22] and len(calls) == 1 and len(settled) == 1
 
     # over the line bound the pair spins its first kernel vector only, then
     # falls back to the samples of is_irreducible under the same seed
