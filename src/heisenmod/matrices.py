@@ -25,6 +25,12 @@ kernel_basis insert their rows in order into one Echelon until it is full;
 the determinant is the product of the pivot entries before scaling times
 the sign of row -> pivot.  One back-substitution, with no canon, gives the
 reduced echelon rows.
+
+Canonical forms share one cyclic decomposition.  min_poly makes one
+relative Krylov pass over the standard seeds; char_poly reads the same pass
+(m when deg m = n, else the product of the seeds' relative orders).
+frobenius_form splits off cyclic blocks with explicit generators, and
+jordan_form reads its Jordan chains off those generators.
 """
 
 from __future__ import annotations
@@ -657,6 +663,12 @@ def min_poly(a: Matrix) -> Poly:
     (Neunhoeffer and Praeger, LMS J. Comput. Math. 11, 2008): a seed e_s
     outside the earlier chains' span has relative order h_s and relation
     h_s(a) e_s + sum_(t<s) r_st(a) e_t = 0.  Stops once deg m = n."""
+    return _krylov_pass(a)[0]
+
+
+def _krylov_pass(a: Matrix) -> tuple[Poly, list[Poly]]:
+    """(m, [h_s]): min_poly's pass, with the relative order of each seed
+    it spun."""
     if a.rows != a.cols:
         raise ShapeMismatch("minimal polynomial of a non-square matrix")
     field, n = a.field, a.rows
@@ -672,7 +684,7 @@ def min_poly(a: Matrix) -> Poly:
             order = _order(rel, chains) if common.degree else common
             m = m * (h // common) if order.degree == 0 else m.lcm(h * order)
             chains.append((start, h, rel))
-    return m
+    return m, [h for _, h, _ in chains]
 
 
 def _order(coords: list[Poly], chains: list[tuple[int, Poly, list[Poly]]]) -> Poly:
@@ -706,30 +718,14 @@ class CanonicalForm(NamedTuple):
         return direct_sum([companion(d) for d in self.invariant_factors])
 
 
-def _coprime_to(g: Poly, h: Poly) -> Poly:
-    """Largest divisor of g sharing no irreducible factor with h."""
-    u = g
-    c = u.gcd(h)
-    while c.degree > 0:
-        u = u // c
-        c = u.gcd(h)
-    return u
-
-
 def _lcm_split(g: Poly, h: Poly) -> tuple[Poly, Poly]:
-    """Coprime g1 | g, h1 | h with g1 * h1 = lcm(g, h), gcd only."""
-    a = _coprime_to(g, h)
-    b = _coprime_to(h, g)
-    gc = g // a
-    hc = h // b
-    # on the shared primes, keep each prime's higher power wherever it is;
-    # ties go to the g side
-    m = gc.gcd(hc)
-    hh = hc // m
-    cg = _coprime_to(gc, hh)
-    ch = hc // _coprime_to(hc, hh)
-    g1 = (a * cg).monic()
-    h1 = (b * ch).monic()
+    """Coprime g1 | g, h1 | h with g1 * h1 = lcm(g, h), gcd only: each
+    shared prime goes to the side with the higher power, ties to g.  h1
+    starts with h's excess over g and takes each common part from g1 until
+    none is left."""
+    g1, h1 = g, h // g.gcd(h)
+    while (c := g1.gcd(h1)).degree > 0:
+        g1, h1 = g1 // c, h1 * c
     verify(g1.gcd(h1).degree == 0, "lcm split must be coprime")
     verify((g1 * h1).monic() == g.lcm(h), "lcm split must multiply to the lcm")
     return g1, h1
@@ -807,13 +803,14 @@ def frobenius_form(a: Matrix) -> CanonicalForm:
 
 
 def char_poly(a: Matrix) -> Poly:
-    """Characteristic polynomial as the product of the invariant factors."""
+    """Characteristic polynomial from min_poly's pass: m when deg m = n,
+    else the product of the relative orders h_s.  Every seed was then spun,
+    and in the Krylov basis a is block triangular with companion(h_s) on
+    the diagonal."""
     if a.rows != a.cols:
         raise ShapeMismatch("characteristic polynomial of a non-square matrix")
-    out = Poly._raw(a.field, [1])
-    for d in frobenius_form(a).invariant_factors if a.rows else []:
-        out = out * d
-    return out
+    m, orders = _krylov_pass(a)
+    return m if m.degree == a.rows else functools.reduce(operator.mul, orders)
 
 
 def similarity_transform(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -849,51 +846,29 @@ def jordan_form(a: Matrix) -> tuple[Matrix, Matrix]:
     """(J, T) with T^-1 A T = J when the characteristic polynomial splits.
 
     Blocks are grouped by ascending eigenvalue code and decreasing size
-    inside each eigenvalue; ones sit on the subdiagonal.
+    inside each eigenvalue; ones sit on the subdiagonal.  Each invariant
+    factor d of frobenius_form, with generator v, gives one block per root
+    lam of multiplicity e: w = (d / (X - lam)^e)(A) v has order (X - lam)^e,
+    so w, (A - lam) w, ... is a Jordan chain.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("Jordan form of a non-square matrix")
-    field = a.field
-    n = a.rows
-    eig, rest = eigenvalues_with_multiplicity(a)
-    if rest.degree > 0:
-        raise DoesNotSplit(
-            f"characteristic polynomial has a rootless factor {rest!r}"
-        )
-    blocks: list[Matrix] = []
-    columns: list[list[int]] = []
-    for lam, mult in eig:
-        N = a.shift(lam)
-        # kernels of N, N^2, ... until the generalized eigenspace saturates
-        kernels = [Echelon(field, n)]
-        power = Matrix.identity(field, n)
-        while kernels[-1].dim < mult:
-            power = power * N
-            ech = Echelon(field, n)
-            for v in power.kernel_basis():
-                ech.insert(v)
-            verify(ech.dim > kernels[-1].dim, "kernel chain stalled")
-            kernels.append(ech)
-        s = len(kernels) - 1
-        # choose chain tops level by level, longest chains first
-        tops: list[tuple[list[int], int]] = []
-        for k in range(s, 0, -1):
-            seen = kernels[k - 1].copy()
-            for v, h in tops:
-                img = list(v)
-                for _ in range(h - k):
-                    img = N.apply(img)
-                seen.insert(img)
-            for v in kernels[k].sorted_rows():
-                if seen.insert(v) is not None:
-                    tops.append((v, k))
-        for v, h in tops:
-            blocks.append(jordan_block(field, lam, h))
-            u = list(v)
-            for _ in range(h):
-                columns.append(u)
-                u = N.apply(u)
-    J = direct_sum(blocks)
-    T = Matrix.from_columns(field, columns)
+    field, cf, pos, chains = a.field, frobenius_form(a), 0, []
+    for d in cf.invariant_factors:
+        v, pos = cf.transform.column(pos), pos + d.degree
+        roots, rest = d._split_roots()
+        if rest.degree > 0:
+            raise DoesNotSplit(f"characteristic polynomial has a rootless factor {rest!r}")
+        for lam, e in roots:
+            cofactor, lin = d, Poly._raw(field, [field.neg(lam), 1])
+            for _ in range(e):
+                cofactor = cofactor // lin
+            chain, shifted = [poly_apply(cofactor, a, v)], a.shift(lam)
+            while len(chain) < e:
+                chain.append(shifted.apply(chain[-1]))
+            chains.append((lam, chain))
+    chains.sort(key=lambda c: (c[0], -len(c[1])))
+    J = direct_sum([jordan_block(field, lam, len(chain)) for lam, chain in chains])
+    T = Matrix.from_columns(field, [u for _, chain in chains for u in chain])
     verify(_conjugates(T, [(a, J)]), "Jordan form verification failed")
     return J, T

@@ -54,6 +54,7 @@ from .matrices import (
     direct_sum,
     kron,
     min_poly,
+    poly_at,
 )
 
 # similarity classes of A the minimum-dimension search may examine
@@ -206,15 +207,8 @@ def _holt_rees(rep: Representation, max_samples: int, seed: int,
 
     transposed = None
     for label, a, m, factors in elements():
-        powers = [Matrix.identity(field, d), a]
         for f in factors:
-            if f == m:
-                # f(A) = 0: no powers of A needed
-                theta = Matrix.zeros(field, d, d)
-            else:
-                while len(powers) <= f.degree:
-                    powers.append(powers[-1] * a)
-                theta = _combination(field, d, d, powers, f.coeffs)
+            theta = Matrix.zeros(field, d, d) if f == m else poly_at(f, a)
             kernel = theta.kernel_basis()
             if not kernel:  # an inherited f(A) may be invertible
                 continue
@@ -403,7 +397,7 @@ def composition_series(rep: Representation, max_samples: int = 64, seed: int = 0
 
 
 def _series_basis(rep: Representation, max_samples: int, seed: int,
-                  first: Optional[tuple[Matrix, Poly]] = None
+                  first: Optional[Callable[[], tuple[Matrix, Poly]]] = None
                   ) -> tuple[Matrix, list[int], list[Representation]]:
     """(T, dims, factors): T^-1 rep T is block upper triangular with the
     irreducible factors on its diagonal, block i spanning dims[i]..dims[i+1]-1.
@@ -412,8 +406,10 @@ def _series_basis(rep: Representation, max_samples: int, seed: int,
     _subquotients' lift assembles without B.  The Holt-Rees pair (A, f)
     that found W is tried first on W and rep/W as (block, f): the diagonal
     blocks of B^-1 A B are the same word in the generators' blocks, so they
-    lie in the image algebras of W and rep/W (is_irreducible).  A block with
-    nullity > deg f spins the lines of its kernel (_holt_rees) first.
+    lie in the image algebras of W and rep/W (is_irreducible).  The child
+    gets a callable that forms its block only when it runs Holt-Rees.  A
+    block with nullity > deg f spins the lines of its kernel (_holt_rees)
+    first.
     A node of dimension p with z = alpha != 0 and [x_k, y_k] = z for some k
     is a leaf without Holt-Rees: a submodule W has alpha dim W = tr z|W =
     tr [x_k|W, y_k|W] = 0, so p divides dim W, which is 0 or p."""
@@ -421,13 +417,13 @@ def _series_basis(rep: Representation, max_samples: int, seed: int,
     if (alpha is not None and alpha.code != 0
             and any(commutator(x, y) == rep.z for x, y in zip(rep.x, rep.y))):
         return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]
-    res, a, f = _holt_rees(rep, max_samples, seed, first)
+    res, a, f = _holt_rees(rep, max_samples, seed, first and first())
     if res.irreducible:
         return Matrix.identity(rep.field, rep.dim), [0, rep.dim], [rep]
     sub_of, quot_of, lift = _subquotients(rep, res.submodule)
     sub, quot = rep._map(sub_of), rep._map(quot_of)
-    t_sub, dims_sub, lower = _series_basis(sub, max_samples, seed, (sub_of(a), f))
-    t_quot, dims_quot, upper = _series_basis(quot, max_samples, seed, (quot_of(a), f))
+    t_sub, dims_sub, lower = _series_basis(sub, max_samples, seed, lambda: (sub_of(a), f))
+    t_quot, dims_quot, upper = _series_basis(quot, max_samples, seed, lambda: (quot_of(a), f))
     dims = dims_sub + [sub.dim + k for k in dims_quot[1:]]
     return lift(t_sub, t_quot), dims, lower + upper
 

@@ -163,6 +163,45 @@ MUTANTS = (
         "",
         ("tests/test_matrices.py::test_elimination_stops_once_the_echelon_is_full",),
     ),
+    Mutant(
+        "char_poly always returns the minimal polynomial",
+        "heisenmod/matrices.py",
+        "return m if m.degree == a.rows else functools.reduce(operator.mul, orders)",
+        "return m",
+        ("tests/test_matrices.py::test_char_poly_of_repeated_blocks_reads_the_krylov_pass",
+         "tests/test_matrices.py::test_canonical_forms_are_pinned"),
+    ),
+    Mutant(
+        "the lcm split moves one common part only",
+        "heisenmod/matrices.py",
+        "while (c := g1.gcd(h1)).degree > 0:",
+        "if (c := g1.gcd(h1)).degree > 0:",
+        ("tests/test_matrices.py::test_min_poly_and_frobenius_form_of_repeated_blocks",
+         "tests/test_matrices.py::test_canonical_forms_are_pinned"),
+    ),
+    Mutant(
+        "the Jordan cofactor keeps one factor X - lam",
+        "heisenmod/matrices.py",
+        "            for _ in range(e):\n                cofactor = cofactor // lin\n",
+        "            for _ in range(e - 1):\n                cofactor = cofactor // lin\n",
+        ("tests/test_matrices.py::test_jordan_form_matches_the_rank_oracle",
+         "tests/test_matrices.py::test_canonical_forms_are_pinned"),
+    ),
+    Mutant(
+        "Jordan blocks are sorted by eigenvalue only",
+        "heisenmod/matrices.py",
+        "key=lambda c: (c[0], -len(c[1]))",
+        "key=lambda c: c[0]",
+        ("tests/test_matrices.py::test_jordan_form_orders_blocks_by_eigenvalue_then_size",
+         "tests/test_matrices.py::test_jordan_form_matches_the_rank_oracle"),
+    ),
+    Mutant(
+        "a series child inherits no Holt-Rees pair",
+        "heisenmod/modules.py",
+        "lambda: (sub_of(a), f)",
+        "None",
+        ("tests/test_modules.py::test_inherited_kernel_lines_keep_the_gain",),
+    ),
 )
 
 

@@ -307,6 +307,26 @@ def brute_min_poly(a: Matrix) -> Poly:
         powers.append(powers[-1] * a)
 
 
+def oracle_jordan_blocks(a: Matrix) -> list[tuple[int, int]]:
+    """The Jordan blocks (eigenvalue code, size) of a with eigenvalues in
+    its field, by ascending eigenvalue and decreasing size, read off the
+    ranks r_k of (A - lam)^k: r_(k-1) - r_k blocks of lam have size >= k.
+    Powers by the schoolbook product, ranks by the textbook rref."""
+    field, n = a.field, a.rows
+    blocks = []
+    for lam in range(field.order):
+        shifted = Matrix(field, n, n, [field.sub(x, lam) if i % (n + 1) == 0 else x
+                                       for i, x in enumerate(a.data)])
+        power, ranks = Matrix.identity(field, n), [n]
+        while len(ranks) < 2 or ranks[-1] != ranks[-2]:
+            power = oracle_matmul(power, shifted)
+            ranks.append(len(oracle_rref(field, power.row_lists(), n)[1]))
+        at_least = [r - s for r, s in zip(ranks, ranks[1:])]
+        for k in range(len(at_least) - 1, 0, -1):
+            blocks += [(lam, k)] * (at_least[k - 1] - at_least[k])
+    return blocks
+
+
 @functools.lru_cache(maxsize=None)
 def all_subspaces(field, dim: int) -> tuple[SubspaceBasis, ...]:
     """Every subspace of field^dim, as canonical SubspaceBasis values, built

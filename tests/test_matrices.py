@@ -8,6 +8,7 @@ schoolbook loops in oracles.py.
 """
 
 import functools
+import hashlib
 import itertools
 import pickle
 import random
@@ -55,6 +56,7 @@ from oracles import (
     oracle_closure,
     oracle_echelon,
     oracle_ext_mul,
+    oracle_jordan_blocks,
     oracle_kron,
     oracle_matmul,
     oracle_rref,
@@ -1046,6 +1048,23 @@ def test_min_poly_and_frobenius_form_of_repeated_blocks(field):
         assert frobenius_form(a).invariant_factors == factors
 
 
+@pytest.mark.parametrize("field", FIELDS + [GF(7), ext(7, 3)], ids=str)
+def test_char_poly_of_repeated_blocks_reads_the_krylov_pass(field, monkeypatch):
+    # deg m < n, so char_poly multiplies the pass's relative orders; no
+    # Frobenius form is built
+    import heisenmod.matrices as mt
+
+    def refuse(a):
+        raise AssertionError("char_poly built a Frobenius form")
+
+    monkeypatch.setattr(mt, "frobenius_form", refuse)
+    rng = random.Random(f"char poly {field}")
+    for a, factors in repeated_blocks(field, rng):
+        got = char_poly(a)
+        assert got == functools.reduce(Poly.__mul__, factors)
+        assert a.rows > 6 or got == brute_char_poly(a)
+
+
 def test_min_poly_solves_no_system(monkeypatch):
     # the annihilator of each Krylov chain is read off its own echelon
     rng = random.Random("no solve")
@@ -1365,6 +1384,47 @@ def test_frobenius_form_certificate(field):
         assert t.inv() * a * t == cf.form
 
 
+def canonical_corpus():
+    """Seeded square matrices at n <= 8: random ones, conjugated sums of
+    Jordan blocks and of companion blocks, and companion(f^2) +
+    companion(f^3), on which frobenius_form's lcm split takes two steps."""
+    rng = random.Random("canonical corpus")
+    for field in (GF(2), GF(3), GF(5), GF(7), ext(2, 2), ext(3, 2), ext(2, 3)):
+        for n in range(1, 9):
+            yield rand_matrix(field, n, n, rng)
+        for _ in range(3):
+            jordan = [jordan_block(field, rng.randrange(min(field.order, 3)), rng.randrange(1, 4))
+                      for _ in range(rng.randrange(1, 4))]
+            blocks = [companion(rand_monic(field, rng.randrange(1, 3), rng))
+                      for _ in range(rng.randrange(1, 4))]
+            for a in (direct_sum(jordan), direct_sum(blocks)):
+                t = rand_invertible(field, a.rows, rng)
+                yield t.inv() * a * t
+        f = rand_monic(field, rng.randrange(1, 3), rng)
+        a = direct_sum([companion(f * f), companion(f * f * f)])
+        yield a
+        yield (t := rand_invertible(field, a.rows, rng)).inv() * a * t
+
+
+# SHA-256 of the invariant factors, transforms, characteristic polynomials
+# and Jordan forms of canonical_corpus(): how they are computed may change,
+# the results may not (Jordan's transform is not pinned)
+CANONICAL_DIGEST = "79a894b293ae622c2a266ea5ded104d471ec9bc12b894571e6d607d73d97e1df"
+
+
+def test_canonical_forms_are_pinned():
+    out = []
+    for a in canonical_corpus():
+        cf = frobenius_form(a)
+        try:
+            j = jordan_form(a)[0].data
+        except DoesNotSplit:
+            j = None
+        out.append(([d.coeffs for d in cf.invariant_factors], cf.transform.data,
+                     char_poly(a).coeffs, j))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == CANONICAL_DIGEST
+
+
 def test_frobenius_form_is_a_similarity_invariant():
     rng = random.Random(18)
     for field in [GF(2), GF(3)]:
@@ -1430,6 +1490,29 @@ def test_jordan_form_recovers_conjugated_blocks():
                 blocks.append((lam, size))
                 i += size
             assert sorted(blocks) == sorted(spec)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), ext(2, 2), ext(7, 3)], ids=str)
+def test_jordan_form_matches_the_rank_oracle(field):
+    # one or two eigenvalues with several blocks each, n <= 8
+    rng = random.Random(f"jordan {field}")
+    for _ in range(5):
+        spec, total = [], 0
+        for lam in rng.sample(range(field.order), rng.randrange(1, 3)):
+            for _ in range(rng.randrange(2, 4)):
+                size = rng.randrange(1, 4)
+                if total + size <= 8:
+                    spec.append((lam, size))
+                    total += size
+        j = direct_sum([jordan_block(field, lam, size) for lam, size in spec])
+        t = rand_invertible(field, total, rng)
+        a = t.inv() * j * t
+        want = oracle_jordan_blocks(a)
+        assert sorted(want) == sorted(spec)
+        got, g = jordan_form(a)
+        assert got == direct_sum([jordan_block(field, lam, size) for lam, size in want])
+        assert oracle_matmul(a, g) == oracle_matmul(g, got)
+        assert len(oracle_rref(field, g.row_lists(), total)[1]) == total
 
 
 def test_jordan_form_orders_blocks_by_eigenvalue_then_size():

@@ -973,9 +973,20 @@ def test_inherited_kernel_lines_keep_the_gain(monkeypatch):
     monkeypatch.setattr(modules, "min_poly", lambda a: calls.append(a) or min_poly(a))
     monkeypatch.setattr(modules, "_holt_rees",
                         lambda *args: settled.append(args[0]) or holt_rees(*args))
+    blocks, subquotients = [], modules._subquotients
+
+    def counted(rep, basis):
+        sub_of, quot_of, lift = subquotients(rep, basis)
+        return (lambda m: blocks.append(m) or sub_of(m),
+                lambda m: blocks.append(m) or quot_of(m), lift)
+
+    monkeypatch.setattr(modules, "_subquotients", counted)
     series = composition_series(companion_power(2, 10, 1, beta=1))
     assert series.chain_dims == list(range(0, 21, 2)) and len(calls) == 1
     assert len(settled) == 9
+    # each inner node maps x, y and z to both children, and the inherited
+    # A only to the eight children that run Holt-Rees, not to the leaves
+    assert len(blocks) == 9 * 2 * 3 + 8
     # both 11-dimensional factors of a GF(11) sum are leaves: one Holt-Rees
     # run and one min_poly, at the root
     calls.clear()
