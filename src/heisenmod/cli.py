@@ -248,6 +248,11 @@ def _cmd_analyze(args) -> tuple[int, str]:
             params, transform = classify(rep)
         except AlgebraError as exc:
             return 1, json.dumps({"error": str(exc)})
+        except VerificationFailed:
+            violations = validate_rep(rep).violations  # then a verdict on the input
+            if not violations:
+                raise
+            return 1, json.dumps({"error": f"relations violated: {violations}"})
         payload = {**encode_params(params), "transform": encode_matrix(transform)}
         return 0, json.dumps(payload)
     if action == "invariants":

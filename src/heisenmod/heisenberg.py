@@ -476,51 +476,51 @@ def direct_sum_reps(reps: Sequence[Representation]) -> Representation:
 # -- classification ------------------------------------------------------------
 
 
-def _pth_power_scalar(m: Matrix, p: int, what: str) -> FieldElem:
-    """Extract delta when the minimal polynomial of m has the exact shape
-    X^p - delta.
-
-    Equivalent to inspecting min_poly(m) but much cheaper: the minimal
-    polynomial equals X^p - delta iff m^p is the scalar delta (it then
-    divides (X - delta^{1/p})^p) and the nilpotent part (m - delta^{1/p})
-    has order exactly p.
-    """
-    power = m**p
-    delta = power.is_scalar()
-    if delta is None:
-        raise MinPolyShape(f"minimal polynomial of {what} is not X^{p} - c")
-    beta = delta.pth_root()
-    nil = m.shift(beta)
-    if (nil ** (p - 1)).is_zero():
-        raise MinPolyShape(
-            f"minimal polynomial of {what} divides X^{p} - c properly"
-        )
-    return delta
+def _nilpotent_part(m: Matrix) -> tuple[FieldElem, Matrix]:
+    """(c, m - c), c the p-th root of entry 0 of m^p e_0 (column 0 of m,
+    then p - 1 applications).  In characteristic p, (m - c)^p = m^p - c^p:
+    m^p is a scalar exactly when m - c is nilpotent, and that scalar is c^p."""
+    v = m.column(0)
+    for _ in range(m.field.p - 1):
+        v = m.apply(v)
+    c = FieldElem(m.field, v[0]).pth_root()
+    return c, m.shift(c)
 
 
-def _central_scalar(rep: Representation) -> FieldElem:
-    """alpha, for z = alpha != 0 in dimension p^n."""
-    c = rep.z.is_scalar()
-    if c is None or c.code == 0:
+def _parts(rep: Representation) -> tuple[ModuleParams, tuple[Matrix, ...]]:
+    """alpha and the c of x_1..x_n, y_1..y_n as parameters, and the
+    nilpotent parts g - c (_nilpotent_part), for z = alpha != 0 in
+    dimension p^n."""
+    alpha = rep.z.is_scalar()
+    if alpha is None or alpha.code == 0:
         raise NotScalarCenter("z must act as a nonzero scalar")
     p = rep.field.p
     if rep.dim != p**rep.n:
         raise WrongDimension(f"dimension {rep.dim} is not p^n = {p**rep.n}")
-    return c
+    cs, nils = zip(*map(_nilpotent_part, rep.x + rep.y))
+    return ModuleParams(alpha, cs[: rep.n], cs[rep.n :]), nils
+
+
+def _check_shapes(nils: Sequence[Matrix]) -> None:
+    """MinPolyShape unless each g of x_1..x_n, y_1..y_n has minimal
+    polynomial X^p - c^p = (X - c)^p: nil^p = 0 and nil^(p-1) != 0."""
+    n, p = len(nils) // 2, nils[0].field.p
+    for k, nil in enumerate(nils):
+        what = f"x{k + 1}" if k < n else f"y{k - n + 1}"
+        top = nil ** (p - 1)
+        if not (top * nil).is_zero():
+            raise MinPolyShape(f"minimal polynomial of {what} is not X^{p} - c")
+        if top.is_zero():
+            raise MinPolyShape(f"minimal polynomial of {what} divides X^{p} - c properly")
 
 
 def invariants(rep: Representation) -> InvariantTuple:
     """(alpha, deltas, epsilons) for a relation-checked module of dimension
-    p^n with scalar central action."""
-    p = rep.field.p
-    alpha = _central_scalar(rep)
-    deltas = tuple(
-        _pth_power_scalar(m, p, f"x{k + 1}") for k, m in enumerate(rep.x)
-    )
-    epsilons = tuple(
-        _pth_power_scalar(m, p, f"y{k + 1}") for k, m in enumerate(rep.y)
-    )
-    return InvariantTuple(alpha, deltas, epsilons)
+    p^n with scalar central action: each x_k and y_k is c + nil, and
+    delta_k or epsilon_k is c^p once nil^p = 0 != nil^(p-1) (_check_shapes)."""
+    params, nils = _parts(rep)
+    _check_shapes(nils)
+    return params.invariants()
 
 
 def _common_eigenvector(nils: Sequence[Matrix]) -> list[int]:
@@ -542,54 +542,44 @@ def _common_eigenvector(nils: Sequence[Matrix]) -> list[int]:
     return [mul(x, scale) for x in v]
 
 
-def _pth_root_at_e0(m: Matrix) -> FieldElem:
-    """The p-th root of entry 0 of m^p e_0, from p applications of m."""
-    v = [1] + [0] * (m.rows - 1)
-    for _ in range(m.field.p):
-        v = m.apply(v)
-    return FieldElem(m.field, v[0]).pth_root()
-
-
 def classify(rep: Representation) -> tuple[ModuleParams, Matrix]:
     """Parameters and an exact equivalence onto the truncated polynomial
     module: the returned t satisfies t^-1 rep(g) t = build_V(params)(g).
 
-    beta_k is the p-th root of entry 0 of x_k^p e_0 and gamma_k that of
-    y_k^p e_0 (_pth_root_at_e0); no matrix power is formed.  The basis
-    behind t is the common eigenvector v of all x images followed by its
-    shifts under the y images, in mixed radix order; on V the product of
-    the N_k^(p-1), N_k = x_k - beta_k, has rank 1, and v spans its image
-    (_common_eigenvector).
+    beta_k and gamma_k are the c of x_k and y_k = c + nil (_nilpotent_part),
+    the p-th roots of entry 0 of x_k^p e_0 and y_k^p e_0; no matrix power
+    is formed.  The basis behind t is the common eigenvector v of all x
+    images followed by its shifts under the y images, in mixed radix order;
+    on V the product of the N_k^(p-1), N_k = x_k - beta_k, has rank 1, and
+    v spans its image (_common_eigenvector).
 
     The final check alone is the proof that rep is V(params): z = alpha
-    (_central_scalar), v != 0 (_common_eigenvector), and (g - c) t is t's
+    (_parts), v != 0 (_common_eigenvector), and (g - c) t is t's
     own columns moved and scaled for every x_k and y_k (_checked_transform).
     The x relations with alpha != 0 and v != 0 already make t invertible,
     so no determinant is computed.  Then x_k^p = beta_k^p is a scalar, so
     the parameters are the ones invariants reads off.  On any other input
-    the check fails; invariants(rep) then raises MinPolyShape where a
-    minimal polynomial has the wrong shape, and otherwise the
-    VerificationFailed propagates.
+    the check fails; the shape test of invariants on the nilpotent parts
+    already in hand then raises MinPolyShape where a minimal polynomial has
+    the wrong shape, and otherwise the VerificationFailed propagates.
     """
-    alpha = _central_scalar(rep)
-    betas = [_pth_root_at_e0(m) for m in rep.x]
-    gammas = [_pth_root_at_e0(m) for m in rep.y]
-    params = ModuleParams(alpha, betas, gammas)
+    params, nils = _parts(rep)
     try:
-        t = _checked_transform(rep, params)
+        t = _checked_transform(rep, params, nils)
     except VerificationFailed:
-        invariants(rep)  # the min-poly shape error, where it applies
+        _check_shapes(nils)  # the min-poly shape error, where it applies
         raise
     return params, t
 
 
-def _checked_transform(rep: Representation, params: ModuleParams) -> Matrix:
+def _checked_transform(rep: Representation, params: ModuleParams,
+                       parts: Sequence[Matrix]) -> Matrix:
     """t from the common eigenvector and its y shifts, checked to intertwine
-    rep with build_V(params) without building it: with c_i column i of t,
-    step = p^(n-1-k) and dig digit k of i, column i of t (model(y_k) -
-    gamma_k) is c_(i+step) (0 at dig = p - 1) and that of t (model(x_k) -
-    beta_k) is dig*alpha c_(i-step) (0 at dig = 0).  z t == t alpha holds
-    by _central_scalar.
+    rep with build_V(params) without building it; parts are the x_k - beta_k
+    and y_k - gamma_k.  With c_i column i of t, step = p^(n-1-k) and dig
+    digit k of i, column i of t (model(y_k) - gamma_k) is c_(i+step) (0 at
+    dig = p - 1) and that of t (model(x_k) - beta_k) is dig*alpha c_(i-step)
+    (0 at dig = 0).  z t == t alpha holds by _parts.
 
     The x relations prove t invertible, given alpha != 0 and c_0 = v != 0.
     Take sum a_i c_i = 0 and i* with a_(i*) != 0 of largest digit sum, and
@@ -599,8 +589,7 @@ def _checked_transform(rep: Representation, params: ModuleParams) -> Matrix:
     each i*_k < p, and a_(i*) = 0.  t.det() runs only when a relation
     fails, to name the failure: a singular t always fails one."""
     field, p, n, d = rep.field, rep.field.p, rep.n, rep.dim
-    nils = [x.shift(beta) for x, beta in zip(rep.x, params.betas)]
-    shifts = [y.shift(gamma) for y, gamma in zip(rep.y, params.gammas)]
+    nils, shifts = parts[:n], parts[n:]
     # column idx is prod_k shifts[k]^digit_k v (y_1 the most significant digit):
     # shifts[k] times column idx - p^(n-1-k), k the lowest nonzero digit of idx
     cols = [_common_eigenvector(nils)]
@@ -684,8 +673,8 @@ def triple_similarity(
         raise MixedFields("triples must share one field")
     if (a1.det(), b1.det(), c1.det()) != (a2.det(), b2.det(), c2.det()):
         return None
-    _, _, x1 = canonical_pair(a1, b1, c1)
-    _, _, x2 = canonical_pair(a2, b2, c2)
+    h1 = HeisenbergAlgebra(1, a1.field)
+    x1, x2 = (classify(Representation(h1, [a], [b], c))[1] for a, b, c in (t1, t2))
     x = x1 * x2.inv()
     verify(_conjugates(x, [(a1, a2), (b1, b2), (c1, c2)]),
            "simultaneous similarity failed to verify")

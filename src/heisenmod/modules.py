@@ -31,7 +31,6 @@ from .errors import (
     TooLarge,
     UndecidedIrreducibility,
     VerificationFailed,
-    WrongDimension,
     ZeroAlpha,
     verify,
 )
@@ -360,7 +359,7 @@ def _factor_info(rep: Representation) -> CompositionFactor:
     if faithful and rep.dim == rep.field.p**rep.n:
         try:
             inv = invariants(rep)
-        except (NotScalarCenter, WrongDimension, MinPolyShape):
+        except (NotScalarCenter, MinPolyShape):
             inv = None
     return CompositionFactor(rep.dim, faithful, inv, rep)
 
@@ -592,9 +591,10 @@ def split_by_central(
         raise DoesNotSplit(f"minimal polynomial factor {rest!r} has no roots")
     out = []
     total = 0
-    for lam, _ in roots:
+    for lam, e in roots:
+        # ker (C - lam)^e is the generalized eigenspace: e is lam's min-poly multiplicity
         shifted = central.shift(lam)
-        basis = SubspaceBasis(field, d, (shifted**d).kernel_basis())
+        basis = SubspaceBasis(field, d, (shifted**e).kernel_basis())
         total += basis.dim
         out.append(
             Summand(FieldElem(field, lam), basis, sub_representation(rep, basis))

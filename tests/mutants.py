@@ -57,6 +57,56 @@ MUTANTS = (
          "tests/test_heisenberg.py::test_classify_agrees_with_the_oracle_on_arbitrary_images"),
     ),
     Mutant(
+        "invariants accepts a non-scalar p-th power",
+        "heisenmod/heisenberg.py",
+        "        if not (top * nil).is_zero():\n",
+        "        if False:\n",
+        ("tests/test_heisenberg.py::test_invariants_agree_with_the_full_power_oracle",
+         "tests/test_heisenberg.py::test_classify_refuses_non_v_like_the_oracle",
+         "tests/test_heisenberg.py::test_classify_agrees_with_the_oracle_on_arbitrary_images"),
+    ),
+    Mutant(
+        "invariants accepts a proper divisor of X^p - c",
+        "heisenmod/heisenberg.py",
+        "        if top.is_zero():\n",
+        "        if False:\n",
+        ("tests/test_heisenberg.py::test_invariants_agree_with_the_full_power_oracle",
+         "tests/test_heisenberg.py::test_classify_rejects_bad_min_poly_shape",
+         "tests/test_heisenberg.py::test_classify_refuses_non_v_like_the_oracle"),
+    ),
+    Mutant(
+        "c is read from the last entry of m^p e_0",
+        "heisenmod/heisenberg.py",
+        "FieldElem(m.field, v[0])",
+        "FieldElem(m.field, v[-1])",
+        ("tests/test_heisenberg.py::test_invariants_agree_with_the_full_power_oracle",
+         "tests/test_heisenberg.py::test_classify_matches_invariants_first_oracle"),
+    ),
+    Mutant(
+        "c is read from p - 1 applications of m",
+        "heisenmod/heisenberg.py",
+        "for _ in range(m.field.p - 1):\n        v = m.apply(v)",
+        "for _ in range(m.field.p - 2):\n        v = m.apply(v)",
+        ("tests/test_heisenberg.py::test_invariants_agree_with_the_full_power_oracle",
+         "tests/test_heisenberg.py::test_classify_matches_invariants_first_oracle"),
+    ),
+    Mutant(
+        "classify's fallback skips the shape test",
+        "heisenmod/heisenberg.py",
+        "        _check_shapes(nils)  # the min-poly shape error, where it applies\n",
+        "",
+        ("tests/test_heisenberg.py::test_classify_refuses_non_v_like_the_oracle",
+         "tests/test_heisenberg.py::test_classify_agrees_with_the_oracle_on_arbitrary_images"),
+    ),
+    Mutant(
+        "split_by_central takes kernels at exponent e - 1",
+        "heisenmod/modules.py",
+        "(shifted**e)",
+        "(shifted**(e - 1))",
+        ("tests/test_modules.py::test_split_by_central_takes_kernels_at_the_min_poly_multiplicity",
+         "tests/test_modules.py::test_split_by_central_over_the_splitting_field"),
+    ),
+    Mutant(
         "the partner's stacked system drops the ad_Z rows",
         "heisenmod/modules.py",
         "_ad(Matrix(field, d, d, z)).data",

@@ -12,15 +12,18 @@ from heisenmod import (
     GF,
     FieldElem,
     HeisenbergAlgebra,
+    InvariantTuple,
     Matrix,
+    MinPolyShape,
     ModuleParams,
+    NotScalarCenter,
     Poly,
     Representation,
     SubspaceBasis,
+    WrongDimension,
     build_V,
     companion,
     direct_sum,
-    invariants,
 )
 from heisenmod.errors import ShapeMismatch, verify
 from heisenmod.heisenberg import _common_eigenvector
@@ -560,14 +563,40 @@ def oracle_common_eigenvector(nils) -> list[int]:
     return kernel[0]
 
 
-def oracle_classify(rep):
-    """classify with its parameters from invariants: each x_k^p and y_k^p
-    as a full matrix power, checked to be the scalar delta_k, epsilon_k,
-    with (m - delta^(1/p))^(p-1) != 0; then the same basis and the same
-    final check as heisenberg.classify."""
+def oracle_invariants(rep) -> InvariantTuple:
+    """invariants from full matrix powers: z a nonzero scalar alpha in
+    dimension p^n, then for x_1..x_n, y_1..y_n in turn m^p the scalar
+    delta and (m - delta^(1/p))^(p-1) != 0, with the library's exceptions
+    and messages."""
     field = rep.field
     p, n = field.p, rep.n
-    inv = invariants(rep)
+    alpha = rep.z.is_scalar()
+    if alpha is None or alpha.code == 0:
+        raise NotScalarCenter("z must act as a nonzero scalar")
+    if rep.dim != p**n:
+        raise WrongDimension(f"dimension {rep.dim} is not p^n = {p**n}")
+    found = []
+    named = [(f"x{k + 1}", m) for k, m in enumerate(rep.x)]
+    named += [(f"y{k + 1}", m) for k, m in enumerate(rep.y)]
+    for what, m in named:
+        delta = (m**p).is_scalar()
+        if delta is None:
+            raise MinPolyShape(f"minimal polynomial of {what} is not X^{p} - c")
+        root = Matrix.scalar(field, m.rows, brute_pth_root(delta))
+        if ((m - root) ** (p - 1)).is_zero():
+            raise MinPolyShape(f"minimal polynomial of {what} divides X^{p} - c properly")
+        found.append(delta)
+    return InvariantTuple(alpha, tuple(found[:n]), tuple(found[n:]))
+
+
+def oracle_classify(rep):
+    """classify with its parameters from oracle_invariants: each x_k^p and
+    y_k^p as a full matrix power, checked to be the scalar delta_k,
+    epsilon_k, with (m - delta^(1/p))^(p-1) != 0; then the same basis and
+    the same final check as heisenberg.classify."""
+    field = rep.field
+    p, n = field.p, rep.n
+    inv = oracle_invariants(rep)
     betas = [d.pth_root() for d in inv.deltas]
     gammas = [e.pth_root() for e in inv.epsilons]
     v = _common_eigenvector(

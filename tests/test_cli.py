@@ -20,6 +20,7 @@ from heisenmod import (
     HeisenbergAlgebra,
     Matrix,
     ModuleParams,
+    Representation,
     build_standard,
     build_V,
     conjugate_rep,
@@ -202,6 +203,19 @@ def test_analyze_classify_failure_is_exit_one(cli):
     code, out, _ = cli(["analyze", "classify"], stdin_text=rep_json(rep))
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_analyze_classify_on_broken_relations_is_exit_one(cli):
+    # x = y = N with N^2 = 0 and z = I over GF(2): [x, y] = 0 != z, and
+    # classify's check fails on a singular basis; that is a verdict on the
+    # input (exit 1), not a failed self-check (exit 3)
+    field = GF(2)
+    n_block = Matrix.from_rows(field, [[0, 1], [0, 0]])
+    rep = Representation(HeisenbergAlgebra(1, field), [n_block], [n_block],
+                         Matrix.identity(field, 2))
+    code, out, err = cli(["analyze", "classify"], stdin_text=rep_json(rep))
+    assert code == 1, err
+    assert json.loads(out) == {"error": "relations violated: ['[x1, y1] != z']"}
 
 
 def test_analyze_invariants(cli):

@@ -21,6 +21,7 @@ from heisenmod import (
     DegreeMismatch,
     FieldElem,
     HeisenbergAlgebra,
+    InvariantTuple,
     Matrix,
     MinPolyShape,
     MixedFields,
@@ -56,7 +57,12 @@ from heisenmod import (
     triple_similarity,
     validate_rep,
 )
-from oracles import oracle_classify, oracle_common_eigenvector, oracle_rref
+from oracles import (
+    oracle_classify,
+    oracle_common_eigenvector,
+    oracle_invariants,
+    oracle_rref,
+)
 
 
 def ext(p, m):
@@ -479,6 +485,47 @@ def random_scrambled_v(field, n, rng):
     return params, conjugate_rep(build_V(alg, params), rand_invertible(field, field.p**n, rng))
 
 
+def test_invariants_agree_with_the_full_power_oracle():
+    # invariants reads each g as c + nil and tests nil^p = 0 != nil^(p-1);
+    # oracle_invariants forms g^p and (g - delta^(1/p))^(p-1): the same
+    # tuple, or the same exception and message
+    rng = random.Random("full-power")
+    inputs = [rep for _, rep in non_v_inputs()]
+    for spec in ORACLE_FIELDS + [(7, 1)]:
+        for n in (1, 2):
+            inputs.append(random_scrambled_v(field_of(spec), n, rng)[1])
+    kinds = set()
+    for rep in inputs:
+        try:
+            want = oracle_invariants(rep)
+        except AlgebraError as err:
+            with pytest.raises(type(err)) as got:
+                invariants(rep)
+            assert str(got.value) == str(err)
+            kinds.add(str(err) if type(err) is MinPolyShape else type(err))
+        else:
+            assert invariants(rep) == want
+            kinds.add(InvariantTuple)
+    assert {InvariantTuple, NotScalarCenter, WrongDimension,
+            "minimal polynomial of x1 is not X^3 - c",
+            "minimal polynomial of x1 divides X^3 - c properly"} <= kinds
+
+
+def test_invariants_forms_no_pth_power(monkeypatch):
+    # the only powers are nil^(p-1) of the nilpotent parts g - c; no g^p
+    field = GF(5)
+    _, rep = random_scrambled_v(field, 2, random.Random("no-power"))
+    want, plain_pow, exponents = oracle_invariants(rep), Matrix.__pow__, []
+
+    def pow_(self, e):
+        exponents.append(e)
+        return plain_pow(self, e)
+
+    monkeypatch.setattr(Matrix, "__pow__", pow_)
+    assert invariants(rep) == want
+    assert exponents == [field.p - 1] * 4
+
+
 @pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_classify_computes_no_determinant_on_success(spec, n, monkeypatch):
@@ -502,7 +549,7 @@ def test_classify_computes_no_determinant_on_success(spec, n, monkeypatch):
 @pytest.mark.parametrize("spec,n", [((2, 1), 2), ((3, 1), 1)], ids=str)
 def test_classify_refuses_every_single_entry_change(spec, n):
     # the check compares (g - c) t with t's columns moved and scaled and
-    # leaves z to _central_scalar; every single-entry change of every
+    # leaves z to _parts; every single-entry change of every
     # generator, z included, breaks a relation or the scalar centre, so no
     # such input is a V and classify must raise, never return a transform
     field = field_of(spec)
@@ -546,7 +593,7 @@ def test_classify_agrees_with_the_model_building_oracle(spec, n):
 
 
 def test_classify_builds_no_model_and_multiplies_no_z(monkeypatch):
-    # z is settled by _central_scalar and the model by t's own columns
+    # z is settled by _parts and the model by t's own columns
     field = GF(3)
     params, rep = random_scrambled_v(field, 2, random.Random("no-model"))
     plain_mul = Matrix.__mul__
@@ -797,3 +844,27 @@ def test_triple_similarity_decides_by_determinants():
     assert triple_similarity(t1, t3) is None
     assert t1[1].det() != t3[1].det()  # the b determinants tell them apart
     assert (t1[0].det(), t1[2].det()) == (t3[0].det(), t3[2].det())
+
+
+def test_triple_similarity_classifies_each_triple_once(monkeypatch):
+    # one relation check and one classify per triple, and no model built;
+    # x is the one the canonical_pair transforms give
+    rng = random.Random(27)
+    field = GF(3)
+    e = field.element
+    t1, t2 = (make_triple(field, e(2), e(1), e(0), rand_invertible(field, 3, rng))
+              for _ in "12")
+    want = canonical_pair(*t1)[2] * canonical_pair(*t2)[2].inv()
+    checks, plain_check = [], heisenberg._check_triple
+
+    def check(*args):
+        checks.append(args)
+        return plain_check(*args)
+
+    def no_model(*args):
+        raise AssertionError("build_V called")
+
+    monkeypatch.setattr(heisenberg, "_check_triple", check)
+    monkeypatch.setattr(heisenberg, "build_V", no_model)
+    assert triple_similarity(t1, t2).data == want.data
+    assert checks == [t1, t2]

@@ -1289,6 +1289,31 @@ def test_split_by_central_over_the_splitting_field():
     assert invariants(parts[0].rep) != invariants(parts[1].rep)
 
 
+def test_split_by_central_takes_kernels_at_the_min_poly_multiplicity(monkeypatch):
+    # C = y^3 has minimal polynomial (X - 1)^2 (X - 2) on a 9-dimensional
+    # module: ker (C - 1)^2 is one product and ker (C - 2) none, where
+    # ker (C - lam)^9 took four each; the bases are the same
+    field = GF(3)
+    f = Poly(field, [2, 1]) * Poly(field, [2, 1]) * Poly(field, [1, 1])
+    rep = build_companion_rep(field.one(), field.zero(), f)
+    central = rep.y[0] ** 3
+    plain_mul, products = Matrix.__mul__, []
+
+    def mul(self, other):
+        if isinstance(other, Matrix):
+            products.append(other)
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", mul)
+    parts = split_by_central(rep, central)
+    assert len(products) == 13
+    monkeypatch.setattr(Matrix, "__mul__", plain_mul)
+    assert [(s.eigenvalue.code, s.rep.dim) for s in parts] == [(1, 6), (2, 3)]
+    for s in parts:
+        kernel = (central.shift(s.eigenvalue) ** rep.dim).kernel_basis()
+        assert s.basis == SubspaceBasis(field, rep.dim, kernel)
+
+
 def test_split_by_central_rejects_non_central_operators():
     field = GF(3)
     rep = v_rep(field, 1, [0], [0])
