@@ -139,17 +139,22 @@ def _require(args, names: list[str], context: str):
 # -- build ------------------------------------------------------------------
 
 
+def _modulus(args) -> Poly:
+    """--q as a polynomial over GF(p)."""
+    return Poly(GF(args.p), _int_list(args.q))
+
+
 def _build_field(args) -> Field:
-    if args.q is not None:
-        prime = GF(args.p)
-        return make_extension(
-            args.p, Poly(prime, [prime.element(c) for c in _int_list(args.q)])
-        )
-    return GF(args.p)
+    return GF(args.p) if args.q is None else make_extension(args.p, _modulus(args))
+
+
+def _check_rank(args, n: int):
+    """UsageError when --n is given and is not the rank n that is built."""
+    if args.n not in (None, n):
+        raise UsageError(f"build {args.kind} builds rank {n}, not --n {args.n}")
 
 
 def _cmd_build(args) -> tuple[int, str]:
-    _require(args, ["p"], f"build {args.kind}")
     kind = args.kind
     if kind == "V":
         _require(args, ["alpha", "betas", "gammas"], "build V")
@@ -159,14 +164,17 @@ def _cmd_build(args) -> tuple[int, str]:
             _elem_list(field, args.betas, "--betas"),
             _elem_list(field, args.gammas, "--gammas"),
         )
+        _check_rank(args, params.n)
         rep = build_V(HeisenbergAlgebra(params.n, field), params)
         return 0, json.dumps(encode_representation(rep))
     if kind == "standard":
         field = _build_field(args)
-        rep = build_standard(HeisenbergAlgebra(args.n, field))
+        n = 1 if args.n is None else args.n
+        rep = build_standard(HeisenbergAlgebra(n, field))
         return 0, json.dumps(encode_representation(rep))
     if kind == "companion":
         _require(args, ["alpha", "betas", "f"], "build companion")
+        _check_rank(args, 1)
         field = _build_field(args)
         betas = _elem_list(field, args.betas, "--betas")
         if len(betas) != 1:
@@ -181,11 +189,9 @@ def _cmd_build(args) -> tuple[int, str]:
         _require(args, ["f", "g"], "build restriction")
         if args.q is None and args.m is None:
             raise UsageError("build restriction requires --q or --m")
+        _check_rank(args, 1)
         prime = GF(args.p)
-        if args.q is not None:
-            q = Poly(prime, [prime.element(c) for c in _int_list(args.q)])
-        else:
-            q = find_irreducible(args.p, args.m)
+        q = find_irreducible(args.p, args.m) if args.q is None else _modulus(args)
         rep = build_restriction_rep(
             args.p, q, [_poly(prime, args.f, "--f")],
             [_poly(prime, args.g, "--g")],
@@ -199,16 +205,15 @@ def _cmd_build(args) -> tuple[int, str]:
             raise UsageError("build M takes exactly one beta")
         mat = build_M(args.p, _elem(field, args.alpha, "--alpha"), betas[0])
         return 0, json.dumps(encode_matrix(mat))
-    if kind == "D":
-        _require(args, ["alpha", "deltas"], "build D")
-        field = _build_field(args)
-        mat = build_D(
-            args.p,
-            _elem(field, args.alpha, "--alpha"),
-            _elem_list(field, args.deltas, "--deltas"),
-        )
-        return 0, json.dumps(encode_matrix(mat))
-    raise UsageError(f"unknown build kind {kind!r}")
+    # D, the last of the parser's choices
+    _require(args, ["alpha", "deltas"], "build D")
+    field = _build_field(args)
+    mat = build_D(
+        args.p,
+        _elem(field, args.alpha, "--alpha"),
+        _elem_list(field, args.deltas, "--deltas"),
+    )
+    return 0, json.dumps(encode_matrix(mat))
 
 
 # -- analyze -------------------------------------------------------------------
@@ -275,10 +280,8 @@ def _cmd_analyze(args) -> tuple[int, str]:
     if action == "series":
         series = composition_series(rep, seed=args.seed)
         return 0, json.dumps(encode_series(series))
-    if action == "uniserial":
-        answer = is_uniserial(rep)
-        return (0 if answer else 1), json.dumps({"uniserial": answer})
-    raise UsageError(f"unknown analyze action {action!r}")
+    answer = is_uniserial(rep)  # the last of the parser's choices
+    return (0 if answer else 1), json.dumps({"uniserial": answer})
 
 
 # -- suite ------------------------------------------------------------------
@@ -317,7 +320,8 @@ def _parser() -> argparse.ArgumentParser:
         "kind", choices=["V", "standard", "companion", "restriction", "M", "D"]
     )
     build.add_argument("--p", type=int, required=True, help="characteristic")
-    build.add_argument("--n", type=int, default=1, help="rank (default 1)")
+    build.add_argument("--n", type=int, help="rank of standard (default 1);"
+                       " V takes it from --betas, companion and restriction build 1")
     build.add_argument("--m", type=int, help="extension degree")
     build.add_argument(
         "--q", help="extension modulus, ascending coefficients"

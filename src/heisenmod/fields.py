@@ -340,8 +340,8 @@ class Field:
             add_t = [x for row in rows for x in row]
             # mul table from log/exp over a primitive element: the modulus
             # need not be primitive, so it is the first code g whose powers
-            # reach every nonzero code before 1
-            for g in range(2, q):
+            # reach every nonzero code before 1 (g = 1 when q = 2)
+            for g in range(1, q):
                 exp = [1]
                 while (x := mul(exp[-1], g)) != 1:
                     exp.append(x)
@@ -445,10 +445,11 @@ class Field:
         return FieldElem(self, 1)
 
     def generator(self) -> "FieldElem":
-        """The class of X in an extension; 1 in a prime field."""
+        """The class of X in an extension (the root -q_0 of a modulus X + q_0
+        of degree 1); 1 in a prime field."""
         if self.modulus is None:
             return FieldElem(self, 1 % self.p)
-        return FieldElem(self, self.p)
+        return FieldElem(self, self.p if self.degree > 1 else -self.modulus[0] % self.p)
 
     def elements(self) -> Iterator["FieldElem"]:
         for c in range(self.order):

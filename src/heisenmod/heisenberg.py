@@ -17,6 +17,7 @@ product of n single-variable blocks:
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -417,12 +418,7 @@ def build_restriction_rep(
     elif alpha.field != K:
         raise MixedFields("alpha must belong to the extension")
     # basis 1, alpha, ..., alpha^(m-1) must span K over GF(p)
-    pow_cols = []
-    acc = 1
-    for _ in range(m):
-        pow_cols.append(list(K.coeffs_of(acc)))
-        acc = K.mul(acc, alpha.code)
-    basis_cols = Matrix.from_columns(F, pow_cols)
+    basis_cols = Matrix.from_columns(F, [(alpha**i).coeffs for i in range(m)])
     if basis_cols.rank() != m:
         raise DegreeMismatch("alpha does not have degree m over GF(p)")
 
@@ -431,22 +427,11 @@ def build_restriction_rep(
         alpha, [h(alpha) for h in f_list], [h(alpha) for h in g_list]
     )
     over_K = build_V(HeisenbergAlgebra(n, K), params)
-
-    cache: dict[int, Matrix] = {}
-
-    def reg(code: int) -> Matrix:
-        got = cache.get(code)
-        if got is None:
-            got = regular_matrix(K, FieldElem(K, code), basis_cols)
-            cache[code] = got
-        return got
+    reg = functools.cache(
+        lambda code: regular_matrix(K, FieldElem(K, code), basis_cols))
 
     def blow_up(mat: Matrix) -> Matrix:
-        grid = [
-            [reg(mat.code_at(i, j)) for j in range(mat.cols)]
-            for i in range(mat.rows)
-        ]
-        return assemble_grid(grid)
+        return assemble_grid([list(map(reg, row)) for row in mat.row_lists()])
 
     rep = over_K._map(blow_up, HeisenbergAlgebra(n, F))
     verify(validate_rep(rep).ok, "restriction broke the relations")

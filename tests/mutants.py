@@ -246,6 +246,75 @@ MUTANTS = (
          "tests/test_matrices.py::test_jordan_form_matches_the_rank_oracle"),
     ),
     Mutant(
+        "_order returns 1",
+        "heisenmod/matrices.py",
+        "        g = g * r\n    return g\n",
+        "        g = g * r\n    return Poly._raw(g.field, [1])\n",
+        ("tests/test_matrices.py::test_min_poly_matches_kernel_oracle_exhaustive_gf2",
+         "tests/test_matrices.py::test_min_poly_matches_kernel_oracle_random"),
+    ),
+    Mutant(
+        "Poly products use a codec one product too narrow",
+        "heisenmod/fields.py",
+        "row_codec[min(len(a), len(b))]",
+        "row_codec[min(len(a), len(b)) - 1]",
+        ("tests/test_fields.py::test_packed_poly_arithmetic_at_largest_codes",),
+    ),
+    Mutant(
+        "Poly division uses a codec one product too narrow",
+        "heisenmod/fields.py",
+        "        codec = field.row_codec[n + 2]\n        quo, rem",
+        "        codec = field.row_codec[n + 1]\n        quo, rem",
+        ("tests/test_fields.py::test_packed_poly_arithmetic_at_largest_codes",
+         "tests/test_fields.py::test_packed_poly_arithmetic_matches_the_oracle"),
+    ),
+    Mutant(
+        "the primitive-element search starts at 2",
+        "heisenmod/fields.py",
+        "for g in range(1, q):",
+        "for g in range(2, q):",
+        ("tests/test_fields.py::test_degree_one_extensions_match_the_oracle",
+         "tests/test_fields.py::test_generator_is_a_code_and_a_root_of_the_modulus"),
+    ),
+    Mutant(
+        "the restriction basis is alpha^(2i)",
+        "heisenmod/heisenberg.py",
+        "(alpha**i).coeffs",
+        "(alpha**(2 * i)).coeffs",
+        ("tests/test_heisenberg.py::test_build_restriction_rep_display",
+         "tests/test_heisenberg.py::test_build_restriction_rep_with_another_alpha_matches_the_oracle"),
+    ),
+    Mutant(
+        "the Sec 4 display swaps kron's factors",
+        "heisenmod/suites.py",
+        "kron(eye_p, ra)",
+        "kron(ra, eye_p)",
+        ("tests/test_suites.py::test_every_suite_runs_green_on_a_small_slice",),
+    ),
+    Mutant(
+        "_line_vectors skips the last line",
+        "heisenmod/modules.py",
+        "for lead, top in enumerate(rows):",
+        "for lead, top in enumerate(rows[:-1]):",
+        ("tests/test_modules.py::test_inherited_elements_match_subspace_enumeration",
+         "tests/test_modules.py::test_inherited_kernel_lines_match_the_oracle"),
+    ),
+    Mutant(
+        "the quotient block drops its W^T[F, :] m[P, F] term",
+        "heisenmod/modules.py",
+        "return _block(m, free, free) - w_free * _block(m, pivots, free)",
+        "return _block(m, free, free)",
+        ("tests/test_modules.py::test_subquotients_match_the_oracle",
+         "tests/test_modules.py::test_subquotients_match_the_oracle_on_generated_modules"),
+    ),
+    Mutant(
+        "the trace filter forgets the previous factor",
+        "heisenmod/modules.py",
+        "want = neg(add(total, second(prev)))",
+        "want = neg(total)",
+        ("tests/test_modules.py::test_trace_zero_chains_are_the_classes_of_trace_zero",),
+    ),
+    Mutant(
         "a series child inherits no Holt-Rees pair",
         "heisenmod/modules.py",
         "lambda: (sub_of(a), f)",

@@ -140,6 +140,32 @@ def oracle_ext_mul(field, a: int, b: int) -> int:
     return field.code_from_coeffs(list(rem.coeffs))
 
 
+def oracle_restriction(alpha: FieldElem, mat: Matrix) -> Matrix:
+    """mat over K = GF(p^m) read over GF(p): entry e becomes the m x m block
+    whose column j holds the coordinates of e * alpha^j in the basis 1,
+    alpha, ..., alpha^(m-1), found by trying every vector of GF(p)^m."""
+    K, p, m = alpha.field, alpha.field.p, alpha.field.degree
+    powers = [1]
+    for _ in range(m - 1):
+        powers.append(K.mul(powers[-1], alpha.code))
+    coords = {}
+    for c in itertools.product(range(p), repeat=m):
+        value = 0
+        for digit, power in zip(c, powers):
+            value = K.add(value, K.mul(digit, power))
+        coords[value] = c
+    assert len(coords) == K.order  # the powers form a basis
+    width = mat.cols * m
+    out = [0] * (mat.rows * m * width)
+    for i in range(mat.rows):
+        for j in range(mat.cols):
+            for col, power in enumerate(powers):
+                image = coords[K.mul(mat.code_at(i, j), power)]
+                for row in range(m):
+                    out[(i * m + row) * width + j * m + col] = image[row]
+    return Matrix(GF(p), mat.rows * m, width, out)
+
+
 def oracle_combination(field, rows: int, cols: int, mats, coeffs) -> Matrix:
     """sum c_i mats[i], entry by entry over the field's add and mul."""
     add, mul = field.add, field.mul

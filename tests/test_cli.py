@@ -154,6 +154,42 @@ def test_build_usage_errors(cli):
     assert code == 2 and "out of range" in err
 
 
+def test_build_rank_comes_from_the_parameters(cli):
+    # V reads its rank off the betas; a different --n is refused, not ignored
+    argv = ["build", "V", "--p", "3", "--alpha", "1", "--betas", "0", "--gammas", "2"]
+    code, out, err = cli(argv + ["--n", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: build V builds rank 1, not --n 2\n"
+    code, out, _ = cli(argv + ["--n", "1"])
+    assert code == 0 and json.loads(out)["n"] == 1
+    code, out, _ = cli(["build", "V", "--p", "3", "--n", "2", "--alpha", "1",
+                        "--betas", "0,1", "--gammas", "2,0"])
+    assert code == 0 and decode_representation(json.loads(out)).dim == 9
+    # companion and restriction build rank 1 only
+    for kind, extra in (("companion", ["--alpha", "1", "--betas", "0", "--f", "1,1,1"]),
+                        ("restriction", ["--m", "2", "--f", "0,1", "--g", "1"])):
+        code, _, err = cli(["build", kind, "--p", "2", "--n", "2", *extra])
+        assert code == 2 and err == f"error: build {kind} builds rank 1, not --n 2\n"
+        code, out, _ = cli(["build", kind, "--p", "2", "--n", "1", *extra])
+        assert code == 0 and json.loads(out)["n"] == 1
+    # standard keeps its default rank 1
+    code, out, _ = cli(["build", "standard", "--p", "2"])
+    assert code == 0 and decode_representation(json.loads(out)).dim == 3
+
+
+def test_degree_one_moduli_build(cli):
+    code, out, _ = cli(["suite", "cor23", "--p", "2,3", "--m", "1", "--json"])
+    assert code == 0
+    assert (json.loads(out)["cases_run"], json.loads(out)["cases_passed"]) == (10, 10)
+    restriction = ["build", "restriction", "--p", "3", "--f", "1", "--g", "0,1"]
+    code, out, _ = cli(restriction + ["--q", "1,1"])  # X + 1, root 2
+    assert code == 0 and decode_representation(json.loads(out)).dim == 3
+    code, out, err = cli(restriction + ["--m", "1"])  # X, root 0
+    assert code == 2 and out == "" and err == "error: alpha must be nonzero\n"
+    code, out, err = cli(["suite", "sec4-restriction", "--m", "1,2"])
+    assert code == 2 and out == "" and err == "error: sec4-restriction needs m >= 2\n"
+
+
 def test_build_prime_field_integers_reduce_mod_p(cli):
     code, out, _ = cli(
         ["build", "V", "--p", "3", "--alpha", "5", "--betas", "0", "--gammas", "0"]

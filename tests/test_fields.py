@@ -27,6 +27,7 @@ from heisenmod.fields import monic_irreducibles
 from heisenmod.suites import _irreducible_polys
 from oracles import (
     brute_pth_root,
+    oracle_ext_mul,
     oracle_poly_divmod,
     oracle_poly_mul,
     trial_division_irreducible,
@@ -159,6 +160,34 @@ def test_extension_tables_match_the_digit_loops(p, m, monkeypatch):
     assert [table.inv(a) for a in codes[1:]] == [loops.inv(a) for a in codes[1:]]
     if not isinstance(m, int):
         assert table.pow(p, 5) == 1  # the class of X is not primitive
+
+
+@pytest.mark.parametrize("p, modulus", [(2, (1, 1)), (3, (1, 1))], ids=str)
+def test_degree_one_extensions_match_the_oracle(p, modulus):
+    # GF(p)[X]/(X + 1) is GF(p) again; at q = 2 its only nonzero code 1 is
+    # the primitive element the log/exp tables start from
+    field = make_extension(p, Poly(GF(p), modulus))
+    codes = range(field.order)
+    assert [field.mul(a, b) for a in codes for b in codes] == [
+        oracle_ext_mul(field, a, b) for a in codes for b in codes]
+    assert [field.add(a, b) for a in codes for b in codes] == [
+        (a + b) % p for a in codes for b in codes]
+    assert [field.sub(a, b) for a in codes for b in codes] == [
+        (a - b) % p for a in codes for b in codes]
+    assert [field.neg(a) for a in codes] == [-a % p for a in codes]
+    assert all(field.mul(a, field.inv(a)) == 1 for a in codes[1:])
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (2, (0, 1)), (2, (1, 1)), (3, (0, 1)), (3, (1, 1)), (5, (3, 1)),
+    (2, (1, 1, 1)), (3, (2, 2, 1)), (2, (1, 1, 0, 1)), (3, (1, 2, 0, 1)),
+], ids=str)
+def test_generator_is_a_code_and_a_root_of_the_modulus(p, modulus):
+    # degree 1 included: there the class of X is the root -q_0, below p
+    field = make_extension(p, Poly(GF(p), modulus))
+    t = field.generator()
+    assert 0 <= t.code < field.order
+    assert Poly(field, field.modulus)(t) == field.zero()
 
 
 def test_generator_satisfies_modulus():

@@ -61,6 +61,7 @@ from oracles import (
     oracle_classify,
     oracle_common_eigenvector,
     oracle_invariants,
+    oracle_restriction,
     oracle_rref,
 )
 
@@ -764,6 +765,29 @@ def test_build_restriction_rep_input_checks():
     with pytest.raises(DegreeMismatch):
         # alpha = 1 generates only the prime field
         build_restriction_rep(2, q, [x], [x], alpha=K.one())
+
+
+@pytest.mark.parametrize("p, m, alpha", [
+    (2, 2, [1, 1]),     # t + 1 over GF(4)
+    (2, 3, [0, 0, 1]),  # t^2 over GF(8)
+    (2, 3, [1, 0, 1]),  # t^2 + 1 over GF(8)
+    (3, 2, [2, 1]),     # t + 2 over GF(9)
+], ids=str)
+def test_build_restriction_rep_with_another_alpha_matches_the_oracle(p, m, alpha):
+    # every block in the basis 1, alpha, ..., alpha^(m-1) of this alpha,
+    # not of the class t of X
+    F, q = GF(p), find_irreducible(p, m)
+    K = make_extension(p, q)
+    alpha = K.element(alpha)
+    rng = random.Random(p * m)
+    fs = [Poly(F, [rng.randrange(p) for _ in range(m)]) for _ in range(2)]
+    gs = [Poly(F, [rng.randrange(p) for _ in range(m)]) for _ in range(2)]
+    rep = build_restriction_rep(p, q, fs, gs, alpha=alpha)
+    over_K = build_V(HeisenbergAlgebra(2, K), ModuleParams(
+        alpha, [f(alpha) for f in fs], [g(alpha) for g in gs]))
+    assert rep.dim == p**2 * m
+    for got, entries in zip(rep.gen_matrices(), over_K.gen_matrices()):
+        assert got == oracle_restriction(alpha, entries)
 
 
 def test_regular_matrix_is_a_ring_homomorphism():
