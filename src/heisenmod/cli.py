@@ -154,8 +154,17 @@ def _check_rank(args, n: int):
         raise UsageError(f"build {args.kind} builds rank {n}, not --n {args.n}")
 
 
+# the flags each kind reads besides --p, --q and --out
+_BUILD_FLAGS = {"V": "n alpha betas gammas", "standard": "n", "companion": "n alpha betas f",
+                "restriction": "m n f g", "M": "alpha betas", "D": "alpha deltas"}
+
+
 def _cmd_build(args) -> tuple[int, str]:
     kind = args.kind
+    unread = [f"--{name}" for name in "n m alpha betas gammas deltas f g".split()
+              if name not in _BUILD_FLAGS[kind].split() and getattr(args, name) is not None]
+    if unread:
+        raise UsageError(f"build {kind} does not read {', '.join(unread)}")
     if kind == "V":
         _require(args, ["alpha", "betas", "gammas"], "build V")
         field = _build_field(args)

@@ -588,8 +588,9 @@ def _divide(field: Field, codec: RowCodec, R: int, length: int, divisor: int,
             n: int, lead: int) -> tuple[list[int], int]:
     """R, packed of length entries, divided by the packed divisor of degree
     n and leading code lead: (quotient codes, packed remainder of n entries,
-    not canonical).  A quotient coefficient is one read and one multiply-add,
-    so codec must hold n + 2 products; the entries cleared are masked off."""
+    not canonical).  A quotient coefficient is one read and one multiply-add.
+    A slot holds its digit of R and at most n multiply-adds, so codec must
+    hold n + 1 products; the entries cleared are masked off."""
     bits, read, minus, ilc = codec.bits, codec.read, codec.minus, field.inv(lead)
     quo = [0] * max(length - n, 0)
     for k in range(length - n - 1, -1, -1):
@@ -702,7 +703,7 @@ class Poly:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         field, a, b, n = self.field, self.coeffs, other.coeffs, other.degree
-        codec = field.row_codec[n + 2]
+        codec = field.row_codec[n + 1]
         quo, rem = _divide(field, codec, codec.pack(a), len(a), codec.pack(b), n, b[-1])
         return Poly._raw(field, quo), Poly._raw(field, codec.unpack(rem, n))
 

@@ -9,14 +9,18 @@ diagonal and ones on the subdiagonal.  Matrix data is a flat row-major list
 of element codes.
 
 A Matrix is immutable after construction: build its entry list first and
-construct the Matrix last, since products cache its packed rows and columns.
+construct the Matrix last: products cache its packed rows, columns and multiples.
 
 One packed-row kernel (heisenmod.fields.RowCodec) serves sums, products,
 apply, elimination and Echelon; a whole row is one integer.  Row i of A*B
 is one sum(map(operator.mul, packed entries of row i of A, packed rows of
-B)); apply(v), and column j of a product with fewer columns than rows or
-with at most one nonzero entry of B in eight, is the same sum over A's
-packed columns, B's zeros skipped; each product is unpacked once.
+B)); from B's second product on, if q - 1 <= its rows and they fit in 8 MB,
+it is one sum(map(operator.getitem, B's cached multiples elem[c] * row of
+each row, codes of row i of A)), with no multiply (level-1 grease, Parker
+1984).
+apply(v), and column j of a product with fewer columns than rows or with at
+most one nonzero entry of B in eight, is the same sum over A's packed
+columns, B's zeros skipped; each product is unpacked once.
 Echelon is a semi-echelon basis: each stored row is canonical, 1 at its
 pivot (its first nonzero entry, at the lowest set bit) and 0 at the pivot of
 every earlier row, and never changes after insertion, so reducing a vector
@@ -50,9 +54,12 @@ from .errors import (
 )
 from .fields import Field, FieldElem, Poly
 
+_ROW_TABLE_BITS = 1 << 26  # 8 MB; a row table is q times its matrix's packed rows
+
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data", "_packed_rows", "_packed_cols")
+    __slots__ = ("field", "rows", "cols", "data", "_packed_rows", "_packed_cols",
+                 "_row_table")
 
     def __init__(self, field: Field, rows: int, cols: int, data: Sequence[int]):
         if len(data) != rows * cols:
@@ -63,9 +70,10 @@ class Matrix:
         self.data = list(data)
         self._packed_rows: Optional[list[int]] = None
         self._packed_cols: Optional[list[int]] = None
+        self._row_table: Optional[list[list[int]]] = None
 
     def __reduce__(self):
-        # the packed caches are rebuilt on first use
+        # the packed caches and the row table are rebuilt on use
         return (Matrix, (self.field, self.rows, self.cols, self.data))
 
     # -- constructors -------------------------------------------------------
@@ -125,8 +133,9 @@ class Matrix:
         """The scalar c if self == c*I, else None."""
         if self.rows != self.cols or self.rows == 0:
             return None
-        c = self.data[0]
-        if self.data != Matrix.scalar(self.field, self.rows, c).data:
+        # c at all n diagonal entries and a zero at every other entry
+        n, data, c = self.rows, self.data, self.data[0]
+        if data[:: n + 1].count(c) != n or data.count(0) != n * n - (n if c else 0):
             return None
         return FieldElem(self.field, c)
 
@@ -198,9 +207,12 @@ class Matrix:
             for j in range(k):
                 data[j::k] = flat[j * n : (j + 1) * n]
         else:
-            rows, entries, c = other._rows_packed(), codec.scalars(self.data), self.cols
-            sums = [sum(map(operator.mul, entries[i * c : (i + 1) * c], rows))
-                    for i in range(n)]
+            c, table = self.cols, other._scaled_rows()
+            if table is None:
+                table, terms, op = other._rows_packed(), codec.scalars(self.data), operator.mul
+            else:
+                terms, op = self.data, operator.getitem
+            sums = [sum(map(op, table, terms[i * c : (i + 1) * c])) for i in range(n)]
             data = codec.unpack(codec.join(sums, k), n * k)
         return Matrix(self.field, n, k, data)
 
@@ -253,6 +265,18 @@ class Matrix:
             pack = self.field.row_codec[self.rows].pack
             self._packed_rows = list(map(pack, self.row_lists()))
         return self._packed_rows
+
+    def _scaled_rows(self) -> Optional[list[list[int]]]:
+        """table[j][c] = elem[c] * packed row j, cached, built once an earlier
+        product packed the rows, q - 1 <= rows and it fits; else None."""
+        q = self.field.order
+        if self._row_table is None and self._packed_rows is not None and q <= self.rows + 1:
+            codec = self.field.row_codec[self.rows]
+            if q * self.rows * self.cols * codec.bits <= _ROW_TABLE_BITS:
+                elem = codec.elem
+                self._row_table = [[elem[c] * row for c in range(q)]
+                                   for row in self._packed_rows]
+        return self._row_table
 
     def _columns_packed(self) -> list[int]:
         """The columns, each one integer, for the inner length cols, cached."""

@@ -263,10 +263,9 @@ MUTANTS = (
     Mutant(
         "Poly division uses a codec one product too narrow",
         "heisenmod/fields.py",
-        "        codec = field.row_codec[n + 2]\n        quo, rem",
         "        codec = field.row_codec[n + 1]\n        quo, rem",
-        ("tests/test_fields.py::test_packed_poly_arithmetic_at_largest_codes",
-         "tests/test_fields.py::test_packed_poly_arithmetic_matches_the_oracle"),
+        "        codec = field.row_codec[n]\n        quo, rem",
+        ("tests/test_fields.py::test_poly_division_at_the_slot_steps",),
     ),
     Mutant(
         "the primitive-element search starts at 2",
@@ -320,6 +319,37 @@ MUTANTS = (
         "lambda: (sub_of(a), f)",
         "None",
         ("tests/test_modules.py::test_inherited_kernel_lines_keep_the_gain",),
+    ),
+    Mutant(
+        "the row table's entry c is elem[c - 1] times the row",
+        "heisenmod/matrices.py",
+        "[elem[c] * row for c in range(q)]",
+        "[elem[c - 1] * row for c in range(q)]",
+        ("tests/test_matrices.py::test_reused_right_factor_matches_the_oracle",
+         "tests/test_matrices.py::test_product_at_largest_codes_has_no_slot_carry"),
+    ),
+    Mutant(
+        "the row table's entry 1 is zero",
+        "heisenmod/matrices.py",
+        "[elem[c] * row for c in range(q)]",
+        "[elem[c] * row if c != 1 else 0 for c in range(q)]",
+        ("tests/test_matrices.py::test_reused_right_factor_matches_the_oracle",
+         "tests/test_matrices.py::test_row_table_needs_q_minus_one_rows"),
+    ),
+    Mutant(
+        "a product reads A's row i shifted by one entry",
+        "heisenmod/matrices.py",
+        "terms[i * c : (i + 1) * c]",
+        "terms[i * c + 1 : (i + 1) * c + 1]",
+        ("tests/test_matrices.py::test_reused_right_factor_matches_the_oracle",
+         "tests/test_matrices.py::test_product_at_largest_codes_has_no_slot_carry"),
+    ),
+    Mutant(
+        "a row table is built past its size bound",
+        "heisenmod/matrices.py",
+        "codec.bits <= _ROW_TABLE_BITS",
+        "codec.bits <= 2 * _ROW_TABLE_BITS",
+        ("tests/test_matrices.py::test_row_table_stays_within_its_size_bound",),
     ),
 )
 

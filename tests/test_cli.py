@@ -177,6 +177,43 @@ def test_build_rank_comes_from_the_parameters(cli):
     assert code == 0 and decode_representation(json.loads(out)).dim == 3
 
 
+BUILD_ARGS = {  # a valid build of each kind over GF(2), and the flags it reads
+    "V": (["--alpha", "1", "--betas", "0", "--gammas", "1"],
+          {"q", "n", "alpha", "betas", "gammas"}),
+    "standard": ([], {"q", "n"}),
+    "companion": (["--alpha", "1", "--betas", "0", "--f", "1,1,1"],
+                  {"q", "n", "alpha", "betas", "f"}),
+    "restriction": (["--m", "2", "--f", "0,1", "--g", "1"], {"q", "m", "n", "f", "g"}),
+    "M": (["--alpha", "1", "--betas", "0"], {"q", "alpha", "betas"}),
+    "D": (["--alpha", "1", "--deltas", "1"], {"q", "alpha", "deltas"}),
+}
+
+
+@pytest.mark.parametrize("kind", BUILD_ARGS)
+def test_build_refuses_flags_its_kind_does_not_read(cli, kind):
+    # a flag the kind would ignore is an error, not a silent default
+    base, reads = BUILD_ARGS[kind]
+    argv = ["build", kind, "--p", "2", *base]
+    code, out, err = cli(argv)
+    assert code == 0 and out and err == ""
+    unread = {"n", "m", "alpha", "betas", "gammas", "deltas", "f", "g"} - reads
+    for flag in sorted(unread):
+        code, out, err = cli(argv + [f"--{flag}", "1"])
+        assert code == 2 and out == ""
+        assert err == f"error: build {kind} does not read --{flag}\n"
+
+
+def test_build_reports_every_unread_flag(cli):
+    code, out, err = cli(["build", "M", "--p", "3", "--n", "5", "--alpha", "1",
+                          "--betas", "0"])
+    assert (code, out, err) == (2, "", "error: build M does not read --n\n")
+    code, out, err = cli(["build", "V", "--p", "2", "--m", "2", "--alpha", "1",
+                          "--betas", "0", "--gammas", "1"])
+    assert (code, out, err) == (2, "", "error: build V does not read --m\n")
+    code, out, err = cli(["build", "standard", "--p", "2", "--f", "1,1", "--g", "1"])
+    assert (code, out, err) == (2, "", "error: build standard does not read --f, --g\n")
+
+
 def test_degree_one_moduli_build(cli):
     code, out, _ = cli(["suite", "cor23", "--p", "2,3", "--m", "1", "--json"])
     assert code == 0

@@ -306,6 +306,32 @@ def test_packed_poly_arithmetic_at_largest_codes(spec):
             assert divmod(a, b) == oracle_poly_divmod(a, b)
 
 
+def slot_step(field):
+    """The least inner whose codec has wider slots than inner - 1's."""
+    return next(k for k in itertools.count(2)
+                if field.row_codec[k].bits > field.row_codec[k - 1].bits)
+
+
+@pytest.mark.parametrize("spec", POLY_FIELDS, ids=str)
+def test_poly_division_at_the_slot_steps(spec):
+    # a divisor of degree n needs slots for n + 1 products: a quotient
+    # coefficient is read from its dividend digit and at most n earlier
+    # multiply-adds.  At the degrees where n + 1 or n + 2 products first
+    # take wider slots, a divisor of largest codes and quotients of ones,
+    # of largest codes and of random codes fill the slots read as far as
+    # they go; over GF(7) at n = 7 a slot of one byte would overflow.
+    field = field_of(spec)
+    top, rng = field.order - 1, random.Random(f"{spec}-steps")
+    step = slot_step(field)
+    for n in sorted({step - 2, step - 1} - {-1}):
+        b = Poly(field, [top] * (n + 1))
+        rem = Poly(field, [top] * n)
+        for quo in ([1] * 12, [top] * 12, [rng.randrange(field.order) for _ in range(12)]):
+            quo = Poly(field, quo)
+            a = quo * b + rem
+            assert divmod(a, b) == oracle_poly_divmod(a, b) == (quo, rem)
+
+
 def test_poly_gcd_properties():
     rng = random.Random(4)
     field = GF(3)

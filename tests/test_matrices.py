@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisenmod import matrices
 from heisenmod import (
     GF,
     DoesNotSplit,
@@ -295,6 +296,12 @@ def test_product_at_largest_codes_has_no_slot_carry(spec, inner):
     b = Matrix(field, inner, 2, [top] * (inner * 2))
     assert a * b == oracle_matmul(a, b)
     assert a.apply([top] * inner) == oracle_apply(a, [top] * inner)
+    # B as wide as A is tall takes the row path, and its second product the
+    # table of multiples wherever q - 1 <= inner
+    b = Matrix(field, inner, 3, [top] * (inner * 3))
+    want = oracle_matmul(a, b)
+    assert a * b == want and a * b == want
+    assert (b._row_table is not None) == (top <= inner)
 
 
 def slot_digit_codes(field, R, n, size):
@@ -415,10 +422,77 @@ def test_packed_cache_stays_out_of_equality_hash_and_pickle():
     assert a * pickle.loads(pickle.dumps(b)) == prod
 
 
-@pytest.mark.parametrize("spec", [(7, 1), (5, 2)], ids=str)
+# GF(2), GF(3), GF(4), GF(8) and GF(25): a right factor with at least q - 1
+# rows keeps its rows' multiples from its second product on
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("spec", TABLE_FIELDS, ids=str)
+def test_reused_right_factor_matches_the_oracle(spec):
+    # a 1-row, a square and a tall left factor, in every order, as the 1st,
+    # 2nd and 3rd product by one right factor; every product takes the row
+    # path, the first with packed rows and the others with the table
+    field = field_of(spec)
+    rng = random.Random(f"{spec}-reused")
+    inner = max(field.order - 1, 5)
+    b_data = [rng.randrange(field.order) for _ in range(inner * (inner + 3))]
+    lefts = [rand_matrix(field, rows, inner, rng) for rows in (1, inner, inner + 3)]
+    want = [oracle_matmul(a, Matrix(field, inner, inner + 3, b_data)) for a in lefts]
+    for order in itertools.permutations(range(3)):
+        b = Matrix(field, inner, inner + 3, b_data)
+        for count, i in enumerate(order):
+            assert lefts[i] * b == want[i]
+            assert (b._row_table is None) == (count == 0)
+            assert b._packed_cols is None
+
+
+@pytest.mark.parametrize("spec", [(3, 1), (5, 1), (2, 3), (5, 2)], ids=str)
+def test_row_table_needs_q_minus_one_rows(spec):
+    # a right factor of q - 1 rows gets a table at its second product, one
+    # of q - 2 rows none
+    field = field_of(spec)
+    rng = random.Random(f"{spec}-rows")
+    for rows, table in ((field.order - 1, True), (field.order - 2, False)):
+        a = rand_matrix(field, rows + 1, rows, rng)
+        b = rand_matrix(field, rows, rows + 2, rng)
+        want = oracle_matmul(a, b)
+        assert a * b == want and b._row_table is None
+        assert a * b == want and (b._row_table is not None) == table
+
+
+def test_row_table_stays_within_its_size_bound(monkeypatch):
+    # a table of more bits than the bound is never built, and products by
+    # its matrix keep the packed rows
+    field = ext(2, 2)
+    rng = random.Random(10)
+    a, data = rand_matrix(field, 4, 4, rng), [rng.randrange(4) for _ in range(24)]
+    bits = field.order * 4 * 6 * field.row_codec[4].bits
+    want = oracle_matmul(a, Matrix(field, 4, 6, data))
+    for bound, built in ((bits, True), (bits - 1, False)):
+        monkeypatch.setattr(matrices, "_ROW_TABLE_BITS", bound)
+        b = Matrix(field, 4, 6, data)
+        assert a * b == want and a * b == want and a * b == want
+        assert (b._row_table is not None) == built
+
+
+def test_row_table_stays_out_of_pickle():
+    field = ext(2, 2)
+    rng = random.Random(9)
+    a, b = rand_matrix(field, 4, 4, rng), rand_matrix(field, 4, 5, rng)
+    prod = a * b
+    assert a * b == prod and b._row_table is not None
+    restored = pickle.loads(pickle.dumps(b))
+    assert restored == b
+    assert restored._row_table is None and restored._packed_rows is None
+    assert a * restored == prod and restored._row_table is None
+    assert a * restored == prod and restored._row_table is not None
+
+
+@pytest.mark.parametrize("spec", [(7, 1), (5, 2), (5, 1)], ids=str)
 def test_product_and_apply_make_no_scalar_field_calls(spec, monkeypatch):
     # one arithmetic path: products and apply run on packed rows only, never
-    # on the field's per-element closures
+    # on the field's per-element closures; over GF(5) the second a * b reads
+    # b's table of multiples
     field = field_of(spec)
     rng = random.Random(8)
     a = rand_matrix(field, 5, 4, rng)
@@ -436,6 +510,7 @@ def test_product_and_apply_make_no_scalar_field_calls(spec, monkeypatch):
 
         monkeypatch.setattr(field, name, counting)
     assert (a * b, a * narrow, a.apply(v)) == want
+    assert a * b == want[0]
     assert not calls
 
 
@@ -584,6 +659,26 @@ def test_is_scalar():
     assert Matrix.identity(field, 3).is_scalar() == field.one()
     assert jordan_block(field, 2, 3).is_scalar() is None
     assert Matrix(field, 2, 3, [0] * 6).is_scalar() is None
+
+
+def test_is_scalar_agrees_with_comparing_to_a_scalar_matrix():
+    def built(m):  # the scalar c if m equals the scalar matrix of its (0, 0) entry
+        if m.rows != m.cols or m.rows == 0:
+            return None
+        c = m.data[0]
+        return FieldElem(m.field, c) if m == Matrix.scalar(m.field, m.rows, c) else None
+
+    field = GF(5)
+    cases = [Matrix.zeros(field, 3, 3), Matrix.scalar(field, 3, 2),
+             Matrix(field, 3, 3, [1, 0, 0, 0, 2, 0, 0, 0, 3]),  # diagonal, not scalar
+             Matrix(field, 2, 2, [2, 0, 0, 0]), Matrix(field, 2, 2, [0, 0, 0, 2]),
+             Matrix(field, 2, 2, [2, 2, 0, 2]), Matrix(field, 2, 2, [0, 1, 0, 0]),
+             Matrix(field, 0, 0, []), Matrix.zeros(field, 2, 3), Matrix.zeros(field, 3, 2),
+             Matrix(field, 1, 2, [3, 0])]
+    cases += [Matrix(field, 1, 1, [c]) for c in range(5)]
+    for m in cases:
+        assert m.is_scalar() == built(m), m
+    assert Matrix.zeros(field, 3, 3).is_scalar() == field.zero()
 
 
 # -- elimination --------------------------------------------------------------
