@@ -10,6 +10,11 @@ ascending coefficient lists over extensions; list-valued flags separate
 entries with commas outside brackets.  Polynomial flags take ascending
 comma-separated coefficient lists.
 
+A command refuses any input it does not read, with exit 2: `_BUILDS`
+states the flags each build kind requires and may also read, analyze
+reads --seed only where it samples (irreducible, series), and a suite
+reads only the ranges its entry in heisenmod.suites declares.
+
 Each command imports only the layers it uses, since start-up is most of a
 command's time: heisenmod.modules loads only for the irreducible, series
 and uniserial actions, and heisenmod.suites only for the suite command.
@@ -45,6 +50,7 @@ from .heisenberg import (
     invariants,
     validate_rep,
 )
+from .matrices import Matrix
 from .serialize import (
     decode_representation,
     encode_elem,
@@ -130,12 +136,6 @@ def _int_list(text: str) -> list[int]:
     return [_parse_int(tok) for tok in text.split(",")]
 
 
-def _require(args, names: list[str], context: str):
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise UsageError(f"{context} requires {', '.join(missing)}")
-
-
 # -- build ------------------------------------------------------------------
 
 
@@ -148,81 +148,70 @@ def _build_field(args) -> Field:
     return GF(args.p) if args.q is None else make_extension(args.p, _modulus(args))
 
 
-def _check_rank(args, n: int):
-    """UsageError when --n is given and is not the rank n that is built."""
-    if args.n not in (None, n):
-        raise UsageError(f"build {args.kind} builds rank {n}, not --n {args.n}")
+def _beta(args, field: Field) -> FieldElem:
+    """The one scalar of --betas."""
+    betas = _elem_list(field, args.betas, "--betas")
+    if len(betas) != 1:
+        raise UsageError(f"build {args.kind} takes exactly one beta")
+    return betas[0]
 
 
-# the flags each kind reads besides --p, --q and --out
-_BUILD_FLAGS = {"V": "n alpha betas gammas", "standard": "n", "companion": "n alpha betas f",
-                "restriction": "m n f g", "M": "alpha betas", "D": "alpha deltas"}
+def _build_V(args, field: Field):
+    params = ModuleParams(
+        _elem(field, args.alpha, "--alpha"),
+        _elem_list(field, args.betas, "--betas"),
+        _elem_list(field, args.gammas, "--gammas"),
+    )
+    return build_V(HeisenbergAlgebra(params.n, field), params)
+
+
+def _build_restriction(args, _):
+    """A module over GF(p); the field of --q is the extension it restricts."""
+    if args.q is None and args.m is None:
+        raise UsageError("build restriction requires --q or --m")
+    prime = GF(args.p)
+    q = find_irreducible(args.p, args.m) if args.q is None else _modulus(args)
+    return build_restriction_rep(
+        args.p, q, [_poly(prime, args.f, "--f")], [_poly(prime, args.g, "--g")]
+    )
+
+
+# kind: (the flags it requires, the flags it may also read besides --p, --q
+# and --out, its builder (args, field) -> Representation or Matrix); a
+# representation's rank is the rank built, which --n may only repeat
+_BUILDS = {
+    "V": ("alpha betas gammas", "n", _build_V),
+    "standard": ("", "n", lambda args, field: build_standard(
+        HeisenbergAlgebra(1 if args.n is None else args.n, field))),
+    "companion": ("alpha betas f", "n", lambda args, field: build_companion_rep(
+        _elem(field, args.alpha, "--alpha"), _beta(args, field),
+        _poly(field, args.f, "--f"))),
+    "restriction": ("f g", "m n", _build_restriction),
+    "M": ("alpha betas", "", lambda args, field: build_M(
+        args.p, _elem(field, args.alpha, "--alpha"), _beta(args, field))),
+    "D": ("alpha deltas", "", lambda args, field: build_D(
+        args.p, _elem(field, args.alpha, "--alpha"),
+        _elem_list(field, args.deltas, "--deltas"))),
+}
 
 
 def _cmd_build(args) -> tuple[int, str]:
     kind = args.kind
-    unread = [f"--{name}" for name in "n m alpha betas gammas deltas f g".split()
-              if name not in _BUILD_FLAGS[kind].split() and getattr(args, name) is not None]
+    needs, also, builder = _BUILDS[kind]
+    reads = f"command kind p q out {needs} {also}".split()
+    unread = [f"--{name}" for name, value in vars(args).items()
+              if value is not None and name not in reads]
     if unread:
         raise UsageError(f"build {kind} does not read {', '.join(unread)}")
-    if kind == "V":
-        _require(args, ["alpha", "betas", "gammas"], "build V")
-        field = _build_field(args)
-        params = ModuleParams(
-            _elem(field, args.alpha, "--alpha"),
-            _elem_list(field, args.betas, "--betas"),
-            _elem_list(field, args.gammas, "--gammas"),
-        )
-        _check_rank(args, params.n)
-        rep = build_V(HeisenbergAlgebra(params.n, field), params)
-        return 0, json.dumps(encode_representation(rep))
-    if kind == "standard":
-        field = _build_field(args)
-        n = 1 if args.n is None else args.n
-        rep = build_standard(HeisenbergAlgebra(n, field))
-        return 0, json.dumps(encode_representation(rep))
-    if kind == "companion":
-        _require(args, ["alpha", "betas", "f"], "build companion")
-        _check_rank(args, 1)
-        field = _build_field(args)
-        betas = _elem_list(field, args.betas, "--betas")
-        if len(betas) != 1:
-            raise UsageError("build companion takes exactly one beta")
-        rep = build_companion_rep(
-            _elem(field, args.alpha, "--alpha"),
-            betas[0],
-            _poly(field, args.f, "--f"),
-        )
-        return 0, json.dumps(encode_representation(rep))
-    if kind == "restriction":
-        _require(args, ["f", "g"], "build restriction")
-        if args.q is None and args.m is None:
-            raise UsageError("build restriction requires --q or --m")
-        _check_rank(args, 1)
-        prime = GF(args.p)
-        q = find_irreducible(args.p, args.m) if args.q is None else _modulus(args)
-        rep = build_restriction_rep(
-            args.p, q, [_poly(prime, args.f, "--f")],
-            [_poly(prime, args.g, "--g")],
-        )
-        return 0, json.dumps(encode_representation(rep))
-    if kind == "M":
-        _require(args, ["alpha", "betas"], "build M")
-        field = _build_field(args)
-        betas = _elem_list(field, args.betas, "--betas")
-        if len(betas) != 1:
-            raise UsageError("build M takes exactly one beta")
-        mat = build_M(args.p, _elem(field, args.alpha, "--alpha"), betas[0])
-        return 0, json.dumps(encode_matrix(mat))
-    # D, the last of the parser's choices
-    _require(args, ["alpha", "deltas"], "build D")
-    field = _build_field(args)
-    mat = build_D(
-        args.p,
-        _elem(field, args.alpha, "--alpha"),
-        _elem_list(field, args.deltas, "--deltas"),
-    )
-    return 0, json.dumps(encode_matrix(mat))
+    missing = [f"--{name}" for name in needs.split() if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"build {kind} requires {', '.join(missing)}")
+    built = builder(args, _build_field(args))
+    if isinstance(built, Matrix):
+        return 0, json.dumps(encode_matrix(built))
+    if args.n not in (None, built.n):
+        raise UsageError(f"build {kind} builds rank {built.n}, not --n {args.n}")
+    return 0, json.dumps(encode_representation(built))
 
 
 # -- analyze -------------------------------------------------------------------
@@ -242,8 +231,10 @@ def _read_representation(args):
 
 
 def _cmd_analyze(args) -> tuple[int, str]:
-    rep = _read_representation(args)
     action = args.action
+    if args.seed is not None and action not in ("irreducible", "series"):
+        raise UsageError(f"analyze {action} does not read --seed")
+    rep = _read_representation(args)
     if action == "validate":
         report = validate_rep(rep)
         payload = {
@@ -278,7 +269,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
     from .modules import composition_series, is_irreducible, is_uniserial
 
     if action == "irreducible":
-        result = is_irreducible(rep, seed=args.seed)
+        result = is_irreducible(rep, seed=args.seed or 0)
         if result.irreducible:
             return 0, json.dumps({"irreducible": True})
         payload = {
@@ -287,7 +278,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
         }
         return 1, json.dumps(payload)
     if action == "series":
-        series = composition_series(rep, seed=args.seed)
+        series = composition_series(rep, seed=args.seed or 0)
         return 0, json.dumps(encode_series(series))
     answer = is_uniserial(rep)  # the last of the parser's choices
     return (0 if answer else 1), json.dumps({"uniserial": answer})
@@ -299,14 +290,8 @@ def _cmd_analyze(args) -> tuple[int, str]:
 def _cmd_suite(args) -> tuple[int, str]:
     from .suites import run_suite
 
-    report = run_suite(
-        args.name,
-        p=_int_list(args.p) if args.p else None,
-        n=_int_list(args.n) if args.n else None,
-        m=_int_list(args.m) if args.m else None,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    ranges = {k: _int_list(v) for k in "pnm" if (v := getattr(args, k)) is not None}
+    report = run_suite(args.name, seed=args.seed, jobs=args.jobs, **ranges)
     text = json.dumps(report.to_json()) if args.json else report.render()
     return (0 if report.ok else 1), text
 
@@ -325,9 +310,7 @@ def _parser() -> argparse.ArgumentParser:
     build = sub.add_parser(
         "build", help="construct a representation or matrix, emit JSON"
     )
-    build.add_argument(
-        "kind", choices=["V", "standard", "companion", "restriction", "M", "D"]
-    )
+    build.add_argument("kind", choices=list(_BUILDS))
     build.add_argument("--p", type=int, required=True, help="characteristic")
     build.add_argument("--n", type=int, help="rank of standard (default 1);"
                        " V takes it from --betas, companion and restriction build 1")
@@ -360,7 +343,8 @@ def _parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--in", dest="infile", help="read JSON from a file instead of stdin"
     )
-    analyze.add_argument("--seed", type=int, default=0)
+    analyze.add_argument("--seed", type=int, help="sampling seed of irreducible"
+                         " and series (default 0)")
     analyze.add_argument("--out", help="write output to a file")
 
     suite = sub.add_parser("suite", help="run a named verification suite")

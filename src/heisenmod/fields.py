@@ -744,12 +744,13 @@ class Poly:
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor; gcd(0, 0) = 0.  Euclid's loop on
         packed rows: each remainder is made canonical, so its degree is that
-        of its highest set bit; only the last divisor is unpacked."""
+        of its highest set bit; only the last divisor is unpacked.  No divisor
+        exceeds deg b, so a slot sums deg b + 1 products, as in divmod."""
         self._check(other)
         a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
         if len(b) < 2:  # a nonzero constant leaves 1, zero the monic other
             return Poly._raw(self.field, [1] if b else list(a)).monic()
-        codec = self.field.row_codec[len(b) + 1]
+        codec = self.field.row_codec[len(b)]
         A, la, B, n, lead = codec.pack(a), len(a), codec.pack(b), len(b) - 1, b[-1]
         while n:
             R = codec.canon(_divide(self.field, codec, A, la, B, n, lead)[1], n)

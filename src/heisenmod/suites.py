@@ -7,11 +7,13 @@ the primitive inputs that reproduce it.  Randomized inputs always derive
 from the suite seed, so reruns are bit-identical.
 
 A suite is one `_SUITES` entry (anchor, default ranges, case builder)
-plus its case function, which every built case carries itself.  Cases are
-independent and dispatch to a pool of min(jobs, cases, CPUs) processes
-when that is above 1 (case functions pickle by reference), the only time
-the pool machinery is imported; aggregation sorts by case key, so
-scheduling order is invisible.
+plus its case function, which every built case carries itself.  The
+default ranges name the only ranges (of p, n and m) the suite reads, and
+run_suite refuses any other.  Cases are independent and dispatch to a
+pool of min(jobs, cases, CPUs) processes when that is above 1 (case
+functions pickle by reference), the only time the pool machinery is
+imported; aggregation sorts by case key, so scheduling order is
+invisible.
 """
 
 from __future__ import annotations
@@ -498,8 +500,9 @@ def _run_case(args) -> CaseOutcome:
 
 
 # -- case builders ------------------------------------------------------------
-# Each takes (plist, nlist, mlist, seed) and returns (case function, key,
-# inputs) triples; an empty list means every combination was over a limit.
+# Each takes (seed, **ranges), a list for each range its suite reads, and
+# returns (case function, key, inputs) triples; an empty list means every
+# combination was over a limit.
 
 
 def _seeded(func, combos, k, key, rng, same=False) -> list:
@@ -550,168 +553,158 @@ def _per_irreducible(func, plist, rng) -> list:
     return cases
 
 
-def _build_prop21(plist, nlist, mlist, seed):
+def _build_prop21(seed, p, n):
     cases = []
-    for p in plist:
-        for n in nlist:
-            if p**n > _PROP21_MAX_DIM:
-                continue  # case cost, see _PROP21_MAX_DIM
-            if (p - 1) * p ** (2 * n) <= 64:
-                codes = _all_codes(p, n)
-            else:  # a seeded sample of 10
-                rng = random.Random(seed * 1000003 + p * 101 + n)
-                codes = [_random_codes(p, n, rng) for _ in range(10)]
-            for code in codes:
-                inputs = {"p": p, "n": n, **code}
-                cases.append((_case_prop21, _CODES_KEY.format(**inputs), inputs))
+    for p, n in itertools.product(p, n):
+        if p**n > _PROP21_MAX_DIM:
+            continue  # case cost, see _PROP21_MAX_DIM
+        if (p - 1) * p ** (2 * n) <= 64:
+            codes = _all_codes(p, n)
+        else:  # a seeded sample of 10
+            rng = random.Random(seed * 1000003 + p * 101 + n)
+            codes = [_random_codes(p, n, rng) for _ in range(10)]
+        for code in codes:
+            inputs = {"p": p, "n": n, **code}
+            cases.append((_case_prop21, _CODES_KEY.format(**inputs), inputs))
     return cases
 
 
-def _build_thm22(plist, nlist, mlist, seed):
+def _build_thm22(seed, p, n):
     cases = []
     rng = random.Random(seed)
-    for p in plist:
-        for n in nlist:
-            total = (p - 1) * p ** (2 * n)
-            if total > 250000:
-                raise ValueError(
-                    f"p={p}, n={n} gives {total} parameter tuples,"
-                    " above desk scale"
-                )
-            for code in _all_codes(p, n):
-                inputs = {"p": p, "n": n, **code, "conj_seed": None}
-                cases.append((_case_thm22, _CODES_KEY.format(**inputs), inputs))
-            for i in range(50):
-                inputs = {"p": p, "n": n, **_random_codes(p, n, rng)}
-                inputs["conj_seed"] = rng.randrange(2**32)
-                cases.append((_case_thm22, f"p={p},n={n},conjugate={i:02d}", inputs))
+    for p, n in itertools.product(p, n):
+        total = (p - 1) * p ** (2 * n)
+        if total > 250000:
+            raise ValueError(
+                f"p={p}, n={n} gives {total} parameter tuples, above desk scale"
+            )
+        for code in _all_codes(p, n):
+            inputs = {"p": p, "n": n, **code, "conj_seed": None}
+            cases.append((_case_thm22, _CODES_KEY.format(**inputs), inputs))
+        for i in range(50):
+            inputs = {"p": p, "n": n, **_random_codes(p, n, rng)}
+            inputs["conj_seed"] = rng.randrange(2**32)
+            cases.append((_case_thm22, f"p={p},n={n},conjugate={i:02d}", inputs))
     return cases
 
 
-def _build_cor24(plist, nlist, mlist, seed):
+def _build_cor24(seed, p, n):
     # p^n <= 8 stays because gate check 03 pins the 100 cases it leaves
-    combos = [{"p": p, "n": n} for p in plist for n in nlist if p**n <= 8]
+    combos = [{"p": p, "n": n} for p, n in itertools.product(p, n) if p**n <= 8]
     per_combo = max(1, round(100 / (len(combos) or 1)))
     return _seeded(_case_cor24, combos, per_combo, "p={p},n={n},pair={i:02d}",
                    random.Random(seed), same=True)
 
 
-def _build_cor25(plist, nlist, mlist, seed):
-    return _seeded(_case_cor25, [{"p": p} for p in plist],
-                   max(1, round(100 / len(plist))), "p={p},triple={i:02d}",
+def _build_cor25(seed, p):
+    return _seeded(_case_cor25, [{"p": prime} for prime in p],
+                   max(1, round(100 / len(p))), "p={p},triple={i:02d}",
                    random.Random(seed), same=True)
 
 
-def _build_sec3(plist, nlist, mlist, seed):
+def _build_sec3(seed, p, n):
     cases = []
-    for p in plist:
-        for n in nlist:
-            if n == 1:
-                for d in (2, 3):
-                    cases.append((_case_sec3_search, f"p={p},d={d}", {"p": p, "d": d}))
-            else:
-                key = f"p={p},n={n},d={n + 2}"
-                cases.append((_case_sec3_witness, key, {"p": p, "n": n}))
+    for p, n in itertools.product(p, n):
+        if n == 1:
+            for d in (2, 3):
+                cases.append((_case_sec3_search, f"p={p},d={d}", {"p": p, "d": d}))
+        else:
+            key = f"p={p},n={n},d={n + 2}"
+            cases.append((_case_sec3_witness, key, {"p": p, "n": n}))
     return cases
 
 
-def _build_sec4(plist, nlist, mlist, seed):
-    if min(mlist) < 2:  # degree 1 puts t = X at the root 0 of the modulus X
+def _build_sec4(seed, p, m):
+    if min(m) < 2:  # degree 1 puts t = X at the root 0 of the modulus X
         raise ValueError("sec4-restriction needs m >= 2")
-    return _seeded(_case_sec4, _line_capped(plist, mlist), 5,
+    return _seeded(_case_sec4, _line_capped(p, m), 5,
                    "p={p},m={m},case={i}", random.Random(seed))
 
 
-def _build_thm51(plist, nlist, mlist, seed):
+def _build_thm51(seed, p, m):
     rng = random.Random(seed)
-    minpolys = _seeded(_case_thm51_minpolys, [{"p": p} for p in plist],
-                       max(1, round(20 / len(plist))), "p={p},minpolys={i:02d}",
-                       rng)
-    irreducible = _per_irreducible(_case_thm51_irreducible, plist, rng)
+    minpolys = _seeded(_case_thm51_minpolys, [{"p": prime} for prime in p],
+                       max(1, round(20 / len(p))), "p={p},minpolys={i:02d}", rng)
+    irreducible = _per_irreducible(_case_thm51_irreducible, p, rng)
     return minpolys + irreducible + _seeded(
-        _case_thm51_uniserial, _line_capped(plist, mlist), 3,
+        _case_thm51_uniserial, _line_capped(p, m), 3,
         "p={p},m={m},uniserial={i}", rng,
     )
 
 
 class _Suite(NamedTuple):
     anchor: str  # the statement the suite re-derives
-    p: list  # default ranges
-    n: list
-    m: list
-    build: Callable  # (plist, nlist, mlist, seed) -> case triples
+    ranges: dict  # the ranges the suite reads, each with its default list
+    build: Callable  # (seed, **ranges) -> case triples
 
 
 _SUITES = {
     "prop21": _Suite(
         "Prop 2.1(3): V_{alpha,beta,gamma} is a faithful irreducible"
         " module of dimension p^n with scalar central action",
-        [2, 3, 5], [1, 2], [1], _build_prop21,
+        dict(p=[2, 3, 5], n=[1, 2]), _build_prop21,
     ),
     "thm22": _Suite(
         "Thm 2.2: every faithful p^n-dimensional module is equivalent"
         " to a V_{alpha,beta,gamma}, recovered by classify",
-        [2, 3], [1, 2], [1], _build_thm22,
+        dict(p=[2, 3], n=[1, 2]), _build_thm22,
     ),
     "cor23": _Suite(
         "Cor 2.3: a faithful irreducible module has dimension p^n * m",
-        [2, 3], [1], [2, 3],
-        lambda plist, nlist, mlist, seed: _seeded(
-            _case_cor23, _line_capped(plist, mlist), 5,
-            "p={p},m={m},case={i}", random.Random(seed),
+        dict(p=[2, 3], m=[2, 3]),
+        lambda seed, p, m: _seeded(
+            _case_cor23, _line_capped(p, m), 5, "p={p},m={m},case={i}",
+            random.Random(seed),
         ),
     ),
     "cor24": _Suite(
         "Cor 2.4(3): faithful p^n-dimensional modules are isomorphic"
         " iff their invariant tuples agree",
-        [2, 3, 5], [1, 2], [1], _build_cor24,
+        dict(p=[2, 3, 5], n=[1, 2]), _build_cor24,
     ),
     "cor25": _Suite(
         "Cor 2.5: triples with [A,B] = C = alpha*I are simultaneously"
         " similar iff their determinant triples agree",
-        [3, 5], [1], [1], _build_cor25,
+        dict(p=[3, 5]), _build_cor25,
     ),
     "cor26": _Suite(
         "Cor 2.6: D is similar to the companion matrix of X^p - det(D)",
-        [2, 3, 5], [1], [1],
-        lambda plist, nlist, mlist, seed: _seeded(
-            _case_cor26, [{"p": p} for p in plist], 100, "p={p},deltas={i:03d}",
-            random.Random(seed),
+        dict(p=[2, 3, 5]),
+        lambda seed, p: _seeded(
+            _case_cor26, [{"p": prime} for prime in p], 100,
+            "p={p},deltas={i:03d}", random.Random(seed),
         ),
     ),
     "ex27": _Suite(
         "Ex 2.7: delta = (1,0,...,0) gives companion(X^2 - alpha) for"
         " p = 2 and a nilpotent D for p > 2",
-        [2, 3, 5], [1], [1],
-        lambda plist, nlist, mlist, seed: [
-            (_case_ex27, f"p={p},alpha={a}", {"p": p, "alpha": a})
-            for p in plist for a in range(1, p)
+        dict(p=[2, 3, 5]),
+        lambda seed, p: [
+            (_case_ex27, f"p={prime},alpha={a}", {"p": prime, "alpha": a})
+            for prime in p for a in range(1, prime)
         ],
     ),
     "sec3-min-dim": _Suite(
         "Sec 3: the minimum faithful dimension is n + 2, except"
         " 2 for n = 1 in characteristic 2",
-        [2, 3, 5], [1], [1], _build_sec3,
+        dict(p=[2, 3, 5], n=[1]), _build_sec3,
     ),
     "sec4-restriction": _Suite(
         "Sec 4: restriction of scalars along GF(p^m)/GF(p)"
         " preserves irreducibility under condition (C)",
-        [2, 3], [1], [2, 3],
-        _build_sec4,
+        dict(p=[2, 3], m=[2, 3]), _build_sec4,
     ),
     "thm51": _Suite(
         "Thm 5.1: companion modules realize the stated minimal"
         " polynomials; irreducible f gives an irreducible module;"
         " f = (X - gamma^p)^m gives a uniserial module with m factors",
-        [2, 3], [1], [2, 3], _build_thm51,
+        dict(p=[2, 3], m=[2, 3]), _build_thm51,
     ),
     "note52": _Suite(
         "Note 5.2: over a splitting field the companion module is a"
         " direct sum of pairwise distinct V_{alpha,beta,gamma_i}",
-        [2, 3], [1], [1],
-        lambda plist, nlist, mlist, seed: _per_irreducible(
-            _case_note52, plist, random.Random(seed)
-        ),
+        dict(p=[2, 3]),
+        lambda seed, p: _per_irreducible(_case_note52, p, random.Random(seed)),
     ),
 }
 
@@ -723,26 +716,33 @@ def suite_names() -> list[str]:
 def run_suite(name, p=None, n=None, m=None, seed=0, jobs=1) -> Report:
     """Run a named suite and aggregate its cases into a Report.
 
-    Ranges default per suite; explicit lists are validated (primes for p,
-    positive ranks and degrees).  Cases are deterministic given the seed
-    and independent, so they run on min(jobs, cases, CPUs) processes.
-    A case that raises VerificationFailed or TooLarge checked nothing, so
-    the error propagates instead of being reported as a failed case.
+    A suite reads only the ranges it declares, each by default its own
+    list; any other range given is refused, and so is a given range that
+    is empty or repeats a value; p lists primes, n and m positive numbers.
+    Cases are deterministic given the seed and independent, so they run
+    on min(jobs, cases, CPUs) processes.  A case that raises
+    VerificationFailed or TooLarge checked nothing, so the error
+    propagates instead of being reported as a failed case.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
     suite = _SUITES[name]
-    plist = list(p or suite.p)
-    nlist = list(n or suite.n)
-    mlist = list(m or suite.m)
-    for prime in plist:
+    given = {k: v for k, v in {"p": p, "n": n, "m": m}.items() if v is not None}
+    unread = [f"--{k}" for k in given if k not in suite.ranges]
+    if unread:
+        raise ValueError(f"suite {name} does not read {', '.join(unread)}")
+    ranges = {k: list(v) for k, v in {**suite.ranges, **given}.items()}
+    for k, values in ranges.items():
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"the {k} range {values} is empty or repeats a value")
+    for prime in ranges["p"]:
         if not is_prime(prime):
             raise ValueError(f"p = {prime} is not prime")
-    if any(v < 1 for v in nlist) or any(v < 1 for v in mlist):
+    if any(v < 1 for v in ranges.get("n", []) + ranges.get("m", [])):
         raise ValueError("n and m ranges must be positive")
     if jobs < 1:
         raise ValueError(f"jobs = {jobs} must be at least 1")
-    cases = suite.build(plist, nlist, mlist, seed)
+    cases = suite.build(seed, **ranges)
     if not cases:
         raise ValueError("requested ranges are above desk scale")
     workers = min(jobs, len(cases), os.cpu_count() or 1)

@@ -268,6 +268,13 @@ MUTANTS = (
         ("tests/test_fields.py::test_poly_division_at_the_slot_steps",),
     ),
     Mutant(
+        "Poly gcd uses a codec one product too narrow",
+        "heisenmod/fields.py",
+        "row_codec[len(b)]",
+        "row_codec[len(b) - 1]",
+        ("tests/test_fields.py::test_poly_gcd_at_the_slot_steps",),
+    ),
+    Mutant(
         "the primitive-element search starts at 2",
         "heisenmod/fields.py",
         "for g in range(1, q):",

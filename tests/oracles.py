@@ -69,6 +69,16 @@ def oracle_poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(field, quo), Poly(field, rem[:n])
 
 
+def oracle_poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's loop over oracle_poly_divmod; gcd(0, 0) = 0."""
+    while b.coeffs:
+        a, b = b, oracle_poly_divmod(a, b)[1]
+    if not a.coeffs:
+        return a
+    ilc = a.field.inv(a.coeffs[-1])
+    return Poly(a.field, [a.field.mul(c, ilc) for c in a.coeffs])
+
+
 def brute_pth_root(e: FieldElem) -> FieldElem:
     """The unique b with b^p = e, found by scanning the whole field."""
     p = e.field.p

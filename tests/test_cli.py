@@ -30,6 +30,7 @@ from heisenmod import (
     encode_representation,
 )
 from heisenmod.cli import main
+from test_suites import SUITE_READS
 
 
 def params_of(field, alpha, betas, gammas):
@@ -214,6 +215,16 @@ def test_build_reports_every_unread_flag(cli):
     assert (code, out, err) == (2, "", "error: build standard does not read --f, --g\n")
 
 
+def test_build_table_names_only_options_of_the_build_parser():
+    # a misspelt flag in the table would be refused by every kind, unread
+    from heisenmod.cli import _BUILDS, _parser
+
+    for kind, (needs, also, _) in _BUILDS.items():
+        for flag in f"{needs} {also}".split():
+            args = _parser().parse_args(["build", kind, "--p", "2", f"--{flag}", "1"])
+            assert getattr(args, flag) in ("1", 1), (kind, flag)
+
+
 def test_degree_one_moduli_build(cli):
     code, out, _ = cli(["suite", "cor23", "--p", "2,3", "--m", "1", "--json"])
     assert code == 0
@@ -339,6 +350,21 @@ def test_analyze_uniserial(cli):
     assert code == 1 and json.loads(out) == {"uniserial": False}
 
 
+def test_analyze_reads_seed_only_where_it_samples(cli):
+    field = GF(2)
+    v = build_V(HeisenbergAlgebra(1, field), params_of(field, 1, [0], [0]))
+    text = rep_json(direct_sum_reps([v, v]))
+    for action in ("validate", "classify", "invariants", "uniserial"):
+        code, out, err = cli(["analyze", action, "--seed", "3"], stdin_text=text)
+        assert (code, out, err) == (2, "", f"error: analyze {action} does not read --seed\n")
+    for action in ("irreducible", "series"):
+        plain = cli(["analyze", action], stdin_text=text)
+        assert plain[1] and plain[2] == ""
+        assert cli(["analyze", action, "--seed", "0"], stdin_text=text) == plain
+        code, out, err = cli(["analyze", action, "--seed", "3"], stdin_text=text)
+        assert code == plain[0] and out and err == ""
+
+
 def test_analyze_schema_diagnostics(cli):
     code, _, err = cli(["analyze", "validate"], stdin_text="not json")
     assert code == 2 and err.startswith("error at $: not valid JSON")
@@ -443,6 +469,27 @@ def test_suite_usage_errors(cli):
     for jobs in ("0", "-3"):
         code, out, err = cli(["suite", "ex27", "--jobs", jobs])
         assert code == 2 and "jobs" in err and out == ""
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_READS))
+def test_suite_refuses_the_ranges_it_does_not_read(cli, name):
+    for flag in "pnm":
+        if flag not in SUITE_READS[name]:
+            code, out, err = cli(["suite", name, f"--{flag}", "2"])
+            assert (code, out, err) == (2, "", f"error: suite {name} does not read --{flag}\n")
+
+
+def test_suite_refuses_empty_and_repeated_ranges(cli):
+    refusals = [
+        (["ex27", "--p", "2,2"], "the p range [2, 2] is empty or repeats a value"),
+        (["thm22", "--p", "2", "--n", "1,1"],
+         "the n range [1, 1] is empty or repeats a value"),
+        (["ex27", "--p", ""], "expected an integer, got ''"),
+        (["prop21", "--n", ""], "expected an integer, got ''"),
+        (["cor23", "--m", ""], "expected an integer, got ''"),
+    ]
+    for argv, text in refusals:
+        assert cli(["suite", *argv]) == (2, "", f"error: {text}\n"), argv
 
 
 # -- argparse level ----------------------------------------------------------------

@@ -29,6 +29,7 @@ from oracles import (
     brute_pth_root,
     oracle_ext_mul,
     oracle_poly_divmod,
+    oracle_poly_gcd,
     oracle_poly_mul,
     trial_division_irreducible,
 )
@@ -330,6 +331,25 @@ def test_poly_division_at_the_slot_steps(spec):
             quo = Poly(field, quo)
             a = quo * b + rem
             assert divmod(a, b) == oracle_poly_divmod(a, b) == (quo, rem)
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2), (7, 2)],
+                         ids=str)
+def test_poly_gcd_at_the_slot_steps(spec):
+    # Euclid's steps divide by divisors of degree at most deg b, so gcd's
+    # codec, like divmod's, must hold deg b + 1 products in a slot.  The
+    # inputs of test_poly_division_at_the_slot_steps, gcd'd both ways; with
+    # no remainder the gcd is b's, which a misread quotient digit would lose
+    field = field_of(spec)
+    top, rng = field.order - 1, random.Random(f"{spec}-gcd")
+    step = slot_step(field)
+    for n in sorted({step - 2, step - 1} - {-1}):
+        b = Poly(field, [top] * (n + 1))
+        for rem in ([], [top] * n, [rng.randrange(field.order) for _ in range(n)]):
+            for quo in ([1] * 12, [top] * 12,
+                        [rng.randrange(field.order) for _ in range(12)]):
+                a = Poly(field, quo) * b + Poly(field, rem)
+                assert a.gcd(b) == b.gcd(a) == oracle_poly_gcd(a, b), (n, quo)
 
 
 def test_poly_gcd_properties():

@@ -56,6 +56,42 @@ def test_every_suite_runs_green_on_a_small_slice():
         assert report.anchor  # every suite states what it certifies
 
 
+# the ranges each suite reads; README's suite table lists the same
+SUITE_READS = {
+    "prop21": "pn", "thm22": "pn", "cor23": "pm", "cor24": "pn", "cor25": "p",
+    "cor26": "p", "ex27": "p", "sec3-min-dim": "pn", "sec4-restriction": "pm",
+    "thm51": "pm", "note52": "p",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_READS))
+def test_suites_refuse_the_ranges_they_do_not_read(name):
+    unread = [r for r in "pnm" if r not in SUITE_READS[name]]
+    for r in unread:
+        with pytest.raises(ValueError, match=f"^suite {name} does not read --{r}$"):
+            run_suite(name, **{r: [2]})
+    if len(unread) == 2:
+        with pytest.raises(ValueError, match=f"^suite {name} does not read --n, --m$"):
+            run_suite(name, p=[2], n=[2], m=[2])
+
+
+def test_ranges_refuse_repeated_values_and_empty_lists():
+    # a repeat used to run its cases twice under one key, and [] meant
+    # the default range
+    refusals = [
+        ("ex27", dict(p=[2, 2]), "the p range [2, 2] is empty or repeats a value"),
+        ("thm22", dict(p=[2], n=[1, 1]),
+         "the n range [1, 1] is empty or repeats a value"),
+        ("cor23", dict(m=[3, 2, 3]),
+         "the m range [3, 2, 3] is empty or repeats a value"),
+        ("ex27", dict(p=[]), "the p range [] is empty or repeats a value"),
+        ("prop21", dict(n=[]), "the n range [] is empty or repeats a value"),
+    ]
+    for name, kwargs, text in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            run_suite(name, **kwargs)
+
+
 def test_report_json_has_exactly_the_documented_fields():
     report = run_suite("ex27", p=[2])
     doc = report.to_json()
@@ -258,3 +294,19 @@ def test_readme_suite_table_lists_exactly_the_suites():
     table = text.split("| name | checks |", 1)[1].split("\n\n", 1)[0]
     names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
     assert sorted(names) == suite_names()
+
+
+def test_readme_suite_table_lists_the_ranges_each_suite_reads():
+    from heisenmod.suites import _SUITES
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text(encoding="utf-8").split("| name | checks |", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \|.*\| `([^`]+)` \|$", table.split("\n\n", 1)[0],
+                      flags=re.MULTILINE)
+    assert sorted(name for name, _ in rows) == suite_names()
+    for name, reads in rows:
+        flags = reads.split()
+        ranges = {f.lstrip("-"): [int(v) for v in vals.split(",")]
+                  for f, vals in zip(flags[::2], flags[1::2])}
+        assert ranges == _SUITES[name].ranges, name
+        assert "".join(ranges) == SUITE_READS[name], name
