@@ -10,10 +10,11 @@ ascending coefficient lists over extensions; list-valued flags separate
 entries with commas outside brackets.  Polynomial flags take ascending
 comma-separated coefficient lists.
 
-A command refuses any input it does not read, with exit 2: `_BUILDS`
+A command refuses, with exit 2, an input it does not read: `_BUILDS`
 states the flags each build kind requires and may also read, analyze
 reads --seed only where it samples (irreducible, series), and a suite
-reads only the ranges its entry in heisenmod.suites declares.
+reads only the ranges its entry in heisenmod.suites declares.  The one
+gap: suite takes --seed even for ex27 and sec3-min-dim, which draw none.
 
 Each command imports only the layers it uses, since start-up is most of a
 command's time: heisenmod.modules loads only for the irreducible, series
@@ -145,15 +146,19 @@ def _modulus(args) -> Poly:
 
 
 def _build_field(args) -> Field:
-    return GF(args.p) if args.q is None else make_extension(args.p, _modulus(args))
+    """The field of the kind's scalar flags: GF(p), or its extension by --q
+    for every kind but restriction, whose --q is the extension it restricts."""
+    if args.q is None or args.kind == "restriction":
+        return GF(args.p)
+    return make_extension(args.p, _modulus(args))
 
 
-def _beta(args, field: Field) -> FieldElem:
-    """The one scalar of --betas."""
+def _alpha_beta(args, field: Field) -> tuple[FieldElem, FieldElem]:
+    """--alpha and the one scalar of --betas."""
     betas = _elem_list(field, args.betas, "--betas")
     if len(betas) != 1:
         raise UsageError(f"build {args.kind} takes exactly one beta")
-    return betas[0]
+    return _elem(field, args.alpha, "--alpha"), betas[0]
 
 
 def _build_V(args, field: Field):
@@ -165,11 +170,11 @@ def _build_V(args, field: Field):
     return build_V(HeisenbergAlgebra(params.n, field), params)
 
 
-def _build_restriction(args, _):
-    """A module over GF(p); the field of --q is the extension it restricts."""
-    if args.q is None and args.m is None:
-        raise UsageError("build restriction requires --q or --m")
-    prime = GF(args.p)
+def _build_restriction(args, prime: Field):
+    """A module over GF(p) from the extension of --q, or of degree --m."""
+    if (args.q is None) == (args.m is None):
+        both = "" if args.q is None else ", not both"
+        raise UsageError(f"build restriction requires --q or --m{both}")
     q = find_irreducible(args.p, args.m) if args.q is None else _modulus(args)
     return build_restriction_rep(
         args.p, q, [_poly(prime, args.f, "--f")], [_poly(prime, args.g, "--g")]
@@ -177,19 +182,19 @@ def _build_restriction(args, _):
 
 
 # kind: (the flags it requires, the flags it may also read besides --p, --q
-# and --out, its builder (args, field) -> Representation or Matrix); a
-# representation's rank is the rank built, which --n may only repeat
+# and --out, the rank it builds (None where --n sets it or is not read),
+# which --n may only repeat, and its builder (args, field))
 _BUILDS = {
-    "V": ("alpha betas gammas", "n", _build_V),
-    "standard": ("", "n", lambda args, field: build_standard(
+    "V": ("alpha betas gammas", "n",
+          lambda args: len(_split_outside_brackets(args.betas)), _build_V),
+    "standard": ("", "n", None, lambda args, field: build_standard(
         HeisenbergAlgebra(1 if args.n is None else args.n, field))),
-    "companion": ("alpha betas f", "n", lambda args, field: build_companion_rep(
-        _elem(field, args.alpha, "--alpha"), _beta(args, field),
-        _poly(field, args.f, "--f"))),
-    "restriction": ("f g", "m n", _build_restriction),
-    "M": ("alpha betas", "", lambda args, field: build_M(
-        args.p, _elem(field, args.alpha, "--alpha"), _beta(args, field))),
-    "D": ("alpha deltas", "", lambda args, field: build_D(
+    "companion": ("alpha betas f", "n", lambda args: 1, lambda args, field:
+                  build_companion_rep(*_alpha_beta(args, field), _poly(field, args.f, "--f"))),
+    "restriction": ("f g", "m n", lambda args: 1, _build_restriction),
+    "M": ("alpha betas", "", None,
+          lambda args, field: build_M(args.p, *_alpha_beta(args, field))),
+    "D": ("alpha deltas", "", None, lambda args, field: build_D(
         args.p, _elem(field, args.alpha, "--alpha"),
         _elem_list(field, args.deltas, "--deltas"))),
 }
@@ -197,7 +202,7 @@ _BUILDS = {
 
 def _cmd_build(args) -> tuple[int, str]:
     kind = args.kind
-    needs, also, builder = _BUILDS[kind]
+    needs, also, rank, builder = _BUILDS[kind]
     reads = f"command kind p q out {needs} {also}".split()
     unread = [f"--{name}" for name, value in vars(args).items()
               if value is not None and name not in reads]
@@ -206,12 +211,11 @@ def _cmd_build(args) -> tuple[int, str]:
     missing = [f"--{name}" for name in needs.split() if getattr(args, name) is None]
     if missing:
         raise UsageError(f"build {kind} requires {', '.join(missing)}")
+    if rank is not None and args.n not in (None, rank(args)):
+        raise UsageError(f"build {kind} builds rank {rank(args)}, not --n {args.n}")
     built = builder(args, _build_field(args))
-    if isinstance(built, Matrix):
-        return 0, json.dumps(encode_matrix(built))
-    if args.n not in (None, built.n):
-        raise UsageError(f"build {kind} builds rank {built.n}, not --n {args.n}")
-    return 0, json.dumps(encode_representation(built))
+    encode = encode_matrix if isinstance(built, Matrix) else encode_representation
+    return 0, json.dumps(encode(built))
 
 
 # -- analyze -------------------------------------------------------------------
@@ -240,11 +244,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
         payload = {
             "ok": report.ok,
             "faithful": report.faithful,
-            "z_scalar": (
-                encode_elem(report.z_scalar)
-                if report.z_scalar is not None
-                else None
-            ),
+            "z_scalar": None if report.z_scalar is None else encode_elem(report.z_scalar),
             "violations": list(report.violations),
         }
         return (0 if report.ok else 1), json.dumps(payload)

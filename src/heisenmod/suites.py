@@ -555,16 +555,16 @@ def _per_irreducible(func, plist, rng) -> list:
 
 def _build_prop21(seed, p, n):
     cases = []
-    for p, n in itertools.product(p, n):
-        if p**n > _PROP21_MAX_DIM:
+    for prime, rank in itertools.product(p, n):
+        if prime**rank > _PROP21_MAX_DIM:
             continue  # case cost, see _PROP21_MAX_DIM
-        if (p - 1) * p ** (2 * n) <= 64:
-            codes = _all_codes(p, n)
+        if (prime - 1) * prime ** (2 * rank) <= 64:
+            codes = _all_codes(prime, rank)
         else:  # a seeded sample of 10
-            rng = random.Random(seed * 1000003 + p * 101 + n)
-            codes = [_random_codes(p, n, rng) for _ in range(10)]
+            rng = random.Random(seed * 1000003 + prime * 101 + rank)
+            codes = [_random_codes(prime, rank, rng) for _ in range(10)]
         for code in codes:
-            inputs = {"p": p, "n": n, **code}
+            inputs = {"p": prime, "n": rank, **code}
             cases.append((_case_prop21, _CODES_KEY.format(**inputs), inputs))
     return cases
 
@@ -572,25 +572,26 @@ def _build_prop21(seed, p, n):
 def _build_thm22(seed, p, n):
     cases = []
     rng = random.Random(seed)
-    for p, n in itertools.product(p, n):
-        total = (p - 1) * p ** (2 * n)
+    for prime, rank in itertools.product(p, n):
+        total = (prime - 1) * prime ** (2 * rank)
         if total > 250000:
             raise ValueError(
-                f"p={p}, n={n} gives {total} parameter tuples, above desk scale"
+                f"p={prime}, n={rank} gives {total} parameter tuples, above desk scale"
             )
-        for code in _all_codes(p, n):
-            inputs = {"p": p, "n": n, **code, "conj_seed": None}
+        for code in _all_codes(prime, rank):
+            inputs = {"p": prime, "n": rank, **code, "conj_seed": None}
             cases.append((_case_thm22, _CODES_KEY.format(**inputs), inputs))
         for i in range(50):
-            inputs = {"p": p, "n": n, **_random_codes(p, n, rng)}
+            inputs = {"p": prime, "n": rank, **_random_codes(prime, rank, rng)}
             inputs["conj_seed"] = rng.randrange(2**32)
-            cases.append((_case_thm22, f"p={p},n={n},conjugate={i:02d}", inputs))
+            cases.append((_case_thm22, f"p={prime},n={rank},conjugate={i:02d}", inputs))
     return cases
 
 
 def _build_cor24(seed, p, n):
     # p^n <= 8 stays because gate check 03 pins the 100 cases it leaves
-    combos = [{"p": p, "n": n} for p, n in itertools.product(p, n) if p**n <= 8]
+    combos = [{"p": prime, "n": rank}
+              for prime, rank in itertools.product(p, n) if prime**rank <= 8]
     per_combo = max(1, round(100 / (len(combos) or 1)))
     return _seeded(_case_cor24, combos, per_combo, "p={p},n={n},pair={i:02d}",
                    random.Random(seed), same=True)
@@ -604,13 +605,13 @@ def _build_cor25(seed, p):
 
 def _build_sec3(seed, p, n):
     cases = []
-    for p, n in itertools.product(p, n):
-        if n == 1:
+    for prime, rank in itertools.product(p, n):
+        if rank == 1:
             for d in (2, 3):
-                cases.append((_case_sec3_search, f"p={p},d={d}", {"p": p, "d": d}))
+                cases.append((_case_sec3_search, f"p={prime},d={d}", {"p": prime, "d": d}))
         else:
-            key = f"p={p},n={n},d={n + 2}"
-            cases.append((_case_sec3_witness, key, {"p": p, "n": n}))
+            key = f"p={prime},n={rank},d={rank + 2}"
+            cases.append((_case_sec3_witness, key, {"p": prime, "n": rank}))
     return cases
 
 

@@ -178,6 +178,47 @@ def test_build_rank_comes_from_the_parameters(cli):
     assert code == 0 and decode_representation(json.loads(out)).dim == 3
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_build_refuses_a_wrong_rank_before_building(cli, monkeypatch):
+    # the rank built is read off the flags, so a refused --n builds nothing
+    import heisenmod.cli as cli_module
+
+    for name in ("build_V", "build_companion_rep", "build_restriction_rep",
+                 "make_extension", "find_irreducible"):
+        monkeypatch.setattr(cli_module, name, _must_not_run)
+    code, out, err = cli(["build", "V", "--p", "5", "--n", "1", "--alpha", "1",
+                          "--betas", "0,0,0,0,0,0", "--gammas", "0,0,0,0,0,0"])
+    assert (code, out, err) == (2, "", "error: build V builds rank 6, not --n 1\n")
+    code, out, err = cli(["build", "companion", "--p", "2", "--q", "1,1,1", "--n", "2",
+                          "--alpha", "1", "--betas", "0", "--f", "1,1,1"])
+    assert (code, out, err) == (2, "", "error: build companion builds rank 1, not --n 2\n")
+    code, out, err = cli(["build", "restriction", "--p", "2", "--m", "2", "--n", "2",
+                          "--f", "0,1", "--g", "1"])
+    assert (code, out, err) == (2, "", "error: build restriction builds rank 1, not --n 2\n")
+
+
+def test_build_restriction_reads_q_or_m_and_leaves_the_extension_to_its_builder(
+    cli, monkeypatch
+):
+    import heisenmod.cli as cli_module
+
+    base = ["build", "restriction", "--p", "2", "--f", "0,1", "--g", "1"]
+    code, out, err = cli(base + ["--q", "1,1,1", "--m", "3"])
+    assert (code, out, err) == (
+        2, "", "error: build restriction requires --q or --m, not both\n")
+    code, out, err = cli(base)
+    assert (code, out, err) == (2, "", "error: build restriction requires --q or --m\n")
+    # --q is the extension restricted, not the field of --f and --g, so
+    # the front end leaves building it (and testing q) to the library
+    monkeypatch.setattr(cli_module, "make_extension", _must_not_run)
+    code, out, err = cli(base + ["--q", "1,1,1"])
+    assert code == 0 and err == ""
+    assert decode_representation(json.loads(out)).dim == 4
+
+
 BUILD_ARGS = {  # a valid build of each kind over GF(2), and the flags it reads
     "V": (["--alpha", "1", "--betas", "0", "--gammas", "1"],
           {"q", "n", "alpha", "betas", "gammas"}),
@@ -219,7 +260,7 @@ def test_build_table_names_only_options_of_the_build_parser():
     # a misspelt flag in the table would be refused by every kind, unread
     from heisenmod.cli import _BUILDS, _parser
 
-    for kind, (needs, also, _) in _BUILDS.items():
+    for kind, (needs, also, *_) in _BUILDS.items():
         for flag in f"{needs} {also}".split():
             args = _parser().parse_args(["build", kind, "--p", "2", f"--{flag}", "1"])
             assert getattr(args, flag) in ("1", 1), (kind, flag)
