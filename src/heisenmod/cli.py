@@ -146,8 +146,7 @@ def _modulus(args) -> Poly:
 
 
 def _build_field(args) -> Field:
-    """The field of the kind's scalar flags: GF(p), or its extension by --q
-    for every kind but restriction, whose --q is the extension it restricts."""
+    """The field of the scalar flags: GF(p) for restriction, else that of --q."""
     if args.q is None or args.kind == "restriction":
         return GF(args.p)
     return make_extension(args.p, _modulus(args))
@@ -244,7 +243,11 @@ def _cmd_analyze(args) -> tuple[int, str]:
         payload = {
             "ok": report.ok,
             "faithful": report.faithful,
-            "z_scalar": None if report.z_scalar is None else encode_elem(report.z_scalar),
+            "z_scalar": (
+                encode_elem(report.z_scalar)
+                if report.z_scalar is not None
+                else None
+            ),
             "violations": list(report.violations),
         }
         return (0 if report.ok else 1), json.dumps(payload)
