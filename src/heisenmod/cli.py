@@ -13,8 +13,8 @@ comma-separated coefficient lists.
 A command refuses, with exit 2, an input it does not read: `_BUILDS`
 states the flags each build kind requires and may also read, analyze
 reads --seed only where it samples (irreducible, series), and a suite
-reads only the ranges its entry in heisenmod.suites declares.  The one
-gap: suite takes --seed even for ex27 and sec3-min-dim, which draw none.
+reads only the ranges its entry in heisenmod.suites declares, and --seed
+only when that entry draws.
 
 Each command imports only the layers it uses, since start-up is most of a
 command's time: heisenmod.modules loads only for the irreducible, series
@@ -291,10 +291,12 @@ def _cmd_analyze(args) -> tuple[int, str]:
 
 
 def _cmd_suite(args) -> tuple[int, str]:
-    from .suites import run_suite
+    from .suites import _SUITES, run_suite
 
+    if args.seed is not None and not getattr(_SUITES.get(args.name), "draws", True):
+        raise UsageError(f"suite {args.name} does not read --seed")
     ranges = {k: _int_list(v) for k in "pnm" if (v := getattr(args, k)) is not None}
-    report = run_suite(args.name, seed=args.seed, jobs=args.jobs, **ranges)
+    report = run_suite(args.name, seed=args.seed or 0, jobs=args.jobs, **ranges)
     text = json.dumps(report.to_json()) if args.json else report.render()
     return (0 if report.ok else 1), text
 
@@ -355,7 +357,7 @@ def _parser() -> argparse.ArgumentParser:
     suite.add_argument("--p", help="comma-separated primes")
     suite.add_argument("--n", help="comma-separated ranks")
     suite.add_argument("--m", help="comma-separated degrees")
-    suite.add_argument("--seed", type=int, default=0)
+    suite.add_argument("--seed", type=int, help="seed of drawn cases (default 0)")
     suite.add_argument("--jobs", type=int, default=1)
     suite.add_argument("--json", action="store_true", help="emit Report JSON")
     suite.add_argument("--out", help="write output to a file")

@@ -439,9 +439,10 @@ def build_restriction_rep(
 
 
 def conjugate_rep(rep: Representation, t: Matrix) -> Representation:
-    """The equivalent representation g -> t^-1 rep(g) t."""
+    """The equivalent representation g -> t^-1 rep(g) t, which is rep(g)
+    itself when rep(g) is scalar."""
     ti = t.inv()
-    return rep._map(lambda m: ti * m * t)
+    return rep._map(lambda m: m if m.is_scalar() is not None else ti * m * t)
 
 
 def direct_sum_reps(reps: Sequence[Representation]) -> Representation:

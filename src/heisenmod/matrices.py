@@ -20,11 +20,14 @@ each row, codes of row i of A)), with no multiply (level-1 grease, Parker
 1984).
 apply(v), and column j of a product with fewer columns than rows or with at
 most one nonzero entry of B in eight, is the same sum over A's packed
-columns, B's zeros skipped; each product is unpacked once.
+columns, B's zeros skipped; each product is unpacked once.  Over GF(2) a
+code selects a row or column: each sum is sum(compress(packed, codes)),
+with no multiply and no row table.
 Echelon is a semi-echelon basis: each stored row is canonical, 1 at its
 pivot (its first nonzero entry, at the lowest set bit) and 0 at the pivot of
 every earlier row, and never changes after insertion, so reducing a vector
-is one multiply-add per row and one canon.  rref, rank, det, inv, solve and
+is one multiply-add per row and one canon; over GF(2) it is one XOR per row
+whose pivot bit is set, and no canon.  rref, rank, det, inv, solve and
 kernel_basis insert their rows in order into one Echelon until it is full;
 the determinant is the product of the pivot entries before scaling times
 the sign of row -> pivot.  One back-substitution, with no canon, gives the
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import compress
+from itertools import accumulate, compress, repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -192,16 +195,17 @@ class Matrix:
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
         n, k, b = self.rows, other.cols, other.data
-        codec = self.field.row_codec[self.cols]
+        codec, two = self.field.row_codec[self.cols], self.field.order == 2
         if k < n or 8 * (len(b) - b.count(0)) <= len(b):
             # column j is A's packed columns weighted by column j of B; B's
             # zeros are skipped, so a sparse B costs one multiply per nonzero
+            # (over GF(2) none: its ones select the columns)
             cols, entries = self._columns_packed(), codec.scalars(b)
             sums = []
             for j in range(k):
                 col = entries[j::k]
-                sums.append(sum(map(operator.mul, compress(col, col),
-                                    compress(cols, col))))
+                sums.append(sum(compress(cols, col)) if two else
+                            sum(map(operator.mul, compress(col, col), compress(cols, col))))
             flat = codec.unpack(codec.join(sums, n), n * k)
             data = [0] * (n * k)
             for j in range(k):
@@ -212,7 +216,9 @@ class Matrix:
                 table, terms, op = other._rows_packed(), codec.scalars(self.data), operator.mul
             else:
                 terms, op = self.data, operator.getitem
-            sums = [sum(map(op, table, terms[i * c : (i + 1) * c])) for i in range(n)]
+            rows = [terms[i * c : (i + 1) * c] for i in range(n)]
+            sums = ([sum(compress(table, r)) for r in rows] if two else
+                    [sum(map(op, table, r)) for r in rows])
             data = codec.unpack(codec.join(sums, k), n * k)
         return Matrix(self.field, n, k, data)
 
@@ -256,7 +262,10 @@ class Matrix:
         if len(v) != self.cols:
             raise ShapeMismatch(f"vector length {len(v)} for {self.cols} columns")
         codec = self.field.row_codec[self.cols]
-        packed = sum(map(operator.mul, codec.scalars(v), self._columns_packed()))
+        if self.field.order == 2:
+            packed = sum(compress(self._columns_packed(), v))
+        else:
+            packed = sum(map(operator.mul, codec.scalars(v), self._columns_packed()))
         return codec.unpack(packed, self.rows)
 
     def _rows_packed(self) -> list[int]:
@@ -268,14 +277,16 @@ class Matrix:
 
     def _scaled_rows(self) -> Optional[list[list[int]]]:
         """table[j][c] = elem[c] * packed row j, cached, built once an earlier
-        product packed the rows, q - 1 <= rows and it fits; else None."""
-        q = self.field.order
-        if self._row_table is None and self._packed_rows is not None and q <= self.rows + 1:
+        product packed the rows, 2 < q <= rows + 1 and it fits; else None.
+        Over GF(p) the multiples c * row are running sums of the row."""
+        q, rows = self.field.order, self._packed_rows
+        if self._row_table is None and rows is not None and 2 < q <= self.rows + 1:
             codec = self.field.row_codec[self.rows]
             if q * self.rows * self.cols * codec.bits <= _ROW_TABLE_BITS:
                 elem = codec.elem
-                self._row_table = [[elem[c] * row for c in range(q)]
-                                   for row in self._packed_rows]
+                self._row_table = [
+                    list(accumulate(repeat(row, q - 1), initial=0)) if self.field.degree == 1
+                    else [elem[c] * row for c in range(q)] for row in rows]
         return self._row_table
 
     def _columns_packed(self) -> list[int]:
@@ -410,8 +421,15 @@ class Echelon:
 
     def _clear(self, w: int, rows: list[int], pivots: list[int]) -> int:
         """The canonical packed w minus its entry at each pivot times that
-        pivot's row, in order, made canonical again."""
+        pivot's row, in order, made canonical again.  Over GF(2) the row is
+        XORed in where w's pivot bit is set, so every slot stays 0 or 1."""
         codec, start = self.codec, w
+        if self.field.order == 2:
+            bits = codec.bits
+            for row, piv in zip(rows, pivots):
+                if w >> piv * bits & 1:
+                    w ^= row
+            return w
         read, minus = codec.read, codec.minus
         for row, piv in zip(rows, pivots):
             x = read(w, piv)
@@ -452,18 +470,23 @@ class Echelon:
         """The reduced echelon rows in pivot order, one flat code list, and
         their pivots.  Row i, 0 at the earlier rows' pivots, is cleared by
         the stored rows j > i in order, each changing only later pivots: at
-        most rank multiply-adds on a canonical row, unpacked with no canon."""
+        most rank multiply-adds on a canonical row, unpacked with no canon
+        (over GF(2) _clear's XORs, which need none)."""
         n, k, codec = self.width, len(self.rows), self.codec
         if k == n:
             return Matrix.identity(self.field, n).data, list(range(n))
         read, minus, rows, pivots = codec.read, codec.minus, self.rows, self.pivots
-        cleared = list(rows)
-        for j in range(1, k):
-            row, piv = rows[j], pivots[j]
-            for i in range(j):
-                x = read(cleared[i], piv)
-                if x:
-                    cleared[i] += minus[x] * row
+        if self.field.order == 2:
+            clear = self._clear
+            cleared = [clear(w, rows[i + 1 :], pivots[i + 1 :]) for i, w in enumerate(rows)]
+        else:
+            cleared = list(rows)
+            for j in range(1, k):
+                row, piv = rows[j], pivots[j]
+                for i in range(j):
+                    x = read(cleared[i], piv)
+                    if x:
+                        cleared[i] += minus[x] * row
         cleared = sorted(zip(pivots, cleared))
         flat = codec.unpack(codec.join([w for _, w in cleared], n), k * n)
         return flat, [c for c, _ in cleared]
@@ -509,9 +532,11 @@ def _standard_basis(
     basis, words): basis[i] is a seed when words[i] is None, else ops[j]
     applied to basis[b] for words[i] = (j, b), b < i.  A seed is spun out
     before the next one is tried, newest basis vector first.  The base is
-    copied, never changed.
+    copied, never changed.  A scalar operator never enlarges the span, so
+    it is not applied.
     """
     ech = base.copy() if base is not None else Echelon(ops[0].field, ops[0].cols)
+    moving = [(j, g) for j, g in enumerate(ops) if g.is_scalar() is None]
     basis: list[list[int]] = []
     words: list[Optional[tuple[int, int]]] = []
     for seed in seeds:
@@ -522,7 +547,7 @@ def _standard_basis(
         words.append(None)
         while stack and ech.dim < ech.width:
             b = stack.pop()
-            for j, g in enumerate(ops):
+            for j, g in moving:
                 w = g.apply(basis[b])
                 if ech.insert(w) is not None:
                     stack.append(len(basis))

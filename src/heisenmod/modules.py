@@ -100,8 +100,8 @@ class SubspaceBasis:
     def is_invariant(self, rep: Representation) -> bool:
         if rep.field != self.field:
             raise MixedFields(f"{rep.field} vs {self.field}")
-        return all(self._ech.contains(g.apply(v))
-                   for g in rep.gen_matrices() for v in self.vectors)
+        return all(self._ech.contains(g.apply(v)) for g in rep.gen_matrices()
+                   if g.is_scalar() is None for v in self.vectors)
 
     def __eq__(self, other):
         return (
@@ -291,7 +291,7 @@ def _subquotients(rep: Representation, basis: SubspaceBasis
     B^-1 m B has the sub block S = m[P, :] W^T, the quotient block Q =
     m[F, F] - W^T[F, :] m[P, F], and a lower-left block that is zero
     exactly when m keeps W.  lift's first dim W columns are W^T t_w, and
-    the others hold t_q's rows at F.
+    the others hold t_q's rows at F.  Both blocks of c*I are c*I.
     """
     d, pivots = rep.dim, basis.pivots()
     free = sorted(set(range(d)).difference(pivots))
@@ -299,9 +299,13 @@ def _subquotients(rep: Representation, basis: SubspaceBasis
     w_free = _block(wt, free, range(basis.dim))
 
     def quotient(m: Matrix) -> Matrix:
+        if (c := m.is_scalar()) is not None:
+            return Matrix.scalar(rep.field, len(free), c)
         return _block(m, free, free) - w_free * _block(m, pivots, free)
 
     def sub(m: Matrix) -> Matrix:
+        if (c := m.is_scalar()) is not None:
+            return Matrix.scalar(rep.field, basis.dim, c)
         return _block(m, pivots, range(d)) * wt
 
     def lift(t_w: Matrix, t_q: Matrix) -> Matrix:
@@ -494,6 +498,8 @@ def hom_space(r1: Representation, r2: Representation) -> list[Matrix]:
     # columns of S span the seed images that satisfy every relation so far
     free, now = width, images
     for j, (g1, g2) in enumerate(zip(g1s, g2s)):
+        if (c := g1.is_scalar()) is not None and c == g2.is_scalar():
+            continue  # every t has t (c I) = (c I) t
         coords = (bm_inv * g1 * bm).transpose()  # row b: g1 b in the basis
         for b in range(d1):
             if (j, b) in defining:

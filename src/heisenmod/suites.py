@@ -6,10 +6,10 @@ anchor string of the statement being checked, and every failure records
 the primitive inputs that reproduce it.  Randomized inputs always derive
 from the suite seed, so reruns are bit-identical.
 
-A suite is one `_SUITES` entry (anchor, default ranges, case builder)
-plus its case function, which every built case carries itself.  The
-default ranges name the only ranges (of p, n and m) the suite reads, and
-run_suite refuses any other.  Cases are independent and dispatch to a
+A suite is one `_SUITES` entry (anchor, default ranges, case builder,
+whether it draws) plus its case function, which every built case carries
+itself.  The default ranges name the only ranges (of p, n and m) the suite
+reads, and run_suite refuses any other.  Cases are independent and dispatch to a
 pool of min(jobs, cases, CPUs) processes when that is above 1 (case
 functions pickle by reference), the only time the pool machinery is
 imported; aggregation sorts by case key, so scheduling order is
@@ -637,6 +637,7 @@ class _Suite(NamedTuple):
     anchor: str  # the statement the suite re-derives
     ranges: dict  # the ranges the suite reads, each with its default list
     build: Callable  # (seed, **ranges) -> case triples
+    draws: bool = True  # whether build reads the seed
 
 
 _SUITES = {
@@ -683,12 +684,12 @@ _SUITES = {
         lambda seed, p: [
             (_case_ex27, f"p={prime},alpha={a}", {"p": prime, "alpha": a})
             for prime in p for a in range(1, prime)
-        ],
+        ], draws=False,
     ),
     "sec3-min-dim": _Suite(
         "Sec 3: the minimum faithful dimension is n + 2, except"
         " 2 for n = 1 in characteristic 2",
-        dict(p=[2, 3, 5], n=[1]), _build_sec3,
+        dict(p=[2, 3, 5], n=[1]), _build_sec3, draws=False,
     ),
     "sec4-restriction": _Suite(
         "Sec 4: restriction of scalars along GF(p^m)/GF(p)"

@@ -358,6 +358,60 @@ MUTANTS = (
         "codec.bits <= 2 * _ROW_TABLE_BITS",
         ("tests/test_matrices.py::test_row_table_stays_within_its_size_bound",),
     ),
+    Mutant(
+        "a GF(2) clear ORs the pivot's row in",
+        "heisenmod/matrices.py",
+        "                    w ^= row\n",
+        "                    w |= row\n",
+        ("tests/test_matrices.py::test_gf2_elimination_matches_the_oracles",
+         "tests/test_matrices.py::test_echelon_matches_per_entry_oracle"),
+    ),
+    Mutant(
+        "the GF(2) back-substitution skips the next stored row",
+        "heisenmod/matrices.py",
+        "rows[i + 1 :], pivots[i + 1 :]",
+        "rows[i + 2 :], pivots[i + 2 :]",
+        ("tests/test_matrices.py::test_gf2_elimination_matches_the_oracles",
+         "tests/test_matrices.py::test_rref_and_kernel_match_oracle"),
+    ),
+    Mutant(
+        "a GF(2) clear reads the pivot bit one slot up",
+        "heisenmod/matrices.py",
+        "if w >> piv * bits & 1:",
+        "if w >> (piv + 1) * bits & 1:",
+        ("tests/test_matrices.py::test_gf2_elimination_matches_the_oracles",
+         "tests/test_matrices.py::test_echelon_matches_per_entry_oracle"),
+    ),
+    Mutant(
+        "a GF(2) product sums every row of B, whatever A's codes",
+        "heisenmod/matrices.py",
+        "[sum(compress(table, r)) for r in rows]",
+        "[sum(table) for r in rows]",
+        ("tests/test_matrices.py::test_gf2_products_and_apply_match_the_oracles",
+         "tests/test_matrices.py::test_reused_right_factor_matches_the_oracle"),
+    ),
+    Mutant(
+        "the standard basis skips an operator whose diagonal is constant",
+        "heisenmod/matrices.py",
+        "if g.is_scalar() is None]",
+        "if g.data[:: g.cols + 1].count(g.data[0]) != g.rows]",
+        ("tests/test_matrices.py::test_standard_basis_matches_closure_oracle",),
+    ),
+    Mutant(
+        "hom_space skips a generator r1 and r2 send to different scalars",
+        "heisenmod/modules.py",
+        "c == g2.is_scalar()",
+        "g2.is_scalar() is not None",
+        ("tests/test_modules.py::test_hom_space_keeps_the_relation_of_different_scalars",),
+    ),
+    Mutant(
+        "a scalar sub block takes the module's size",
+        "heisenmod/modules.py",
+        "Matrix.scalar(rep.field, basis.dim, c)",
+        "Matrix.scalar(rep.field, d, c)",
+        ("tests/test_modules.py::test_subquotients_match_the_oracle",
+         "tests/test_modules.py::test_split_by_central_takes_kernels_at_the_min_poly_multiplicity"),
+    ),
 )
 
 

@@ -520,6 +520,26 @@ def test_suite_refuses_the_ranges_it_does_not_read(cli, name):
             assert (code, out, err) == (2, "", f"error: suite {name} does not read --{flag}\n")
 
 
+@pytest.mark.parametrize("name", ["ex27", "sec3-min-dim"])
+def test_suite_that_draws_nothing_refuses_a_seed(cli, name):
+    for seed in ("0", "3"):
+        code, out, err = cli(["suite", name, "--p", "2", "--seed", seed])
+        assert (code, out, err) == (2, "", f"error: suite {name} does not read --seed\n")
+    code, out, _ = cli(["suite", name, "--p", "2", "--json"])
+    assert code == 0 and json.loads(out)["cases_run"] > 0
+
+
+def test_suite_that_draws_reads_its_seed(cli, monkeypatch):
+    import heisenmod.suites as suites
+
+    seeds, run = [], suites.run_suite
+    monkeypatch.setattr(suites, "run_suite",
+                        lambda name, seed, **kw: seeds.append(seed) or run(name, seed=seed, **kw))
+    for extra in ([], ["--seed", "0"], ["--seed", "5"]):
+        assert cli(["suite", "cor26", "--p", "2", *extra])[0] == 0
+    assert seeds == [0, 0, 5]
+
+
 def test_suite_refuses_empty_and_repeated_ranges(cli):
     refusals = [
         (["ex27", "--p", "2,2"], "the p range [2, 2] is empty or repeats a value"),

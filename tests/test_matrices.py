@@ -297,11 +297,12 @@ def test_product_at_largest_codes_has_no_slot_carry(spec, inner):
     assert a * b == oracle_matmul(a, b)
     assert a.apply([top] * inner) == oracle_apply(a, [top] * inner)
     # B as wide as A is tall takes the row path, and its second product the
-    # table of multiples wherever q - 1 <= inner
+    # table of multiples wherever q - 1 <= inner, but over GF(2), whose codes
+    # select rows and need no table
     b = Matrix(field, inner, 3, [top] * (inner * 3))
     want = oracle_matmul(a, b)
     assert a * b == want and a * b == want
-    assert (b._row_table is not None) == (top <= inner)
+    assert (b._row_table is not None) == (top <= inner and field.order > 2)
 
 
 def slot_digit_codes(field, R, n, size):
@@ -431,7 +432,8 @@ TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (5, 2)]
 def test_reused_right_factor_matches_the_oracle(spec):
     # a 1-row, a square and a tall left factor, in every order, as the 1st,
     # 2nd and 3rd product by one right factor; every product takes the row
-    # path, the first with packed rows and the others with the table
+    # path, the first with packed rows and the others with the table, which
+    # GF(2) never builds
     field = field_of(spec)
     rng = random.Random(f"{spec}-reused")
     inner = max(field.order - 1, 5)
@@ -442,7 +444,7 @@ def test_reused_right_factor_matches_the_oracle(spec):
         b = Matrix(field, inner, inner + 3, b_data)
         for count, i in enumerate(order):
             assert lefts[i] * b == want[i]
-            assert (b._row_table is None) == (count == 0)
+            assert (b._row_table is None) == (count == 0 or field.order == 2)
             assert b._packed_cols is None
 
 
@@ -915,6 +917,110 @@ def test_elimination_at_largest_codes_has_no_slot_carry(spec, width):
     assert tri * tri.inv() == Matrix.identity(field, width)
 
 
+# -- GF(2): codes select rows, clears are XORs ---------------------------------
+
+
+# the widths around each packed-word step, and the step from one-byte to
+# two-byte slots: inner 256 for a product, rank 255 for an echelon
+GF2_WIDTHS = [1, 7, 8, 9, 31, 63, 64, 65, 255, 256]
+
+
+@pytest.mark.parametrize("w", GF2_WIDTHS)
+def test_gf2_products_and_apply_match_the_oracles(w):
+    # the row path (B dense and as wide as A is tall), twice, with no row
+    # table; the column path (B narrower than A is tall, or sparse); apply
+    field, rng = GF(2), random.Random(f"gf2 products {w}")
+    for rows in (1, 3, 17):
+        a = rand_matrix(field, rows, w, rng)
+        dense = Matrix(field, w, rows + 2, [1] + [rng.randrange(2) for _ in range(w * (rows + 2) - 1)])
+        want = oracle_matmul(a, dense)
+        assert a * dense == want and a * dense == want
+        assert dense._row_table is None and dense._packed_cols is None and a._packed_cols is None
+        ones = set(rng.sample(range(w * (rows + 2)), w * (rows + 2) // 8))
+        sparse = Matrix(field, w, rows + 2, [int(i in ones) for i in range(w * (rows + 2))])
+        for b in [sparse] + ([rand_matrix(field, w, rows - 1, rng)] if rows > 1 else []):
+            assert a * b == oracle_matmul(a, b) and b._packed_rows is None
+        assert a._packed_cols is not None
+        for v in ([1] * w, [rng.randrange(2) for _ in range(w)], [0] * w):
+            assert a.apply(v) == oracle_apply(a, v)
+
+
+def gf2_unimodular(w, rng):
+    """A w x w matrix of determinant 1 over GF(2): a unit upper triangular
+    matrix, its rows mixed by 4w row additions and shuffled."""
+    rows = [[int(i == j) if j <= i else rng.randrange(2) for j in range(w)] for i in range(w)]
+    for _ in range(4 * w):
+        i, j = rng.sample(range(w), 2) if w > 1 else (0, 0)
+        if i != j:
+            rows[i] = [x ^ y for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return Matrix.from_rows(GF(2), rows)
+
+
+@pytest.mark.parametrize("w", GF2_WIDTHS)
+def test_gf2_elimination_matches_the_oracles(w):
+    # a tall rank-deficient system: rref, rank, kernel, solve and the
+    # echelon row by row; a unimodular one and a singular one: det, inv and
+    # solve, checked column by column
+    field, rng = GF(2), random.Random(f"gf2 elimination {w}")
+    inner = min(w - 1, 12)
+    left = [[rng.randrange(2) for _ in range(inner)] for _ in range(w + 3)]
+    right = [[rng.randrange(2) for _ in range(w)] for _ in range(inner)]
+    m = Matrix(field, w + 3, w, [sum(row[t] & right[t][j] for t in range(inner)) % 2
+                                 for row in left for j in range(w)])
+    want, pivots = oracle_rref(field, m.row_lists(), w)
+    assert m.rref() == (Matrix.from_rows(field, want), pivots)
+    assert m.rank() == len(pivots) <= inner
+    # one kernel vector per free column f: 1 at f, the rref's column f at
+    # the pivots (over GF(2) -x = x)
+    kernel = []
+    for f in (c for c in range(w) if c not in pivots):
+        kernel.append([int(c == f) for c in range(w)])
+        for r, c in enumerate(pivots):
+            kernel[-1][c] = want[r][f]
+    assert m.kernel_basis() == kernel
+    b = oracle_apply(m, [rng.randrange(2) for _ in range(w)])
+    assert oracle_apply(m, m.solve(b)) == b
+    ech, slow = Echelon(field, w), oracle_echelon(field, w)
+    for row in m.row_lists():
+        assert ech.reduce(row) == slow.reduce(row) and ech.insert(row) == slow.insert(row)
+    assert ech.sorted_rows() == slow.sorted_rows() == want[: len(pivots)]
+    u = gf2_unimodular(w, rng)
+    assert u.det() == 1 and u.rank() == w
+    inv, eye = u.inv(), Matrix.identity(field, w).row_lists()
+    for j in sorted(rng.sample(range(w), min(w, 6))):
+        assert oracle_apply(u, inv.column(j)) == eye[j] and u.solve(eye[j]) == inv.column(j)
+    if w > 1:
+        # row 1 repeats row 0, so b with b_0 != b_1 is inconsistent
+        twin = Matrix(field, w, w, u.data[:w] + u.data[:w] + u.data[2 * w :])
+        assert twin.det() == 0 and twin.rank() == w - 1
+        with pytest.raises(Singular):
+            twin.inv()
+        b = oracle_apply(twin, [rng.randrange(2) for _ in range(w)])
+        assert oracle_apply(twin, twin.solve(b)) == b
+        b[0] ^= 1
+        assert twin.solve(b) is None
+
+
+@pytest.mark.parametrize("w", GF2_WIDTHS)
+def test_gf2_min_poly_matches_the_block_oracle(w):
+    # a direct sum of companion blocks, its rows and columns permuted by
+    # one permutation: min_poly is the lcm of the blocks and char_poly
+    # their product; the tagged Krylov echelon has rank w
+    field, rng = GF(2), random.Random(f"gf2 min_poly {w}")
+    degrees = []
+    while sum(degrees) < w:
+        degrees.append(min(rng.randint(1, 9), w - sum(degrees)))
+    blocks = [rand_monic(field, k, rng) for k in degrees]
+    a = direct_sum([companion(f) for f in blocks])
+    perm = rng.sample(range(w), w)
+    a = Matrix(field, w, w, [a.data[perm[i] * w + perm[j]] for i in range(w) for j in range(w)])
+    assert min_poly(a) == functools.reduce(Poly.lcm, blocks)
+    assert char_poly(a) == functools.reduce(Poly.__mul__, blocks)
+    if w <= 9:
+        assert min_poly(a) == brute_min_poly(a)
+
+
 def test_empty_shapes_eliminate():
     field = GF(5)
     wide = Matrix(field, 0, 3, [])
@@ -968,6 +1074,30 @@ def test_standard_basis_matches_closure_oracle(field):
                 assert b < i and oracle_apply(ops[j], basis[b]) == basis[i]
         if base is not None:
             assert ([list(v) for v in base.vectors], list(base.pivots)) == before
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), ext(2, 2)], ids=str)
+def test_standard_basis_is_unchanged_by_scalar_operators(field):
+    # c I maps each basis vector into the span: scalars appended to the
+    # operators change neither the echelon rows, nor the basis, nor the
+    # words, and a scalar put first shifts every word's operator by one
+    rng = random.Random(f"scalars {field}")
+    for _ in range(30):
+        d = rng.randint(1, 6)
+        ops = [Matrix(field, d, d, [rng.randrange(field.order) if rng.random() < 0.15 else 0
+                                    for _ in range(d * d)]) for _ in range(rng.randint(1, 3))]
+        scalars = [Matrix.scalar(field, d, c) for c in (0, 1, rng.randrange(field.order))]
+        seeds = [[rng.randrange(field.order) for _ in range(d)] for _ in range(rng.randint(1, 3))]
+        ech, basis, words = _standard_basis(ops, seeds)
+        got, more, marked = _standard_basis(ops + scalars, seeds)
+        assert (got.rows, got.pivots, more, marked) == (ech.rows, ech.pivots, basis, words)
+        got, more, marked = _standard_basis(scalars[2:] + ops, seeds)
+        assert (got.rows, more) == (ech.rows, basis)
+        assert marked == [w and (w[0] + 1, w[1]) for w in words]
+        # scalars only: the seeds outside the span of the earlier ones
+        ranks = [len(oracle_rref(field, seeds[:i], d)[1]) for i in range(len(seeds) + 1)]
+        kept = [v for v, lo, hi in zip(seeds, ranks, ranks[1:]) if hi > lo]
+        assert _standard_basis(scalars, seeds)[1:] == (kept, [None] * len(kept))
 
 
 def test_echelon_tracks_span():

@@ -1166,6 +1166,66 @@ def test_hom_space_matches_the_linear_system_oracle(p, m):
             assert len(basis) == oracle_hom_dim(r1, r2)
 
 
+def scalar_shortcuts_off(monkeypatch):
+    """Make is_scalar answer None inside the scalar-generator shortcuts
+    (_standard_basis, the sub and quotient blocks, conjugate_rep,
+    is_invariant and hom_space) and nowhere else, so that every other use
+    of it, such as classify's, is unchanged."""
+    from heisenmod import heisenberg
+
+    roots = [matrices._standard_basis, modules._subquotients, modules.hom_space,
+             SubspaceBasis.is_invariant, heisenberg.conjugate_rep]
+    sites, stack = set(), [f.__code__ for f in roots]
+    while stack:
+        code = stack.pop()
+        sites.add(code)
+        stack += [c for c in code.co_consts if isinstance(c, type(code))]
+    real = Matrix.is_scalar
+    monkeypatch.setattr(Matrix, "is_scalar",
+                        lambda m: None if sys._getframe(1).f_code in sites else real(m))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def test_scalar_shortcuts_leave_hom_space_and_series_unchanged(p, m, monkeypatch):
+    # the same hom bases and composition series with and without the
+    # shortcuts, which spare apply calls on these modules
+    field = GF(p) if m == 1 else ext(p, m)
+    pairs = hom_test_pairs(field, random.Random(f"shortcut {p} {m}"))
+    reps = [r for pair in pairs[:4] for r in pair] + [
+        companion_power(p, 2, 1, field=field),
+        direct_sum_reps([pairs[0][0], companion_power(p, 1, 0, field=field)])]
+    applies, real_apply = [], Matrix.apply
+
+    def counted(self, v):
+        applies[-1] += 1
+        return real_apply(self, v)
+
+    monkeypatch.setattr(Matrix, "apply", counted)
+    results = []
+    for shortcuts in (True, False):
+        if not shortcuts:
+            scalar_shortcuts_off(monkeypatch)
+        applies.append(0)
+        results.append(([hom_space(r1, r2) for r1, r2 in pairs],
+                         [composition_series(rep) for rep in reps]))
+    assert results[0] == results[1]
+    assert applies[0] < applies[1]
+
+
+def test_hom_space_keeps_the_relation_of_different_scalars():
+    # r1 and r2 send z to different scalars, so t z1 = z2 t forces t = 0;
+    # the same scalar imposes nothing
+    field, zero = GF(3), Matrix.zeros(GF(3), 2, 2)
+
+    def central(c):
+        return Representation(HeisenbergAlgebra(1, field), [zero], [zero],
+                              Matrix.scalar(field, 2, c))
+
+    for c1, c2, dim in ((1, 2, 0), (0, 1, 0), (2, 2, 4)):
+        r1, r2 = central(c1), central(c2)
+        assert len(hom_space(r1, r2)) == len(oracle_hom_space(r1, r2)) == dim
+
+
 def test_hom_space_of_zero_dimensional_modules_is_zero():
     field = GF(3)
     empty, v = zero_rep(field, 1, 0), v_rep(field, 1, [0], [0])
@@ -1292,7 +1352,8 @@ def test_split_by_central_over_the_splitting_field():
 def test_split_by_central_takes_kernels_at_the_min_poly_multiplicity(monkeypatch):
     # C = y^3 has minimal polynomial (X - 1)^2 (X - 2) on a 9-dimensional
     # module: ker (C - 1)^2 is one product and ker (C - 2) none, where
-    # ker (C - lam)^9 took four each; the bases are the same
+    # ker (C - lam)^9 took four each; the bases are the same.  z is scalar,
+    # so its two sub blocks are scalar matrices and no products
     field = GF(3)
     f = Poly(field, [2, 1]) * Poly(field, [2, 1]) * Poly(field, [1, 1])
     rep = build_companion_rep(field.one(), field.zero(), f)
@@ -1306,7 +1367,7 @@ def test_split_by_central_takes_kernels_at_the_min_poly_multiplicity(monkeypatch
 
     monkeypatch.setattr(Matrix, "__mul__", mul)
     parts = split_by_central(rep, central)
-    assert len(products) == 13
+    assert len(products) == 11
     monkeypatch.setattr(Matrix, "__mul__", plain_mul)
     assert [(s.eigenvalue.code, s.rep.dim) for s in parts] == [(1, 6), (2, 3)]
     for s in parts:

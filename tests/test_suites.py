@@ -288,6 +288,14 @@ def test_built_cases_are_pinned(name):
         assert hashlib.sha256(doc.encode()).hexdigest() == want, (name, seed)
 
 
+def test_a_suite_draws_exactly_when_its_seed_changes_its_cases():
+    from heisenmod.suites import _SUITES
+
+    assert sorted(_SUITES) == sorted(BUILT_CASE_DIGESTS)
+    for name, (at_0, at_7) in BUILT_CASE_DIGESTS.items():
+        assert _SUITES[name].draws == (at_0 != at_7), name
+
+
 def test_readme_suite_table_lists_exactly_the_suites():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
